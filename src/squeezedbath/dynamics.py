@@ -31,6 +31,7 @@ import scipy.sparse.linalg
 from .errors import (
     NonUniqueSteadyState,
     NotUnitary,
+    NumericalOverflow,
     PositivityLoss,
     SlowDriveViolation,
 )
@@ -967,7 +968,10 @@ def _relax_sector(
             m += np.diag(lo, -1)
         return scipy.linalg.expm(m * t) @ c0
     lam, q_mat, log_scale = _sector_eigh(float(nbar), float(kappa), int(k), size)
-    w = q_mat.T @ (c0 * np.exp(-log_scale))
+    # exp(-log_scale) alone overflows at high levels of a cold bath even
+    # where c0 is small enough for the scaled band to stay finite
+    half = np.exp(-0.5 * log_scale)
+    w = q_mat.T @ ((c0 * half) * half)
     w *= np.exp(lam * t)
     return np.exp(log_scale) * (q_mat @ w)
 
@@ -980,10 +984,18 @@ def relax_populations(
     Spectral propagation of the main-diagonal block; orders of magnitude
     cheaper than integrating the full matrix equation and exact at any t.
     The returned vector is clipped at zero and renormalised (roundoff only).
+    Raises NumericalOverflow when p0 is so much hotter than the bath that
+    its detailed-balance scaling leaves the floating-point range.
     """
     p0 = np.asarray(p0, dtype=float)
     if abs(p0.sum() - 1.0) > 1e-8:
         raise ValueError("populations must sum to 1")
-    out = _relax_sector(p0, float(nbar), float(kappa), 0, float(t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _relax_sector(p0, float(nbar), float(kappa), 0, float(t))
+    if not np.isfinite(out).all():
+        raise NumericalOverflow(
+            f"relaxation toward nbar={nbar:g} at cutoff {p0.size} left the "
+            "floating-point range; lower the cutoff or start nearer the bath"
+        )
     out = np.clip(out, 0.0, None)
     return out / out.sum()

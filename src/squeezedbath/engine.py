@@ -214,11 +214,8 @@ def eta_actual(
         return math.nan, NOT_ENGINE
     if dissipated_cold > tol:
         return 1.0, ENGINE_AND_FRIDGE
-    if dissipated_hot > 0:
-        return 1.0 + dissipated_cold / dissipated_hot, ENGINE
-    raise RegimeViolation(
-        "positive net work without a positive energising flow"
-    )  # unreachable: work_out > tol forces dissipated_hot > 0 here
+    # work_out > tol >= dissipated_cold forces dissipated_hot > 0 here
+    return 1.0 + dissipated_cold / dissipated_hot, ENGINE
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +345,7 @@ def _sorted_desc(v: np.ndarray) -> np.ndarray:
 
 def _check_steady(v: np.ndarray, target: np.ndarray, label: str) -> float:
     resid = 0.5 * float(np.abs(v - target).sum())
-    if resid > STEADY_TOL:
+    if not resid <= STEADY_TOL:  # a NaN residual fails the gate too
         raise NotSteady(
             f"{label} contact ended {resid:.3e} away from its fixed point "
             f"(gate {STEADY_TOL:g}); lengthen the stroke"
@@ -467,17 +464,17 @@ def run_otto(spec: CycleSpec) -> CycleReport:
     total_flow = sum(s.dissipated for s in strokes)
     firstlaw_residual = abs(work_out - total_flow)
 
-    flows_in = [e for e in (e_dh, e_dc, *(f[0] for f in mid_flows)) if e > ENGINE_TOL]
-    energy_in = sum(flows_in)
-    if work_out <= ENGINE_TOL or energy_in <= 0:
-        eta = math.nan
-        regime = NOT_ENGINE
-    else:
-        eta = work_out / energy_in
-        regime = ENGINE if e_dc <= ENGINE_TOL else ENGINE_AND_FRIDGE
     if not spec.mid_baths:
-        # keep the two-contact branch rules authoritative
         eta, regime = eta_actual(e_dh, e_dc)
+    else:
+        flows = (e_dh, e_dc, *(f[0] for f in mid_flows))
+        energy_in = sum(e for e in flows if e > ENGINE_TOL)
+        if work_out <= ENGINE_TOL or energy_in <= 0:
+            eta = math.nan
+            regime = NOT_ENGINE
+        else:
+            eta = work_out / energy_in
+            regime = ENGINE if e_dc <= ENGINE_TOL else ENGINE_AND_FRIDGE
 
     eta_c = eta_carnot(spec.temp_cold, spec.temp_hot)
     if e_dh > 0:

@@ -194,12 +194,39 @@ def squeeze_operator(r: float, dim: DimLike = DEFAULT_CUTOFF) -> Operator:
 
 @functools.lru_cache(maxsize=8)
 def _squeeze_matrix(r: float, n: int) -> np.ndarray:
-    """Real matrix of the squeeze unitary at cutoff n (cached; treat as read-only)."""
-    rungs = np.sqrt(np.arange(1, n))
-    a = np.zeros((n, n))
-    a[np.arange(n - 1), np.arange(1, n)] = rungs
-    gen = 0.5 * r * (a @ a - a.T @ a.T)
-    out = scipy.linalg.expm(gen)
+    """Real matrix of the squeeze unitary at cutoff n (cached; treat as read-only).
+
+    The generator G = (r/2)(a^2 - a^dag^2) couples only levels of equal
+    parity. On each parity block it is a real antisymmetric tridiagonal T
+    with off-diagonal b = (r/2) sqrt(m(m-1)) between levels m-2 and m. With
+    D = diag(i^j) over the block index j, D^-1 T D = iB for the real
+    symmetric tridiagonal B with zero diagonal and off-diagonal b, so one
+    tridiagonal eigensolve B = Q diag(lam) Q^T gives
+    exp(T) = D Q diag(e^(i lam)) Q^T D^-1. Its (j, k) entry is +C, -S, -C
+    or +S for j - k = 0, 1, 2, 3 mod 4, with C = Q cos(lam) Q^T and
+    S = Q sin(lam) Q^T. C vanishes at odd j - k and S at even j - k, so
+    only C between block indices of equal parity (levels 4 apart) and S
+    between opposite ones are formed; with j = 2a or 2a + 1 the sign is
+    (-1)^(a - b), folded into the rows of Q. Entries between levels of
+    opposite parity are exactly zero.
+    """
+    out = np.zeros((n, n))
+    for parity in (0, 1):
+        size = len(range(parity, n, 2))
+        m = np.arange(parity + 2, n, 2, dtype=float)
+        b = 0.5 * r * np.sqrt(m * (m - 1.0))
+        lam, q = scipy.linalg.eigh_tridiagonal(
+            np.zeros(size), b, lapack_driver="stemr"
+        )
+        q[2::4] *= -1.0
+        q[3::4] *= -1.0
+        qe, qo = q[0::2], q[1::2]  # levels parity + 4a and parity + 2 + 4a
+        lo, hi = slice(parity, None, 4), slice(parity + 2, None, 4)
+        out[lo, lo] = (qe * np.cos(lam)) @ qe.T
+        out[hi, hi] = (qo * np.cos(lam)) @ qo.T
+        s = (qe * np.sin(lam)) @ qo.T
+        out[lo, hi] = s
+        out[hi, lo] = -s.T
     out.setflags(write=False)
     return out
 

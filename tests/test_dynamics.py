@@ -10,6 +10,7 @@ from squeezedbath import (
     HilbertDim,
     NonUniqueSteadyState,
     NotUnitary,
+    NumericalOverflow,
     Operator,
     PositivityLoss,
     SlowDriveViolation,
@@ -415,6 +416,12 @@ class TestRelaxPopulations:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             relax_populations(np.ones(10), 0.5, 1.0, 1.0)
+
+    def test_out_of_range_scaling_raises_instead_of_nan(self):
+        # a hot start at 300 levels into a nearly cold bath: the detailed-balance
+        # scaling of the top levels exceeds the floating-point range
+        with pytest.raises(NumericalOverflow):
+            relax_populations(thermal_populations(2.0, 300), 1e-3, 1.0, 30.0)
 
 
 class TestRequiredCutoff:

@@ -24,6 +24,7 @@ from squeezedbath import (
     run_otto,
     squeezed_excess,
 )
+from squeezedbath.engine import _check_steady
 
 # reference working point: T_c=1, T_h=3, omega_h = 0.1 T_h, omega ratio 1/2
 POINT = dict(temp_cold=1.0, temp_hot=3.0, omega_cold=0.15, omega_hot=0.3)
@@ -182,6 +183,24 @@ class TestRunOtto:
     def test_short_stroke_raises_not_steady(self):
         with pytest.raises(NotSteady):
             run_otto(CycleSpec(r=0.5, stroke_time=1.0, **POINT))
+
+    def test_cold_contact_at_the_largest_cutoff_matches_closed_form(self):
+        # the r = 1 auto cutoff is 1736 levels; the cold bath's detailed-balance
+        # factor q^(-n/2) passes exp(709) at the top levels of that space
+        point = dict(temp_cold=0.1, temp_hot=3.0, omega_cold=0.09, omega_hot=0.3)
+        rep = run_otto(CycleSpec(r=1.0, **point))
+        c = closed_form_otto(r=1.0, **point)
+        assert rep.regime == c.regime
+        assert rep.eta == pytest.approx(c.eta, rel=1e-3)
+        assert rep.E_dc == pytest.approx(c.E_dc, rel=1e-3)
+        assert rep.E_dh == pytest.approx(c.E_dh, rel=1e-3)
+        assert rep.closure < 1e-9
+
+    def test_steady_gate_rejects_a_nan_residual(self):
+        target = np.array([0.75, 0.25])
+        with pytest.raises(NotSteady):
+            _check_steady(np.array([np.nan, 0.25]), target, "cold")
+        assert _check_steady(target, target, "cold") == 0.0
 
     def test_mid_bath_dump_lowers_efficiency(self, otto_squeezed):
         spec = CycleSpec(r=0.5, mid_baths=(BathStage(temperature=1.5),), **POINT)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from squeezedbath import (
     CutoffLeak,
@@ -20,6 +21,7 @@ from squeezedbath import (
     thermal_state,
     von_neumann_entropy,
 )
+from squeezedbath.fock import _squeeze_matrix
 
 
 def test_hilbert_dim_validation():
@@ -96,6 +98,26 @@ class TestSqueezeOperator:
     def test_cutoff_leak_raises(self):
         with pytest.raises(CutoffLeak):
             squeeze_operator(0.35, 16)
+
+
+class TestSqueezeMatrixOracle:
+    """The parity-block eigensolve construction against a dense expm."""
+
+    @pytest.mark.parametrize("n", [2, 3, 40, 41, 287])
+    @pytest.mark.parametrize("r", [-0.4, 0.0, 0.3, 1.0])
+    def test_matches_dense_expm(self, n, r):
+        a = np.diag(np.sqrt(np.arange(1.0, n)), 1)
+        expected = scipy.linalg.expm(0.5 * r * (a @ a - a.T @ a.T))
+        s = _squeeze_matrix(r, n)
+        assert np.abs(s - expected).max() <= 1e-11
+        odd = np.add.outer(np.arange(n), np.arange(n)) % 2 == 1
+        assert np.all(s[odd] == 0.0)
+        assert not s.flags.writeable
+
+    def test_orthogonal_at_the_largest_otto_cutoff(self):
+        n = 1736  # the auto cutoff of the r = 1 otto-sweep points
+        s = _squeeze_matrix(1.0, n)
+        assert np.abs(s.T @ s - np.eye(n)).max() <= 1e-12
 
 
 class TestThermalState:
