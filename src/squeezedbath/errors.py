@@ -13,6 +13,14 @@ class NonUniqueSteadyState(RuntimeError):
     """The generator's null space is empty or more than one dimensional."""
 
 
+class SteadyStateResidual(RuntimeError):
+    """A computed steady state is not annihilated by the generator to tolerance."""
+
+
+class TraceDrift(RuntimeError):
+    """Time evolution lost the unit trace beyond the integrator's tolerance."""
+
+
 class NotUnitary(ValueError):
     """An operator that must be unitary is not, within tolerance."""
 

@@ -150,16 +150,6 @@ def sigma_series(traj: Trajectory, gen: Generator) -> np.ndarray:
     )
 
 
-def spohn_sigma_constH(rho0: DensityMatrix, rho_ss: DensityMatrix) -> float:
-    """Total entropy production of a full relaxation rho0 -> rho_ss.
-
-    For a time-independent generator the production integrated to
-    convergence equals the relative entropy of the initial state to the
-    invariant one. Infinite on support mismatch (pure targets).
-    """
-    return relative_entropy(rho0, rho_ss)
-
-
 def sigma_nonthermal(
     rho0: DensityMatrix, unitary: Operator, pi_ss: DensityMatrix
 ) -> float:
@@ -180,11 +170,6 @@ def sigma_nonthermal(
         _spectrum=rho0.eigenvalues,
     )
     return relative_entropy(rotated, pi_ss)
-
-
-def spohn_sigma_timedep(traj: Trajectory, gen: Generator) -> float:
-    """Final cumulative entropy production of a (possibly driven) stroke."""
-    return float(sigma_series(traj, gen)[-1])
 
 
 def _h_levels(gen: Generator, t: float) -> np.ndarray:

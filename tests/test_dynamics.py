@@ -3,17 +3,21 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from squeezedbath import (
     DensityMatrix,
     Generator,
     HilbertDim,
+    JumpTerm,
     NonUniqueSteadyState,
     NotUnitary,
     NumericalOverflow,
     Operator,
     PositivityLoss,
     SlowDriveViolation,
+    SteadyStateResidual,
+    TraceDrift,
     annihilation,
     apply,
     bose_occupation,
@@ -217,6 +221,18 @@ class TestEvolve:
         assert traj.trace_errors.max() < 1e-8
         assert np.all(np.diff(traj.times) > 0)
 
+    def test_trace_drift_raised_for_runaway_step(self):
+        # dt far past the RK4 edge grows the stiff modes until roundoff
+        # alone moves the trace past the 1e-8 gate, before positivity is read
+        gen = thermal_generator(1.0, 1.0, nbar=0.5, dim=10)
+        with pytest.raises(TraceDrift):
+            evolve(gen, coherent_state(0.5, 10), 2e4, dt=1e3, snapshot_stride=1)
+
+    def test_non_finite_state_fails_the_trace_gate(self):
+        gen = thermal_generator(1.0, 1.0, nbar=0.5, dim=10)
+        with np.errstate(all="ignore"), pytest.raises(TraceDrift):
+            evolve(gen, coherent_state(0.5, 10), 2e80, dt=1e80, snapshot_stride=1)
+
     def test_positivity_loss_raised_for_oversized_step(self):
         gen = thermal_generator(1.0, 1.0, nbar=0.5, dim=12)
         with pytest.raises(PositivityLoss):
@@ -316,6 +332,85 @@ class TestSteadyState:
         gen = squeezed_generator(1.0, 1.0, 0.3, 0.2, dim=50)
         ss = steady_state(gen)
         assert np.abs(apply(gen, ss)).max() < 1e-10
+
+
+def _rotated_thermal(n, nbar=0.3, r=0.25):
+    """Thermal damping conjugated by the exact truncated squeeze unitary."""
+    a = annihilation(n).matrix
+    u = scipy.linalg.expm(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
+    gen = thermal_generator(1.0, 1.0, nbar=nbar, dim=n)
+    return conjugate_generator(gen, Operator(HilbertDim(n), u))
+
+
+def _driven_schroedinger(n):
+    """Custom generator whose coherent part has a non-diagonal H."""
+    a = annihilation(n)
+    am, ad = a.matrix, a.dagger().matrix
+    h = ad @ am + 0.3 * (am + ad) + 0.1 * (am @ am + ad @ ad)
+    return Generator(
+        HilbertDim(n),
+        constant_hamiltonian(Operator(HilbertDim(n), h)),
+        jumps=(JumpTerm(a, 1.3), JumpTerm(a.dagger(), 0.3)),
+    )
+
+
+def _dephased_decay(n, eps):
+    """Dephasing at rate 1 plus damping at rate eps under H = n_hat."""
+    a = annihilation(n)
+    num = Operator(HilbertDim(n), a.dagger().matrix @ a.matrix)
+    return Generator(
+        HilbertDim(n),
+        constant_hamiltonian(num),
+        jumps=(JumpTerm(num, 1.0), JumpTerm(a, eps)),
+    )
+
+
+class TestSteadyStateOracle:
+    """steady_state against the null vector of a dense SVD of the generator."""
+
+    @staticmethod
+    def _dense_kernel(gen):
+        n = gen.dim.cutoff
+        _u, _s, vh = scipy.linalg.svd(superoperator(gen))
+        x = vh[-1].conj().reshape(n, n)
+        x = 0.5 * (x + x.conj().T)
+        return DensityMatrix(Operator(gen.dim, x / x.trace().real))
+
+    @pytest.mark.parametrize("n", [6, 20, 32])
+    @pytest.mark.parametrize("build", [_rotated_thermal, _driven_schroedinger])
+    def test_matches_dense_null_vector(self, build, n):
+        gen = build(n)
+        assert trace_distance(steady_state(gen), self._dense_kernel(gen)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [6, 20, 40])
+    def test_near_degenerate_kernel_raises(self, n):
+        # the second kernel direction is a traceless population mode that
+        # relaxes at ~eps; a start vector orthogonal to it would miss it
+        with pytest.raises(NonUniqueSteadyState):
+            steady_state(_dephased_decay(n, 1e-9))
+
+    @pytest.mark.parametrize("n", [6, 20, 40])
+    def test_slow_damping_still_finds_the_vacuum(self, n):
+        ss = steady_state(_dephased_decay(n, 1e-3))
+        assert trace_distance(ss, number_state(0, n)) < 1e-10
+
+    def test_exactly_degenerate_kernel_raises(self):
+        h = constant_hamiltonian(harmonic_hamiltonian(1.0, 40))
+        with pytest.raises(NonUniqueSteadyState):
+            steady_state(Generator(HilbertDim(40), h, jumps=()))
+
+    def test_residual_gate_checks_with_apply(self):
+        # an up rate that changes between the factorisation and the
+        # independent apply() check leaves a kernel apply() rejects
+        calls = iter([0.3, 0.5])
+        a = annihilation(8)
+        gen = Generator(
+            HilbertDim(8),
+            constant_hamiltonian(harmonic_hamiltonian(1.0, 8)),
+            jumps=(JumpTerm(a, 1.3), JumpTerm(a.dagger(), lambda t: next(calls))),
+        )
+        with pytest.raises(SteadyStateResidual):
+            steady_state(gen)
 
 
 class TestSuperoperator:

@@ -26,8 +26,6 @@ from squeezedbath import (
     relative_entropy,
     sigma_nonthermal,
     sigma_series,
-    spohn_sigma_constH,
-    spohn_sigma_timedep,
     squeeze_operator,
     squeezed_generator,
     squeezed_thermal_state,
@@ -102,18 +100,18 @@ class TestSpohnSigma:
     def test_zero_at_the_invariant(self):
         gen = thermal_generator(1.0, 1.0, nbar=0.8, dim=40)
         inv = bath_invariant_state(gen)
-        assert spohn_sigma_constH(inv, inv) == pytest.approx(0.0, abs=1e-12)
+        assert relative_entropy(inv, inv) == pytest.approx(0.0, abs=1e-12)
 
     def test_thermal_pair_matches_geometric_closed_form(self):
         n1, n2 = 0.5, 1.0
-        spohn = spohn_sigma_constH(thermal_state(n1, 30), thermal_state(n2, 30))
+        spohn = relative_entropy(thermal_state(n1, 30), thermal_state(n2, 30))
         s1 = (n1 + 1) * math.log(n1 + 1) - n1 * math.log(n1)
         closed = -s1 - (n1 * math.log(n2 / (n2 + 1)) - math.log(n2 + 1))
         # truncation tail of thermal(1.0) at 30 levels is ~1e-9
         assert spohn == pytest.approx(closed, abs=2e-9)
 
     def test_pure_target_diverges(self):
-        assert spohn_sigma_constH(
+        assert relative_entropy(
             coherent_state(1.0, 40), number_state(0, 40)
         ) == math.inf
 
@@ -121,12 +119,8 @@ class TestSpohnSigma:
         gen = thermal_generator(1.0, 1.0, nbar=1.0, dim=30)
         rho0 = thermal_state(0.5, 30)
         traj = evolve(gen, rho0, 16.0)
-        total = spohn_sigma_constH(rho0, bath_invariant_state(gen))
-        assert spohn_sigma_timedep(traj, gen) == pytest.approx(total, abs=1e-8)
-
-    def test_timedep_is_the_final_series_entry(self):
-        gen, traj = _driven_stroke()
-        assert spohn_sigma_timedep(traj, gen) == sigma_series(traj, gen)[-1]
+        total = relative_entropy(rho0, bath_invariant_state(gen))
+        assert sigma_series(traj, gen)[-1] == pytest.approx(total, abs=1e-8)
 
 
 class TestSigmaNonthermal:
