@@ -307,12 +307,9 @@ def _run_carnot_stroke(cfg: dict):
     rows = []
     for tau in sorted(cfg["durations"]):
         sched = linear_ramp_schedule(cfg["omega_start"], cfg["omega_end"], tau, dim)
-        if cfg["r"] != 0.0:
-            gen = squeezed_generator(
-                sched, cfg["kappa"], None, cfg["r"], dim=dim, temperature=temp
-            )
-        else:
-            gen = thermal_generator(sched, cfg["kappa"], dim=dim, temperature=temp)
+        gen = squeezed_generator(
+            sched, cfg["kappa"], None, cfg["r"], dim=dim, temperature=temp
+        )
         nb0 = bose_occupation(cfg["omega_start"], temp)
         traj = evolve(gen, thermal_state(nb0, dim), tau, dt=cfg["dt"])
         rep = entropy_bound_report(traj, gen, dt=cfg["dt"])

@@ -43,7 +43,6 @@ from .fock import (
     DimLike,
     HilbertDim,
     Operator,
-    annihilation,
     as_dim,
     squeezed_thermal_state,
     thermal_state,
@@ -70,6 +69,16 @@ def bose_occupation(omega: float, temperature: float) -> float:
     return 1.0 / math.expm1(omega / temperature)
 
 
+def _rate_at(rate: RateLike, t: float) -> float:
+    """A jump rate at time t; a callable must give a finite, nonnegative value."""
+    if not callable(rate):
+        return rate
+    g = float(rate(t))
+    if not (math.isfinite(g) and g >= 0):
+        raise ValueError(f"jump rate is {g} at t={t}; must be finite and >= 0")
+    return g
+
+
 @dataclasses.dataclass(frozen=True)
 class JumpTerm:
     """Dissipation channel: operator plus a constant or time-dependent rate."""
@@ -85,47 +94,61 @@ class JumpTerm:
             object.__setattr__(self, "rate", r)
 
     def rate_at(self, t: float) -> float:
-        g = self.rate(t) if callable(self.rate) else self.rate
-        if g < 0:
-            raise ValueError(f"rate callable returned {g} < 0 at t={t}")
-        return g
+        return _rate_at(self.rate, t)
 
 
 @dataclasses.dataclass(frozen=True)
 class HamiltonianSchedule:
     """Time-dependent Hamiltonian H(t) with its explicit time derivative.
 
-    diag_evaluate/diag_derivative are fast paths set when H(t) is diagonal
-    in the Fock basis at all times (our frequency ramps are).
+    A ladder schedule has H(t) = frequency(t) * diag(levels) (diag(levels)
+    without a frequency), read by diagonal/diagonal_derivative; a general
+    one gives the matrices through evaluate_fn/derivative_fn.
     """
 
     dim: HilbertDim
-    evaluate_fn: Callable[[float], np.ndarray]
-    derivative_fn: Callable[[float], np.ndarray]
+    evaluate_fn: Optional[Callable[[float], np.ndarray]] = None
+    derivative_fn: Optional[Callable[[float], np.ndarray]] = None
     is_constant: bool = False
     frequency: Optional[Callable[[float], float]] = None
     frequency_dot: Optional[Callable[[float], float]] = None
-    diag_evaluate: Optional[Callable[[float], np.ndarray]] = None
-    diag_derivative: Optional[Callable[[float], np.ndarray]] = None
+    levels: Optional[np.ndarray] = None
+
+    def diagonal(self, t: float) -> np.ndarray:
+        """Diagonal of H(t) for a ladder schedule."""
+        if self.frequency is None:
+            return self.levels
+        return self.frequency(t) * self.levels
+
+    def diagonal_derivative(self, t: float) -> np.ndarray:
+        """Diagonal of dH/dt for a ladder schedule."""
+        if self.frequency_dot is None:
+            return np.zeros_like(self.levels)
+        return self.frequency_dot(t) * self.levels
 
     def evaluate(self, t: float) -> np.ndarray:
-        return self.evaluate_fn(t)
+        if self.levels is None:
+            return self.evaluate_fn(t)
+        return np.diag(self.diagonal(t).astype(complex))
 
     def derivative(self, t: float) -> np.ndarray:
-        return self.derivative_fn(t)
+        if self.levels is None:
+            return self.derivative_fn(t)
+        return np.diag(self.diagonal_derivative(t).astype(complex))
 
 
 def constant_hamiltonian(op: Operator) -> HamiltonianSchedule:
-    zero = np.zeros_like(op.matrix)
-    is_diag = bool(np.abs(op.matrix - np.diag(np.diag(op.matrix))).max() == 0.0)
-    diag = np.ascontiguousarray(np.diag(op.matrix).real)
+    m = op.matrix
+    if not np.any(m - np.diag(np.diagonal(m))):
+        return HamiltonianSchedule(
+            dim=op.dim, is_constant=True, levels=np.diagonal(m).real.copy()
+        )
+    zero = np.zeros_like(m)
     return HamiltonianSchedule(
         dim=op.dim,
-        evaluate_fn=lambda t: op.matrix,
+        evaluate_fn=lambda t: m,
         derivative_fn=lambda t: zero,
         is_constant=True,
-        diag_evaluate=(lambda t: diag) if is_diag else None,
-        diag_derivative=(lambda t: np.zeros(op.dim.cutoff)) if is_diag else None,
     )
 
 
@@ -136,23 +159,11 @@ def oscillator_schedule(
 ) -> HamiltonianSchedule:
     """H(t) = frequency(t) * n_hat for a swept harmonic ladder."""
     d = as_dim(dim)
-    levels = np.arange(d.cutoff, dtype=float)
-
-    def evaluate(t: float) -> np.ndarray:
-        return np.diag((frequency(t) * levels).astype(complex))
-
-    def derivative(t: float) -> np.ndarray:
-        return np.diag((frequency_dot(t) * levels).astype(complex))
-
     return HamiltonianSchedule(
         dim=d,
-        evaluate_fn=evaluate,
-        derivative_fn=derivative,
-        is_constant=False,
         frequency=frequency,
         frequency_dot=frequency_dot,
-        diag_evaluate=lambda t: frequency(t) * levels,
-        diag_derivative=lambda t: frequency_dot(t) * levels,
+        levels=np.arange(d.cutoff, dtype=float),
     )
 
 
@@ -178,9 +189,10 @@ class Generator:
     """Dissipative generator: jump channels plus a (possibly driven) H(t).
 
     kind tags which analytic structure applies ("thermal", "squeezed",
-    "custom"); fast paths key off it. kappa/nbar/r/temperature are
-    bookkeeping metadata mirroring the construction parameters; nbar is
-    None when the occupation varies in time (occupation_fn then holds it).
+    "custom"); invariant states and entropy routes key off it, evolve does
+    not. kappa/nbar/r/temperature are bookkeeping metadata mirroring the
+    construction parameters; nbar is None when the occupation varies in
+    time (occupation_fn then holds it).
     """
 
     dim: HilbertDim
@@ -245,15 +257,6 @@ class Generator:
         return self._compiled[real]
 
 
-def _rate_at(rate: RateLike, t: float) -> float:
-    if callable(rate):
-        g = float(rate(t))
-        if g < 0:
-            raise ValueError(f"jump rate went negative ({g}) at t={t}")
-        return g
-    return rate
-
-
 def apply(gen: Generator, rho, t: float = 0.0, *, hermitian: bool = False) -> np.ndarray:
     """Action of the generator on a state (ndarray or DensityMatrix).
 
@@ -293,6 +296,89 @@ def apply(gen: Generator, rho, t: float = 0.0, *, hermitian: bool = False) -> np
     return out
 
 
+def squeezed_mode_operator(r: float, dim: DimLike = DEFAULT_CUTOFF) -> Operator:
+    """b = a cosh(r) + a^dag sinh(r), the mode the squeezed bath damps."""
+    d = as_dim(dim)
+    n = d.cutoff
+    rungs = np.sqrt(np.arange(1, n))
+    m = np.zeros((n, n), dtype=complex)
+    m[np.arange(n - 1), np.arange(1, n)] = math.cosh(r) * rungs
+    m[np.arange(1, n), np.arange(n - 1)] = math.sinh(r) * rungs
+    return Operator(d, m)
+
+
+def _bath_generator(
+    omega,
+    kappa: float,
+    nbar: Optional[float],
+    r: float,
+    dim: DimLike,
+    temperature: Optional[float],
+) -> Generator:
+    """Oscillator damped through b = a cosh(r) + a^dag sinh(r).
+
+    r = 0 is the thermal bath (b = a exactly), tagged "thermal" with
+    r=None; any other r is tagged "squeezed".
+    """
+    d = as_dim(dim)
+    if kappa <= 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
+    if (nbar is None) == (temperature is None):
+        raise ValueError("provide exactly one of nbar or temperature")
+    given = nbar if nbar is not None else temperature
+    if given < 0:
+        raise ValueError(f"nbar or temperature must be nonnegative, got {given}")
+
+    if isinstance(omega, HamiltonianSchedule):
+        schedule = omega
+        if schedule.dim != d:
+            raise ValueError("schedule dimension mismatch")
+        if schedule.frequency is None:
+            raise ValueError("schedule must carry frequency metadata")
+    else:
+        w = float(omega)
+        schedule = HamiltonianSchedule(
+            dim=d,
+            is_constant=True,
+            frequency=lambda t: w,
+            frequency_dot=lambda t: 0.0,
+            levels=np.arange(d.cutoff, dtype=float),
+        )
+
+    occupation_fn = None
+    if nbar is not None or schedule.is_constant:
+        if nbar is None:
+            nbar = bose_occupation(schedule.frequency(0.0), temperature)
+        nbar = float(nbar)
+        down: RateLike = kappa * (nbar + 1.0)
+        up: RateLike = kappa * nbar
+    else:
+        freq = schedule.frequency
+
+        def occupation_fn(t: float) -> float:
+            return bose_occupation(freq(t), temperature)
+
+        down = lambda t: kappa * (occupation_fn(t) + 1.0)  # noqa: E731
+        up = lambda t: kappa * occupation_fn(t)  # noqa: E731
+
+    b_op = squeezed_mode_operator(r, d)
+    jumps = [JumpTerm(b_op, down)]
+    if not (isinstance(up, float) and up == 0.0):
+        jumps.append(JumpTerm(b_op.dagger(), up))
+    return Generator(
+        dim=d,
+        hamiltonian=schedule,
+        jumps=tuple(jumps),
+        kind="squeezed" if r else "thermal",
+        picture="interaction",
+        kappa=float(kappa),
+        temperature=temperature,
+        nbar=nbar,
+        r=float(r) if r else None,
+        occupation_fn=occupation_fn,
+    )
+
+
 def thermal_generator(
     omega,
     kappa: float,
@@ -305,84 +391,10 @@ def thermal_generator(
 
     omega may be a number (static ladder) or a HamiltonianSchedule built
     by oscillator_schedule/linear_ramp_schedule (swept ladder). Provide
-    either nbar directly or a bath temperature; with a temperature and a
+    exactly one of nbar or a bath temperature; with a temperature and a
     swept frequency the occupation tracks the instantaneous frequency.
     """
-    d = as_dim(dim)
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    if (nbar is None) == (temperature is None):
-        raise ValueError("provide exactly one of nbar or temperature")
-
-    if isinstance(omega, HamiltonianSchedule):
-        schedule = omega
-        if schedule.dim != d:
-            raise ValueError("schedule dimension mismatch")
-        if schedule.frequency is None:
-            raise ValueError("schedule must carry frequency metadata")
-        static_omega = None
-    else:
-        schedule = constant_hamiltonian(
-            Operator(d, np.diag(float(omega) * np.arange(d.cutoff, dtype=complex)))
-        )
-        schedule = dataclasses.replace(
-            schedule,
-            frequency=lambda t, w=float(omega): w,
-            frequency_dot=lambda t: 0.0,
-        )
-        static_omega = float(omega)
-
-    a_op = annihilation(d)
-    occupation_fn = None
-    if nbar is not None:
-        n_val = float(nbar)
-        if n_val < 0:
-            raise ValueError(f"nbar must be nonnegative, got {nbar}")
-        down: RateLike = kappa * (n_val + 1.0)
-        up: RateLike = kappa * n_val
-        nbar_meta: Optional[float] = n_val
-    else:
-        if temperature < 0:
-            raise ValueError(f"temperature must be nonnegative, got {temperature}")
-        if static_omega is not None:
-            n_val = bose_occupation(static_omega, temperature)
-            down, up, nbar_meta = kappa * (n_val + 1.0), kappa * n_val, n_val
-        else:
-            freq = schedule.frequency
-
-            def occupation_fn(t: float, _T=temperature, _f=freq) -> float:
-                return bose_occupation(_f(t), _T)
-
-            down = lambda t: kappa * (occupation_fn(t) + 1.0)  # noqa: E731
-            up = lambda t: kappa * occupation_fn(t)  # noqa: E731
-            nbar_meta = None
-
-    jumps = [JumpTerm(a_op, down)]
-    if not (isinstance(up, float) and up == 0.0):
-        jumps.append(JumpTerm(a_op.dagger(), up))
-    return Generator(
-        dim=d,
-        hamiltonian=schedule,
-        jumps=tuple(jumps),
-        kind="thermal",
-        picture="interaction",
-        kappa=float(kappa),
-        temperature=temperature,
-        nbar=nbar_meta,
-        r=None,
-        occupation_fn=occupation_fn,
-    )
-
-
-def squeezed_mode_operator(r: float, dim: DimLike = DEFAULT_CUTOFF) -> Operator:
-    """b = a cosh(r) + a^dag sinh(r), the mode the squeezed bath damps."""
-    d = as_dim(dim)
-    n = d.cutoff
-    rungs = np.sqrt(np.arange(1, n))
-    m = np.zeros((n, n), dtype=complex)
-    m[np.arange(n - 1), np.arange(1, n)] = math.cosh(r) * rungs
-    m[np.arange(1, n), np.arange(n - 1)] = math.sinh(r) * rungs
-    return Operator(d, m)
+    return _bath_generator(omega, kappa, nbar, 0.0, dim, temperature)
 
 
 def squeezed_generator(
@@ -396,77 +408,14 @@ def squeezed_generator(
 ) -> Generator:
     """Oscillator damped by a squeezed thermal bath.
 
-    nbar is the thermal occupation before squeezing; if a temperature is
-    given instead of nbar pass nbar=None and it is derived from omega.
+    nbar is the thermal occupation before squeezing; to derive it from a
+    bath temperature instead pass nbar=None (exactly one of the two).
     omega may be a schedule (same protocol as thermal_generator); the
     occupation then tracks the instantaneous frequency, which requires a
     temperature. The invariant state at frozen time t is
-    squeezed_thermal_state(occupation, r).
+    squeezed_thermal_state(occupation, r); r = 0 is thermal_generator.
     """
-    d = as_dim(dim)
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-
-    if isinstance(omega, HamiltonianSchedule):
-        schedule = omega
-        if schedule.dim != d:
-            raise ValueError("schedule dimension mismatch")
-        if schedule.frequency is None:
-            raise ValueError("schedule must carry frequency metadata")
-        static_omega = None
-    else:
-        schedule = constant_hamiltonian(
-            Operator(d, np.diag(float(omega) * np.arange(d.cutoff, dtype=complex)))
-        )
-        schedule = dataclasses.replace(
-            schedule,
-            frequency=lambda t, w=float(omega): w,
-            frequency_dot=lambda t: 0.0,
-        )
-        static_omega = float(omega)
-
-    b_op = squeezed_mode_operator(float(r), d)
-    occupation_fn = None
-    if nbar is not None:
-        n_val = float(nbar)
-        if n_val < 0:
-            raise ValueError(f"nbar must be nonnegative, got {nbar}")
-        down: RateLike = kappa * (n_val + 1.0)
-        up: RateLike = kappa * n_val
-        nbar_meta: Optional[float] = n_val
-    else:
-        if temperature is None:
-            raise ValueError("provide nbar or temperature")
-        if temperature < 0:
-            raise ValueError(f"temperature must be nonnegative, got {temperature}")
-        if static_omega is not None:
-            n_val = bose_occupation(static_omega, temperature)
-            down, up, nbar_meta = kappa * (n_val + 1.0), kappa * n_val, n_val
-        else:
-            freq = schedule.frequency
-
-            def occupation_fn(t: float, _T=temperature, _f=freq) -> float:
-                return bose_occupation(_f(t), _T)
-
-            down = lambda t: kappa * (occupation_fn(t) + 1.0)  # noqa: E731
-            up = lambda t: kappa * occupation_fn(t)  # noqa: E731
-            nbar_meta = None
-
-    jumps = [JumpTerm(b_op, down)]
-    if not (isinstance(up, float) and up == 0.0):
-        jumps.append(JumpTerm(b_op.dagger(), up))
-    return Generator(
-        dim=d,
-        hamiltonian=schedule,
-        jumps=tuple(jumps),
-        kind="squeezed",
-        picture="interaction",
-        kappa=float(kappa),
-        temperature=temperature,
-        nbar=nbar_meta,
-        r=float(r),
-        occupation_fn=occupation_fn,
-    )
+    return _bath_generator(omega, kappa, nbar, float(r), dim, temperature)
 
 
 def bath_invariant_state(gen: Generator, t: float = 0.0) -> DensityMatrix:
@@ -682,11 +631,9 @@ def _state_representation(gen: Generator, rho0: DensityMatrix):
     m = rho0.matrix
     if gen.picture != "interaction" or not gen._real_jumps or np.any(m.imag):
         return _MatrixState(gen, complex)
-    sched = gen.hamiltonian
     offsets = [_band_offset(j.operator.matrix) for j in gen.jumps]
     if (
-        sched.diag_evaluate is not None
-        and sched.diag_derivative is not None
+        gen.hamiltonian.levels is not None
         and None not in offsets
         and not np.any(m - np.diag(np.diagonal(m)))
     ):
@@ -712,8 +659,8 @@ def evolve(
     The state is carried in the cheapest form the run keeps exact. Under
     an interaction-picture generator with real jumps a real rho0 stays
     real and is integrated in float arithmetic. If in addition every jump
-    sits on a single band of the Fock basis, H(t) has a diagonal ladder
-    (diag_evaluate) and rho0 is diagonal, only the level populations are
+    sits on a single band of the Fock basis, H(t) is a ladder schedule
+    and rho0 is diagonal, only the level populations are
     integrated; they are then also the spectrum. Anything else runs on the
     complex matrix. Snapshots are complex DensityMatrix objects either way.
     """
@@ -737,24 +684,21 @@ def evolve(
     _warn_if_drive_fast(gen, t_final)
 
     sched = gen.hamiltonian
-    h_diag = sched.diag_evaluate
-    hdot_diag = sched.diag_derivative
+    ladder = sched.levels is not None
     track_work = not sched.is_constant
     rep = _state_representation(gen, rho0)
 
     def heat_rate(k: np.ndarray, t: float) -> float:
-        if h_diag is not None:
-            return float((rep.diagonal(k) * h_diag(t)).sum())
-        h = sched.evaluate(t)
-        return float(np.einsum("ij,ji->", k, h).real)
+        if ladder:
+            return float((rep.diagonal(k) * sched.diagonal(t)).sum())
+        return float(np.einsum("ij,ji->", k, sched.evaluate(t)).real)
 
     def work_rate(m: np.ndarray, t: float) -> float:
         if not track_work:
             return 0.0
-        if hdot_diag is not None:
-            return float((rep.diagonal(m) * hdot_diag(t)).sum())
-        hd = sched.derivative(t)
-        return float(np.einsum("ij,ji->", m, hd).real)
+        if ladder:
+            return float((rep.diagonal(m) * sched.diagonal_derivative(t)).sum())
+        return float(np.einsum("ij,ji->", m, sched.derivative(t)).real)
 
     rho = rep.start(rho0)
     e_d = 0.0
@@ -928,6 +872,19 @@ def steady_state(gen: Generator, *, t: float = 0.0) -> DensityMatrix:
 # diagonal-sector relaxation (exact, for large spaces)
 
 
+def _band(nbar: float, kappa: float, k: int, size: int):
+    """Tridiagonal k-th band block: d, with 2 kappa (nbar+1) rungs above
+    and 2 kappa nbar rungs below."""
+    idx = np.arange(size, dtype=float)
+    full = size + k  # cutoff of the underlying space
+    # aa^dag picks up a truncated corner: diag entry n+1 except 0 at the top
+    f = np.where(np.arange(full) < full - 1, np.arange(full) + 1.0, 0.0)
+    d = -kappa * (nbar + 1.0) * (2.0 * idx + k) - kappa * nbar * (
+        f[:size] + f[k : k + size]
+    )
+    return d, np.sqrt((idx[:-1] + 1.0) * (idx[:-1] + k + 1.0))
+
+
 @functools.lru_cache(maxsize=6)
 def _sector_eigh(nbar: float, kappa: float, k: int, size: int):
     """Eigensystem of the k-th diagonal-band block of the thermal generator.
@@ -936,21 +893,10 @@ def _sector_eigh(nbar: float, kappa: float, k: int, size: int):
     makes it symmetric under the similarity diag(q^(n/2)), q = nbar/(nbar+1).
     Returns (eigenvalues, orthogonal eigenvectors, log of the scaling vec).
     """
-    idx = np.arange(size, dtype=float)
-    full = size + k  # cutoff of the underlying space
-    # aa^dag picks up a truncated corner: diag entry n+1 except 0 at the top
-    f = np.where(np.arange(full) < full - 1, np.arange(full) + 1.0, 0.0)
-    d = -kappa * (nbar + 1.0) * (2.0 * idx + k) - kappa * nbar * (
-        f[:size] + f[k : k + size]
-    )
-    e = (
-        2.0
-        * kappa
-        * math.sqrt(nbar * (nbar + 1.0))
-        * np.sqrt((idx[:-1] + 1.0) * (idx[:-1] + k + 1.0))
-    )
+    d, rungs = _band(nbar, kappa, k, size)
+    e = 2.0 * kappa * math.sqrt(nbar * (nbar + 1.0)) * rungs
     lam, q_mat = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stemr")
-    log_scale = 0.5 * idx * math.log(nbar / (nbar + 1.0))
+    log_scale = 0.5 * np.arange(size, dtype=float) * math.log(nbar / (nbar + 1.0))
     return lam, q_mat, log_scale
 
 
@@ -962,17 +908,12 @@ def _relax_sector(
     if nbar < 1e-12:
         if size > 600:
             raise ValueError("zero-temperature band propagation needs nbar > 0 here")
-        idx = np.arange(size, dtype=float)
-        full = size + k
-        f = np.where(np.arange(full) < full - 1, np.arange(full) + 1.0, 0.0)
-        d = -kappa * (nbar + 1.0) * (2.0 * idx + k) - kappa * nbar * (
-            f[:size] + f[k : k + size]
+        d, rungs = _band(nbar, kappa, k, size)
+        m = (
+            np.diag(d)
+            + np.diag(2.0 * kappa * (nbar + 1.0) * rungs, 1)
+            + np.diag(2.0 * kappa * nbar * rungs, -1)
         )
-        u = 2.0 * kappa * (nbar + 1.0) * np.sqrt((idx[:-1] + 1.0) * (idx[:-1] + k + 1.0))
-        m = np.diag(d) + np.diag(u, 1)
-        if nbar > 0:
-            lo = 2.0 * kappa * nbar * np.sqrt((idx[1:]) * (idx[1:] + k))
-            m += np.diag(lo, -1)
         return scipy.linalg.expm(m * t) @ c0
     lam, q_mat, log_scale = _sector_eigh(float(nbar), float(kappa), int(k), size)
     # exp(-log_scale) alone overflows at high levels of a cold bath even

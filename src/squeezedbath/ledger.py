@@ -175,9 +175,17 @@ def sigma_nonthermal(
 def _h_levels(gen: Generator, t: float) -> np.ndarray:
     """Ascending energy levels of H(t)."""
     sched = gen.hamiltonian
-    if sched.diag_evaluate is not None:
-        return np.sort(np.asarray(sched.diag_evaluate(t), dtype=float))
+    if sched.levels is not None:
+        return np.sort(sched.diagonal(t))
     return np.linalg.eigvalsh(sched.evaluate(t))
+
+
+def _energy(gen: Generator, m: np.ndarray, t: float) -> float:
+    """Tr[m H(t)], from the diagonal alone for a ladder schedule."""
+    sched = gen.hamiltonian
+    if sched.levels is not None:
+        return float(np.diagonal(m).real @ sched.diagonal(t))
+    return float(np.einsum("ij,ji->", m, sched.evaluate(t)).real)
 
 
 def _reference_frequency(gen: Generator) -> float:
@@ -217,13 +225,7 @@ def accumulate_ledger(traj: Trajectory, gen: Generator) -> FirstLawLedger:
         levels = _h_levels(gen, float(times[i]))
         p_desc = np.clip(state.eigenvalues[::-1], 0.0, None)
         spectra_desc.append(p_desc)
-        sched = gen.hamiltonian
-        if sched.diag_evaluate is not None:
-            diag = np.asarray(sched.diag_evaluate(float(times[i])), dtype=float)
-            energy[i] = float(np.diagonal(state.matrix).real @ diag)
-        else:
-            h = sched.evaluate(float(times[i]))
-            energy[i] = float(np.einsum("ij,ji->", state.matrix, h).real)
+        energy[i] = _energy(gen, state.matrix, float(times[i]))
         pas[i] = float(p_desc @ levels)
         entropy[i] = von_neumann_entropy(state)
         min_eigs[i] = state.min_eig
@@ -237,25 +239,7 @@ def accumulate_ledger(traj: Trajectory, gen: Generator) -> FirstLawLedger:
         # descending populations pair with ascending levels in the passive state
         dp = spectra_desc[k + 1] - spectra_desc[k]
         pas_d[k + 1] = pas_d[k] + float(dp @ levels_mid)
-        sched = gen.hamiltonian
-        if sched.diag_evaluate is not None:
-            dmid = np.asarray(sched.diag_evaluate(t_mid), dtype=float)
-            de = float(
-                (
-                    np.diagonal(traj.states[k + 1].matrix).real
-                    - np.diagonal(traj.states[k].matrix).real
-                )
-                @ dmid
-            )
-        else:
-            h_mid = sched.evaluate(t_mid)
-            de = float(
-                np.einsum(
-                    "ij,ji->",
-                    traj.states[k + 1].matrix - traj.states[k].matrix,
-                    h_mid,
-                ).real
-            )
+        de = _energy(gen, traj.states[k + 1].matrix - traj.states[k].matrix, t_mid)
         cross[k + 1] = cross[k] + de - (pas_d[k + 1] - pas_d[k])
 
     ergo_d = traj.dissipated_cum - pas_d
@@ -296,12 +280,13 @@ def passive_frame_generator(gen: Generator) -> Generator:
     """
     if gen.kind != "squeezed":
         return gen
-    if gen.nbar is not None:
-        return thermal_generator(
-            gen.hamiltonian, gen.kappa, nbar=gen.nbar, dim=gen.dim
-        )
+    # a swept occupation is rebuilt from the temperature, a fixed one kept
     return thermal_generator(
-        gen.hamiltonian, gen.kappa, dim=gen.dim, temperature=gen.temperature
+        gen.hamiltonian,
+        gen.kappa,
+        gen.nbar,
+        gen.dim,
+        temperature=gen.temperature if gen.nbar is None else None,
     )
 
 

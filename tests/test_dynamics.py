@@ -106,10 +106,61 @@ class TestThermalGenerator:
                                 rel_tol=1e-12)
 
 
+BUILDERS = [
+    pytest.param(thermal_generator, id="thermal"),
+    pytest.param(lambda w, kap, nb, d, **k: squeezed_generator(w, kap, nb, 0.3, d, **k),
+                 id="squeezed"),
+]
+
+
+class TestBathValidation:
+    @pytest.mark.parametrize("build", BUILDERS)
+    @pytest.mark.parametrize(
+        "kappa, nbar, temperature",
+        [(0.0, 0.2, None), (-1.0, 0.2, None), (1.0, None, None), (1.0, 0.2, 5.0),
+         (1.0, -0.1, None), (1.0, None, -1.0)],
+    )
+    def test_rejected_for_both_builders(self, build, kappa, nbar, temperature):
+        with pytest.raises(ValueError):
+            build(1.0, kappa, nbar, 10, temperature=temperature)
+
+    def test_squeezed_rejects_both_nbar_and_temperature(self):
+        # nbar 0.2 at omega 1 means T ~ 0.56; keeping T = 5 beside it would
+        # mislead entropy_bound_report
+        with pytest.raises(ValueError, match="exactly one"):
+            squeezed_generator(1.0, 1.0, 0.2, 0.3, dim=30, temperature=5.0)
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_schedule_must_match_dim_and_carry_frequency(self, build):
+        with pytest.raises(ValueError, match="dimension"):
+            build(linear_ramp_schedule(2.0, 1.0, 1.0, dim=8), 1.0, 0.2, 10)
+        bare = constant_hamiltonian(harmonic_hamiltonian(1.0, 10))
+        with pytest.raises(ValueError, match="frequency"):
+            build(bare, 1.0, 0.2, 10)
+
+    def test_static_frequency_is_a_constant_ladder(self):
+        gen = squeezed_generator(2.0, 1.0, None, 0.3, dim=6, temperature=1.5)
+        sched = gen.hamiltonian
+        assert sched.is_constant and sched.frequency_dot(4.0) == 0.0
+        np.testing.assert_array_equal(sched.diagonal(4.0), 2.0 * np.arange(6))
+        np.testing.assert_array_equal(sched.evaluate(4.0),
+                                      harmonic_hamiltonian(2.0, 6).matrix)
+
+
 class TestSqueezedGenerator:
     def test_zero_squeezing_matches_thermal(self):
         sq = squeezed_generator(1.0, 1.3, 0.6, 0.0, dim=12)
         th = thermal_generator(1.0, 1.3, nbar=0.6, dim=12)
+        assert sq.kind == "thermal" and sq.r is None
+        assert [j.rate for j in sq.jumps] == [j.rate for j in th.jumps]
+        for js, jt in zip(sq.jumps, th.jumps, strict=True):
+            np.testing.assert_array_equal(js.operator.matrix, jt.operator.matrix)
+        # the invariant needs a cutoff that holds the thermal tail
+        sq40 = squeezed_generator(1.0, 1.3, 0.6, 0.0, dim=40)
+        inv = dynamics.bath_invariant_state(thermal_generator(1.0, 1.3, 0.6, 40)).matrix
+        np.testing.assert_array_equal(dynamics.bath_invariant_state(sq40).matrix, inv)
+        # the r = 0 member of the squeezed family's closed form, bit for bit
+        np.testing.assert_array_equal(squeezed_thermal_state(0.6, 0.0, 40).matrix, inv)
         for basis in matrix_units(12):
             np.testing.assert_allclose(apply(sq, basis), apply(th, basis),
                                        atol=1e-12)
@@ -194,6 +245,34 @@ class TestApply:
         closed = Generator(HilbertDim(30), constant_hamiltonian(
             harmonic_hamiltonian(1.0, 30)), jumps=())
         assert np.iscomplexobj(apply(closed, rho.real))
+
+
+class TestRateReader:
+    def nan_rate_generator(self):
+        a = annihilation(12)
+        return Generator(
+            HilbertDim(12),
+            constant_hamiltonian(harmonic_hamiltonian(1.0, 12)),
+            jumps=(JumpTerm(a, 1.0), JumpTerm(a.dagger(), lambda t: float("nan"))),
+            picture="interaction",
+        )
+
+    def test_nan_rate_is_named_by_every_entry_point(self):
+        gen = self.nan_rate_generator()
+        rho = thermal_state(0.1, 12)
+        for call in (
+            lambda: gen.jumps[1].rate_at(0.5),
+            lambda: apply(gen, rho, 0.5),
+            lambda: steady_state(gen, t=0.5),
+            lambda: evolve(gen, rho, 1.0),
+        ):
+            with pytest.raises(ValueError, match=r"jump rate is nan at t=0"):
+                call()
+
+    @pytest.mark.parametrize("bad", [-0.1, float("inf")])
+    def test_negative_or_infinite_rate_raises(self, bad):
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            JumpTerm(annihilation(4), lambda t: bad).rate_at(2.0)
 
 
 class TestEvolve:
@@ -487,6 +566,23 @@ class TestSchedules:
         sched = constant_hamiltonian(harmonic_hamiltonian(2.0, 5))
         assert sched.is_constant
         np.testing.assert_allclose(sched.derivative(3.0), np.zeros((5, 5)))
+
+    def test_ladder_and_general_forms(self):
+        h = harmonic_hamiltonian(2.0, 5)
+        ladder = constant_hamiltonian(h)
+        np.testing.assert_array_equal(ladder.levels, 2.0 * np.arange(5))
+        np.testing.assert_array_equal(ladder.evaluate(1.0), h.matrix)
+        np.testing.assert_array_equal(ladder.diagonal_derivative(1.0), np.zeros(5))
+        mixed = Operator(HilbertDim(5), h.matrix + annihilation(5).matrix
+                         + annihilation(5).dagger().matrix)
+        general = constant_hamiltonian(mixed)
+        assert general.levels is None
+        np.testing.assert_array_equal(general.evaluate(1.0), mixed.matrix)
+        ramp = linear_ramp_schedule(25.0, 20.0, 100.0, dim=6)
+        np.testing.assert_array_equal(ramp.evaluate(40.0),
+                                      np.diag(ramp.diagonal(40.0).astype(complex)))
+        np.testing.assert_array_equal(ramp.diagonal_derivative(40.0),
+                                      -0.05 * np.arange(6))
 
     def test_oscillator_schedule_requires_positive_duration(self):
         with pytest.raises(ValueError):
