@@ -392,7 +392,6 @@ def _run_cycle(cfg: dict):
     )
     rep = eng.run_carnot_like(spec)
     regime = eng.ENGINE if rep.work_out > eng.ENGINE_TOL else eng.NOT_ENGINE
-    residual = abs(rep.work_out - (rep.heat_hot + rep.heat_cold))
     row = [
         "carnot_like",
         rep.heat_hot,
@@ -404,8 +403,8 @@ def _run_cycle(cfg: dict):
         rep.eta_carnot,
         rep.eta_carnot,
         regime,
-        residual,
-        rep.closure,
+        rep.firstlaw_residual,
+        rep.entropy_closure,
     ]
     return columns, [row]
 

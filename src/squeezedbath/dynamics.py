@@ -24,14 +24,13 @@ import warnings
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import (
+    CutoffLeak,
     NonUniqueSteadyState,
     NotUnitary,
-    NumericalOverflow,
     PositivityLoss,
     SlowDriveViolation,
     SteadyStateResidual,
@@ -39,6 +38,7 @@ from .errors import (
 )
 from .fock import (
     DEFAULT_CUTOFF,
+    TOL_LEAK,
     DensityMatrix,
     DimLike,
     HilbertDim,
@@ -869,59 +869,24 @@ def steady_state(gen: Generator, *, t: float = 0.0) -> DensityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# diagonal-sector relaxation (exact, for large spaces)
+# population relaxation as a Gaussian channel
 
 
-def _band(nbar: float, kappa: float, k: int, size: int):
-    """Tridiagonal k-th band block: d, with 2 kappa (nbar+1) rungs above
-    and 2 kappa nbar rungs below."""
-    idx = np.arange(size, dtype=float)
-    full = size + k  # cutoff of the underlying space
-    # aa^dag picks up a truncated corner: diag entry n+1 except 0 at the top
-    f = np.where(np.arange(full) < full - 1, np.arange(full) + 1.0, 0.0)
-    d = -kappa * (nbar + 1.0) * (2.0 * idx + k) - kappa * nbar * (
-        f[:size] + f[k : k + size]
-    )
-    return d, np.sqrt((idx[:-1] + 1.0) * (idx[:-1] + k + 1.0))
+def _binomial_table(x: float, size: int) -> np.ndarray:
+    """B_x transposed: c[k, m] = C(k, m) x^m (1-x)^(k-m), so row k is
+    Binomial(k, x).
 
-
-@functools.lru_cache(maxsize=6)
-def _sector_eigh(nbar: float, kappa: float, k: int, size: int):
-    """Eigensystem of the k-th diagonal-band block of the thermal generator.
-
-    The block acting on c_n = rho[n, n+k] is tridiagonal; detailed balance
-    makes it symmetric under the similarity diag(q^(n/2)), q = nbar/(nbar+1).
-    Returns (eigenvalues, orthogonal eigenvectors, log of the scaling vec).
+    Built by the Pascal recurrence: row k+1 is (1-x) times row k plus x
+    times row k moved one level up. Every term is nonnegative, so nothing
+    cancels.
     """
-    d, rungs = _band(nbar, kappa, k, size)
-    e = 2.0 * kappa * math.sqrt(nbar * (nbar + 1.0)) * rungs
-    lam, q_mat = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stemr")
-    log_scale = 0.5 * np.arange(size, dtype=float) * math.log(nbar / (nbar + 1.0))
-    return lam, q_mat, log_scale
-
-
-def _relax_sector(
-    c0: np.ndarray, nbar: float, kappa: float, k: int, t: float
-) -> np.ndarray:
-    """Propagate one diagonal band of the thermal generator for time t."""
-    size = c0.shape[0]
-    if nbar < 1e-12:
-        if size > 600:
-            raise ValueError("zero-temperature band propagation needs nbar > 0 here")
-        d, rungs = _band(nbar, kappa, k, size)
-        m = (
-            np.diag(d)
-            + np.diag(2.0 * kappa * (nbar + 1.0) * rungs, 1)
-            + np.diag(2.0 * kappa * nbar * rungs, -1)
-        )
-        return scipy.linalg.expm(m * t) @ c0
-    lam, q_mat, log_scale = _sector_eigh(float(nbar), float(kappa), int(k), size)
-    # exp(-log_scale) alone overflows at high levels of a cold bath even
-    # where c0 is small enough for the scaled band to stay finite
-    half = np.exp(-0.5 * log_scale)
-    w = q_mat.T @ ((c0 * half) * half)
-    w *= np.exp(lam * t)
-    return np.exp(log_scale) * (q_mat @ w)
+    c = np.zeros((size, size))
+    c[0, 0] = 1.0
+    for k in range(size - 1):
+        row = c[k, : k + 1]
+        np.multiply(row, 1.0 - x, out=c[k + 1, : k + 1])
+        c[k + 1, 1 : k + 2] += x * row
+    return c
 
 
 def relax_populations(
@@ -929,21 +894,31 @@ def relax_populations(
 ) -> np.ndarray:
     """Exact level populations after damping toward occupation nbar for t.
 
-    Spectral propagation of the main-diagonal block; orders of magnitude
-    cheaper than integrating the full matrix equation and exact at any t.
-    The returned vector is clipped at zero and renormalised (roundoff only).
-    Raises NumericalOverflow when p0 is so much hotter than the bath that
-    its detailed-balance scaling leaves the floating-point range.
+    Thermal damping for a time t is the phase-insensitive Gaussian channel
+    with transmissivity eta = exp(-2 kappa t) and added noise (1-eta) nbar.
+    It splits into pure loss eta/G followed by a quantum-limited amplifier
+    of gain G = 1 + (1-eta) nbar (Caruso, Giovannetti & Holevo, NJP 8, 310
+    (2006); Garcia-Patron et al., PRL 108, 110505 (2012)). On populations
+    the loss is binomial thinning, B_x[m, k] = C(k, m) x^m (1-x)^(k-m) at
+    x = eta/G, and the amplifier is A_G = B_(1/G)^T / G. Both are
+    nonnegative stochastic matrices, so the result needs no eigensolve and
+    no rescaling. Mass the amplifier maps past the cutoff is truncation
+    error: above fock.TOL_LEAK it raises CutoffLeak, below it the result is
+    renormalised.
     """
     p0 = np.asarray(p0, dtype=float)
-    if abs(p0.sum() - 1.0) > 1e-8:
+    if not abs(p0.sum() - 1.0) <= 1e-8:  # a NaN sum fails too
         raise ValueError("populations must sum to 1")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _relax_sector(p0, float(nbar), float(kappa), 0, float(t))
-    if not np.isfinite(out).all():
-        raise NumericalOverflow(
-            f"relaxation toward nbar={nbar:g} at cutoff {p0.size} left the "
-            "floating-point range; lower the cutoff or start nearer the bath"
+    if not (nbar >= 0 and kappa >= 0 and t >= 0):
+        raise ValueError("nbar, kappa and t must be nonnegative")
+    eta = math.exp(-2.0 * kappa * t)
+    gain = 1.0 + (1.0 - eta) * nbar
+    lost = _binomial_table(eta / gain, p0.size).T @ p0
+    out = _binomial_table(1.0 / gain, p0.size) @ lost / gain
+    leak = 1.0 - out.sum()
+    if leak > TOL_LEAK:
+        raise CutoffLeak(
+            f"relaxation toward nbar={nbar:g} leaks {leak:.3e} past cutoff "
+            f"{p0.size} (tolerance {TOL_LEAK:g}); raise the cutoff"
         )
-    out = np.clip(out, 0.0, None)
     return out / out.sum()

@@ -4,7 +4,7 @@ The Otto runner works in level-population space. Bath contacts only ever
 start from states that are diagonal either in the Fock basis or in the
 squeezed frame of that bath, and the damping couples each diagonal of the
 density matrix to itself, so the populations close on themselves and can
-be propagated exactly by the tridiagonal solver in dynamics. Coherence
+be propagated exactly by the population channel in dynamics. Coherence
 bands left over from the frame change decay at least as fast as
 exp(-kappa * t) per band offset and are dropped; with the stroke times
 used here that is far below every tolerance gate.
@@ -419,7 +419,6 @@ def run_otto(spec: CycleSpec) -> CycleReport:
     if spec.r != 0.0:
         s2 = _squeeze_probs(float(spec.r), n_dim)
         v0 = s2.T @ p
-        v0 = np.clip(v0, 0.0, None)
         v0 /= v0.sum()
         lab_weights = levels @ s2
     else:
@@ -611,6 +610,7 @@ class CarnotReport:
     sigma_total: float
     delta_S_hot: float
     closure: float
+    entropy_closure: float
     firstlaw_residual: float
     strokes: tuple
 
@@ -723,6 +723,7 @@ def run_carnot_like(spec: CarnotSpec) -> CarnotReport:
     )
 
     closure = 0.5 * float(np.abs(p - p0).sum())
+    entropy_closure = abs(_diag_entropy(p) - _diag_entropy(p0))
     work_out = -sum(s.work_on for s in strokes)
     total_flow = q_h + q_c
     firstlaw_residual = abs(work_out - total_flow)
@@ -737,6 +738,7 @@ def run_carnot_like(spec: CarnotSpec) -> CarnotReport:
         sigma_total=sigma_h + sigma_c,
         delta_S_hot=ds_h,
         closure=closure,
+        entropy_closure=entropy_closure,
         firstlaw_residual=firstlaw_residual,
         strokes=tuple(strokes),
     )

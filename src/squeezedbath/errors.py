@@ -29,10 +29,6 @@ class LedgerInconsistent(RuntimeError):
     """Independent evaluations of the energy bookkeeping disagree."""
 
 
-class NumericalOverflow(ArithmeticError):
-    """An exact propagation needed numbers beyond the floating-point range."""
-
-
 class NotSteady(RuntimeError):
     """A stroke ended before the working medium reached its steady state."""
 

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from squeezedbath import SlowDriveViolation
+from squeezedbath import engine as eng
 from squeezedbath.cli import CYCLE_COLUMNS, TRAJECTORY_COLUMNS, main
 
 pytestmark = pytest.mark.filterwarnings("ignore::squeezedbath.SlowDriveViolation")
@@ -243,7 +244,15 @@ class TestCycleScenario:
         assert eta == pytest.approx(0.8100764734799257, rel=1e-9)
         assert eta <= cap
 
-    def test_carnot_like_approaches_carnot_when_slow(self, tmp_path):
+    def test_carnot_like_approaches_carnot_when_slow(self, tmp_path, monkeypatch):
+        reports = []
+        run_carnot_like = eng.run_carnot_like
+
+        def keep_report(spec):
+            reports.append(run_carnot_like(spec))
+            return reports[-1]
+
+        monkeypatch.setattr(eng, "run_carnot_like", keep_report)
         cfg = write_config(
             tmp_path,
             "cycle",
@@ -267,6 +276,11 @@ class TestCycleScenario:
         assert eta_c - eta < 1e-2
         (resid,) = column(header, rows, "firstlaw_residual")
         assert resid < 1e-9
+        # the closure columns hold the report's entropy and first-law closures
+        (rep,) = reports
+        (s_closure,) = column(header, rows, "entropy_closure")
+        assert s_closure == pytest.approx(rep.entropy_closure, rel=1e-11, abs=0)
+        assert resid == pytest.approx(rep.firstlaw_residual, rel=1e-11, abs=0)
 
 
 class TestOttoSweepScenario:

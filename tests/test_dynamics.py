@@ -6,13 +6,13 @@ import pytest
 import scipy.linalg
 
 from squeezedbath import (
+    CutoffLeak,
     DensityMatrix,
     Generator,
     HilbertDim,
     JumpTerm,
     NonUniqueSteadyState,
     NotUnitary,
-    NumericalOverflow,
     Operator,
     PositivityLoss,
     SlowDriveViolation,
@@ -607,12 +607,59 @@ class TestRelaxPopulations:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             relax_populations(np.ones(10), 0.5, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            relax_populations(np.array([np.nan, 1.0]), 0.5, 1.0, 1.0)
 
-    def test_out_of_range_scaling_raises_instead_of_nan(self):
-        # a hot start at 300 levels into a nearly cold bath: the detailed-balance
-        # scaling of the top levels exceeds the floating-point range
-        with pytest.raises(NumericalOverflow):
-            relax_populations(thermal_populations(2.0, 300), 1e-3, 1.0, 30.0)
+    @pytest.mark.parametrize(
+        "nbar, kappa, t", [(-0.2, 1.0, 1.0), (0.5, -1.0, 0.05), (0.5, 1.0, -0.05),
+                           (math.nan, 1.0, 1.0)]
+    )
+    def test_rejects_negative_parameters(self, nbar, kappa, t):
+        # each would otherwise return negative or NaN populations
+        with pytest.raises(ValueError):
+            relax_populations(thermal_populations(0.5, 20), nbar, kappa, t)
+
+    def test_hot_start_into_nearly_cold_bath_reaches_its_fixed_point(self):
+        # 300 levels relaxed into nbar 1e-3 for 60 damping times: the result
+        # is the bath's thermal state to roundoff
+        out = relax_populations(thermal_populations(2.0, 300), 1e-3, 1.0, 30.0)
+        assert np.abs(out - thermal_populations(1e-3, 300)).max() < 1e-14
+
+    @staticmethod
+    def population_generator(nbar, kappa, n):
+        """Truncated rate matrix of the populations under thermal damping."""
+        levels = np.arange(n, dtype=float)
+        down = 2.0 * kappa * (nbar + 1.0) * levels
+        up = 2.0 * kappa * nbar * (levels + 1.0)
+        up[-1] = 0.0  # nothing climbs past the cutoff
+        return np.diag(-(down + up)) + np.diag(down[1:], 1) + np.diag(up[:-1], -1)
+
+    @pytest.mark.parametrize("t", [1.0, 3.0, 10.0])
+    def test_hot_start_matches_expm_of_the_truncated_generator(self, t):
+        n = 300
+        p0 = thermal_populations(9.508, n)
+        m = self.population_generator(0.685, 1.0, n)
+        ref = scipy.linalg.expm(m * t) @ p0
+        assert np.abs(relax_populations(p0, 0.685, 1.0, t) - ref).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "nb0, nbar, n", [(30.0, 0.0, 1000), (9.508, 0.685, 300)]
+    )
+    def test_mean_occupation_law(self, nb0, nbar, n):
+        # <n>_t = eta <n>_0 + (1 - eta) nbar with eta = exp(-2 kappa t)
+        levels = np.arange(n, dtype=float)
+        p0 = thermal_populations(nb0, n)
+        for t in (0.1, 1.0, 3.0):
+            eta = math.exp(-2.0 * t)
+            want = eta * (levels @ p0) + (1.0 - eta) * nbar
+            got = levels @ relax_populations(p0, nbar, 1.0, t)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_leak_past_the_cutoff_raises(self):
+        vacuum = np.zeros(20)
+        vacuum[0] = 1.0
+        with pytest.raises(CutoffLeak):
+            relax_populations(vacuum, 5.0, 1.0, 10.0)
 
 
 class TestRequiredCutoff:

@@ -185,16 +185,18 @@ class TestRunOtto:
             run_otto(CycleSpec(r=0.5, stroke_time=1.0, **POINT))
 
     def test_cold_contact_at_the_largest_cutoff_matches_closed_form(self):
-        # the r = 1 auto cutoff is 1736 levels; the cold bath's detailed-balance
-        # factor q^(-n/2) passes exp(709) at the top levels of that space
-        point = dict(temp_cold=0.1, temp_hot=3.0, omega_cold=0.09, omega_hot=0.3)
-        rep = run_otto(CycleSpec(r=1.0, **point))
-        c = closed_form_otto(r=1.0, **point)
-        assert rep.regime == c.regime
-        assert rep.eta == pytest.approx(c.eta, rel=1e-3)
-        assert rep.E_dc == pytest.approx(c.E_dc, rel=1e-3)
-        assert rep.E_dh == pytest.approx(c.E_dh, rel=1e-3)
-        assert rep.closure < 1e-9
+        # the r = 1 auto cutoff is 1736 levels; at omega_cold 0.15 (cold nbar
+        # 0.287) the hot populations reach the top levels of the cold contact
+        for omega_cold in (0.09, 0.15):
+            point = dict(temp_cold=0.1, temp_hot=3.0, omega_cold=omega_cold,
+                         omega_hot=0.3)
+            rep = run_otto(CycleSpec(r=1.0, **point))
+            c = closed_form_otto(r=1.0, **point)
+            assert rep.regime == c.regime
+            assert rep.eta == pytest.approx(c.eta, rel=1e-9)
+            assert rep.E_dc == pytest.approx(c.E_dc, rel=1e-9)
+            assert rep.E_dh == pytest.approx(c.E_dh, rel=1e-9)
+            assert rep.closure < 1e-9
 
     def test_steady_gate_rejects_a_nan_residual(self):
         target = np.array([0.75, 0.25])
