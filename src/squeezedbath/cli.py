@@ -494,8 +494,9 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="INI file with one "
                        f"[{name}] section")
         p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--workers", type=int, default=1,
-                       help="process count (otto-sweep only)")
+        if name == "otto-sweep":
+            p.add_argument("--workers", type=int, default=1,
+                           help="process count")
         p.add_argument("--dt", type=float, default=None,
                        help="integrator step override")
         p.add_argument("--cutoff", type=int, default=None,

@@ -45,7 +45,6 @@ from .fock import (
     Operator,
     as_dim,
     squeezed_thermal_state,
-    thermal_state,
 )
 
 RateLike = Union[float, Callable[[float], float]]
@@ -209,6 +208,10 @@ class Generator:
     def __post_init__(self) -> None:
         if self.kind not in ("thermal", "squeezed", "custom"):
             raise ValueError(f"unknown kind {self.kind!r}")
+        if self.kind != "custom" and self.nbar is None and self.occupation_fn is None:
+            raise ValueError(f"a {self.kind} generator needs nbar or occupation_fn")
+        if self.kind == "squeezed" and not self.r:
+            raise ValueError("a squeezed generator needs a nonzero r")
         if self.picture not in ("interaction", "schroedinger"):
             raise ValueError(f"unknown picture {self.picture!r}")
         if self.hamiltonian.dim != self.dim:
@@ -233,26 +236,19 @@ class Generator:
         return not any(np.any(j.operator.matrix.imag) for j in self.jumps)
 
     def _terms(self, real: bool = False):
-        """Per-jump factors (L, L^dag, L^dag L, rate), built once per dtype.
+        """Per-jump dense factors (L, L^dag, L^dag L, rate), built once per dtype.
 
         real=True keeps only the real parts, which is exact when every
-        jump is real. Dense arrays below the BLAS-friendly size where
-        sparse call overhead dominates; CSR beyond it.
+        jump is real.
         """
         if real not in self._compiled:
-            dense = self.dim.cutoff <= 256
             terms = []
             for j in self.jumps:
                 lm = j.operator.matrix
                 if real:
                     lm = np.ascontiguousarray(lm.real)
-                if dense:
-                    ld = np.ascontiguousarray(lm.conj().T)
-                    terms.append((lm, ld, ld @ lm, j.rate))
-                else:
-                    l_sp = scipy.sparse.csr_matrix(lm)
-                    ld_sp = scipy.sparse.csr_matrix(lm.conj().T)
-                    terms.append((l_sp, ld_sp, (ld_sp @ l_sp).tocsr(), j.rate))
+                ld = np.ascontiguousarray(lm.conj().T)
+                terms.append((lm, ld, ld @ lm, j.rate))
             self._compiled[real] = tuple(terms)
         return self._compiled[real]
 
@@ -421,14 +417,12 @@ def squeezed_generator(
 def bath_invariant_state(gen: Generator, t: float = 0.0) -> DensityMatrix:
     """The state the bath coupling alone would relax to at frozen time t.
 
-    Analytic for the tagged kinds; numeric kernel search otherwise.
+    The squeezed thermal state for the tagged kinds (r = 0 is the thermal
+    state exactly); numeric kernel search for custom generators.
     """
-    occ = gen.occupation_at(t)
-    if gen.kind == "thermal" and occ is not None:
-        return thermal_state(occ, gen.dim)
-    if gen.kind == "squeezed" and occ is not None and gen.r is not None:
-        return squeezed_thermal_state(occ, gen.r, gen.dim)
-    return steady_state(gen, t=t)
+    if gen.kind == "custom":
+        return steady_state(gen, t=t)
+    return squeezed_thermal_state(gen.occupation_at(t), gen.r or 0.0, gen.dim)
 
 
 def conjugate_generator(gen: Generator, unitary: Operator) -> Generator:
@@ -513,11 +507,14 @@ def _stability_dt(gen: Generator, t_final: float) -> float:
     return min(0.5 / scale, t_final / 50.0)
 
 
-def _warn_if_drive_fast(gen: Generator, t_final: float) -> None:
+def _warn_if_drive_fast(gen: Generator, dt: float, n_steps: int) -> None:
+    """Warn at the first step time k*dt where |d(omega)/dt|/omega exceeds
+    SLOW_DRIVE_FRAC * kappa."""
     sched = gen.hamiltonian
-    if sched.frequency is None or sched.frequency_dot is None or gen.kappa is None:
+    if sched.is_constant or None in (sched.frequency, sched.frequency_dot, gen.kappa):
         return
-    for t in (0.0, 0.5 * t_final, t_final):
+    for k in range(n_steps + 1):
+        t = k * dt
         w = sched.frequency(t)
         wdot = sched.frequency_dot(t)
         if w > 0 and abs(wdot) / w > SLOW_DRIVE_FRAC * gen.kappa:
@@ -681,7 +678,7 @@ def evolve(
     if snapshot_stride < 1:
         raise ValueError("snapshot_stride must be >= 1")
 
-    _warn_if_drive_fast(gen, t_final)
+    _warn_if_drive_fast(gen, dt, n_steps)
 
     sched = gen.hamiltonian
     ladder = sched.levels is not None
@@ -775,11 +772,8 @@ def evolve(
 # steady states
 
 
-def superoperator(gen: Generator, t: float = 0.0, sparse: bool = False):
-    """Matrix of the generator on row-major vectorised states.
-
-    Built in CSR; sparse=False returns the same matrix as a dense array.
-    """
+def superoperator(gen: Generator, t: float = 0.0) -> scipy.sparse.csr_matrix:
+    """CSR matrix of the generator on row-major vectorised states."""
     n = gen.dim.cutoff
     eye = scipy.sparse.identity(n, format="csr", dtype=complex)
     kron = functools.partial(scipy.sparse.kron, format="csr")
@@ -796,7 +790,7 @@ def superoperator(gen: Generator, t: float = 0.0, sparse: bool = False):
         total = total + g * (
             2.0 * kron(lm, lm.conj()) - kron(ldl, eye) - kron(eye, ldl.T)
         )
-    return total.tocsr() if sparse else total.toarray()
+    return total.tocsr()
 
 
 def steady_state(gen: Generator, *, t: float = 0.0) -> DensityMatrix:
@@ -816,7 +810,7 @@ def steady_state(gen: Generator, *, t: float = 0.0) -> DensityMatrix:
     """
     n = gen.dim.cutoff
     size = n * n
-    lmat = superoperator(gen, t=t, sparse=True)
+    lmat = superoperator(gen, t=t)
     y = np.eye(n, dtype=complex).reshape(-1) / math.sqrt(n)
     y_col = scipy.sparse.csc_matrix(y[:, None])
     bordered = scipy.sparse.bmat([[lmat, y_col], [y_col.conj().T, None]], "csc")

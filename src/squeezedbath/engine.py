@@ -18,7 +18,6 @@ part as work, expansion, and back to the cold contact.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import Optional
 
@@ -43,6 +42,8 @@ from .fock import (
 STEADY_TOL = 1e-8
 CLOSURE_TOL = 1e-6
 ENGINE_TOL = 1e-9
+CUTOFF_TAIL_TOL = 3e-9
+CUTOFF_FLOOR = 40
 
 NOT_ENGINE = "not_engine"
 ENGINE = "engine"
@@ -54,8 +55,6 @@ class BathStage:
     """Extra thermal contact inserted before the energising reservoir."""
 
     temperature: float
-    kappa: Optional[float] = None
-    duration: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.temperature <= 0:
@@ -200,9 +199,7 @@ def eta_bound_combined(
     return min(bounds)
 
 
-def eta_actual(
-    dissipated_hot: float, dissipated_cold: float, tol: float = ENGINE_TOL
-) -> tuple:
+def eta_actual(dissipated_hot: float, dissipated_cold: float) -> tuple:
     """Measured efficiency and operating regime of a two-contact cycle.
 
     Work out equals the sum of the two bath flows over a closed cycle.
@@ -210,11 +207,11 @@ def eta_actual(
     work, so the efficiency is pinned at 1 and the regime flag says so.
     """
     work_out = dissipated_hot + dissipated_cold
-    if work_out <= tol:
+    if work_out <= ENGINE_TOL:
         return math.nan, NOT_ENGINE
-    if dissipated_cold > tol:
+    if dissipated_cold > ENGINE_TOL:
         return 1.0, ENGINE_AND_FRIDGE
-    # work_out > tol >= dissipated_cold forces dissipated_hot > 0 here
+    # work_out > ENGINE_TOL >= dissipated_cold forces dissipated_hot > 0 here
     return 1.0 + dissipated_cold / dissipated_hot, ENGINE
 
 
@@ -242,6 +239,20 @@ class OttoClosedForm:
 def squeezed_excess(nbar: float, r: float) -> float:
     """Occupation added by squeezing a thermal state: (2 nbar + 1) sinh^2 r."""
     return (2.0 * nbar + 1.0) * math.sinh(r) ** 2
+
+
+def _caps(passive_flow, frame_flow, dissipated_flow, temp_cold, temp_hot) -> tuple:
+    """(eta_max, eta_sigma) of a two-contact cycle's energising flow.
+
+    Both are NaN when the energising contact feeds nothing in; a negative
+    passive flow leaves only the trivial cap 1 for eta_max.
+    """
+    if dissipated_flow <= 0:
+        return math.nan, math.nan
+    eta_s = eta_sigma(frame_flow, dissipated_flow, temp_cold, temp_hot)
+    if passive_flow < 0:
+        return 1.0, eta_s
+    return eta_max(passive_flow, dissipated_flow, temp_cold, temp_hot), eta_s
 
 
 def closed_form_otto(
@@ -276,16 +287,7 @@ def closed_form_otto(
     e_tilde = omega_hot * (nh - nc - squeezed_excess(nc, r))
     work = e_dh + e_dc
     eta, regime = eta_actual(e_dh, e_dc)
-    eta_c = eta_carnot(temp_cold, temp_hot)
-    if e_dh > 0:
-        eta_s = eta_sigma(e_tilde, e_dh, temp_cold, temp_hot)
-        if e_prime >= 0:
-            eta_m = eta_max(e_prime, e_dh, temp_cold, temp_hot)
-        else:
-            eta_m = 1.0  # passive-flow cap inapplicable; trivial cap remains
-    else:
-        eta_s = math.nan
-        eta_m = math.nan
+    eta_m, eta_s = _caps(e_prime, e_tilde, e_dh, temp_cold, temp_hot)
     return OttoClosedForm(
         nbar_cold=nc,
         nbar_hot=nh,
@@ -298,29 +300,28 @@ def closed_form_otto(
         eta=eta,
         eta_max=eta_m,
         eta_sigma=eta_s,
-        eta_carnot=eta_c,
+        eta_carnot=eta_carnot(temp_cold, temp_hot),
         regime=regime,
     )
 
 
-def required_cutoff(
-    nbar: float, r: float = 0.0, *, tail_tol: float = 3e-9, floor: int = 40
-) -> int:
+def required_cutoff(nbar: float, r: float = 0.0) -> int:
     """Fock levels needed so a squeezed thermal state's tail stays negligible.
 
     Uses the quadrature variance V = (2 nbar + 1) e^(2|r|) / 2; level
     populations fall off like ((2V-1)/(2V+1))^n and the bound keeps the
-    clipped mass (with a generous polynomial safety factor) under tail_tol.
+    clipped mass (with a generous polynomial safety factor) under
+    CUTOFF_TAIL_TOL. Never fewer than CUTOFF_FLOOR levels.
     """
     if nbar < 0:
         raise ValueError("nbar must be nonnegative")
     v = (2.0 * nbar + 1.0) * math.exp(2.0 * abs(r)) / 2.0
     lam = (2.0 * v - 1.0) / (2.0 * v + 1.0)
     if lam <= 0.0:
-        return floor
-    n = floor
+        return CUTOFF_FLOOR
+    n = CUTOFF_FLOOR
     power = lam**n
-    while 2.0 * n * (1.0 - lam) * power > tail_tol:
+    while 2.0 * n * (1.0 - lam) * power > CUTOFF_TAIL_TOL:
         n += 1
         power *= lam
         if n > 100_000:
@@ -330,13 +331,6 @@ def required_cutoff(
 
 # ---------------------------------------------------------------------------
 # Otto runner
-
-
-@functools.lru_cache(maxsize=4)
-def _squeeze_probs(r: float, n: int) -> np.ndarray:
-    """Elementwise square of the squeeze matrix: transition probabilities."""
-    s = _squeeze_matrix(r, n)
-    return s**2
 
 
 def _sorted_desc(v: np.ndarray) -> np.ndarray:
@@ -372,7 +366,6 @@ def run_otto(spec: CycleSpec) -> CycleReport:
             required_cutoff(nbar_c, 0.0),
             required_cutoff(nbar_h, spec.r),
             *(required_cutoff(nb, 0.0) for nb in stage_nbars),
-            40,
         )
     levels = np.arange(n_dim, dtype=float)
 
@@ -393,9 +386,7 @@ def run_otto(spec: CycleSpec) -> CycleReport:
 
     mid_flows = []
     for stage, nb in zip(spec.mid_baths, stage_nbars):
-        tau = stage.duration if stage.duration is not None else spec.stroke_time
-        kap = stage.kappa if stage.kappa is not None else spec.kappa
-        v = relax_populations(p, nb, kap, tau)
+        v = relax_populations(p, nb, spec.kappa, spec.stroke_time)
         _check_steady(v, thermal_populations(nb, n_dim), f"T={stage.temperature:g}")
         e_d = w_h * (mean_n(v) - mean_n(p))
         e_pas = w_h * (passive_n(v) - passive_n(p))
@@ -417,12 +408,12 @@ def run_otto(spec: CycleSpec) -> CycleReport:
     n_start_lab = mean_n(p)
     pas_start = passive_n(p)
     if spec.r != 0.0:
-        s2 = _squeeze_probs(float(spec.r), n_dim)
+        # transition probabilities between Fock and squeezed-frame levels
+        s2 = _squeeze_matrix(float(spec.r), n_dim) ** 2
         v0 = s2.T @ p
         v0 /= v0.sum()
         lab_weights = levels @ s2
     else:
-        s2 = None
         v0 = p
         lab_weights = levels
     v_t = relax_populations(v0, nbar_h, spec.kappa, spec.stroke_time)
@@ -475,17 +466,7 @@ def run_otto(spec: CycleSpec) -> CycleReport:
             eta = work_out / energy_in
             regime = ENGINE if e_dc <= ENGINE_TOL else ENGINE_AND_FRIDGE
 
-    eta_c = eta_carnot(spec.temp_cold, spec.temp_hot)
-    if e_dh > 0:
-        eta_s = eta_sigma(e_dh_tilde, e_dh, spec.temp_cold, spec.temp_hot)
-        if e_dh_prime >= 0:
-            eta_m = eta_max(e_dh_prime, e_dh, spec.temp_cold, spec.temp_hot)
-        else:
-            eta_m = 1.0
-    else:
-        eta_s = math.nan
-        eta_m = math.nan
-
+    eta_m, eta_s = _caps(e_dh_prime, e_dh_tilde, e_dh, spec.temp_cold, spec.temp_hot)
     return CycleReport(
         spec=spec,
         E_dh=e_dh,
@@ -498,7 +479,7 @@ def run_otto(spec: CycleSpec) -> CycleReport:
         regime=regime,
         eta_max=eta_m,
         eta_sigma=eta_s,
-        eta_carnot=eta_c,
+        eta_carnot=eta_carnot(spec.temp_cold, spec.temp_hot),
         firstlaw_residual=firstlaw_residual,
         closure=closure,
         entropy_closure=entropy_closure,

@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 import scipy.linalg
 
-from .errors import CutoffLeak
+from .errors import CutoffLeak, NotUnitary
 
 DEFAULT_CUTOFF = 40
 
@@ -180,14 +180,14 @@ def squeeze_operator(r: float, dim: DimLike = DEFAULT_CUTOFF) -> Operator:
     """Single-mode squeeze exp[(r/2)(a^2 - a^dag^2)], real phase convention.
 
     The exponent is real antisymmetric, so the result is real orthogonal up
-    to rounding; unitarity is still checked against TOL_UNITARY. Raises
-    CutoffLeak when the squeezed vacuum no longer fits under the cutoff.
+    to rounding; unitarity is still checked against TOL_UNITARY (NotUnitary).
+    Raises CutoffLeak when the squeezed vacuum no longer fits under the cutoff.
     """
     d = as_dim(dim)
     s = _squeeze_matrix(float(r), d.cutoff)
     err = np.abs(s.T @ s - np.eye(d.cutoff)).max()
     if err > TOL_UNITARY:
-        raise ValueError(f"squeeze operator lost unitarity: {err:.3e}")
+        raise NotUnitary(f"squeeze operator lost unitarity: {err:.3e}")
     _check_top_levels(s[:, 0] ** 2, d, f"squeeze_operator(r={r})")
     return Operator(d, s)
 

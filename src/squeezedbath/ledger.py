@@ -29,7 +29,6 @@ from .dynamics import (
     Trajectory,
     apply,
     bath_invariant_state,
-    conjugate_generator,
     evolve,
     thermal_generator,
 )
@@ -318,15 +317,14 @@ def entropy_bound_report(
     traj: Trajectory,
     gen: Generator,
     bath_temperature: float | None = None,
-    frame: Operator | None = None,
     *,
     dt: float | None = None,
 ) -> EntropyReport:
     """Entropy balance of a finished stroke against its bath.
 
     The bath temperature defaults to the generator's; the comparison path
-    runs under the passive-frame generator (derived from the bath tag, or
-    from an explicit frame unitary for custom baths). Both dissipated
+    runs under the passive-frame generator derived from the bath tag (a
+    custom generator is its own passive frame). Both dissipated
     fluxes are divided by the temperature; the slacks delta_S - bound
     quantify how far the stroke is from saturating each inequality.
     """
@@ -336,10 +334,7 @@ def entropy_bound_report(
         raise ValueError("entropy bounds need a positive bath temperature")
     t_bath = float(bath_temperature)
 
-    if frame is not None:
-        alt_gen = conjugate_generator(gen, frame)
-    else:
-        alt_gen = passive_frame_generator(gen)
+    alt_gen = passive_frame_generator(gen)
 
     s0 = von_neumann_entropy(traj.states[0])
     s1 = von_neumann_entropy(traj.states[-1])

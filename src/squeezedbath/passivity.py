@@ -23,24 +23,11 @@ TOL_MAJOR = 1e-10
 
 
 @dataclasses.dataclass(frozen=True)
-class SpectrumOrdering:
-    """Pairing used in the passive rearrangement.
-
-    populations: rho's eigenvalues, descending.
-    energies: the H eigenvalues they are assigned to, ascending.
-    """
-
-    populations: np.ndarray
-    energies: np.ndarray
-
-
-@dataclasses.dataclass(frozen=True)
 class PassiveDecomposition:
     passive_state: DensityMatrix
     extraction_unitary: Operator
     ergotropy: float
     passive_energy: float
-    ordering: SpectrumOrdering
 
 
 def _hamiltonian_eigensystem(hamiltonian: Operator):
@@ -87,13 +74,11 @@ def passive_decompose(
     passive = DensityMatrix(
         Operator(rho.dim, passive_m), _spectrum=np.clip(p_vals, 0.0, None)
     )
-    ordering = SpectrumOrdering(populations=p_sorted.copy(), energies=e_vals.copy())
     return PassiveDecomposition(
         passive_state=passive,
         extraction_unitary=Operator(rho.dim, u),
         ergotropy=erg,
         passive_energy=passive_energy,
-        ordering=ordering,
     )
 
 

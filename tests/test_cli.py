@@ -172,6 +172,14 @@ class TestDecayScenario:
         assert run("decay", cfg, b) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_workers_is_an_otto_sweep_option_only(self, tmp_path):
+        cfg = write_config(tmp_path, "decay", alpha=1.0, t_final=0.5, cutoff=25)
+        out = tmp_path / "decay.csv"
+        with pytest.raises(SystemExit) as exc:
+            run("decay", cfg, out, "--workers", "2")
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_dt_override_is_honoured(self, tmp_path):
         cfg = write_config(tmp_path, "decay", alpha=1.0, t_final=0.5, cutoff=25)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

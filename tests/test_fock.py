@@ -8,6 +8,7 @@ from squeezedbath import (
     CutoffLeak,
     DensityMatrix,
     HilbertDim,
+    NotUnitary,
     Operator,
     annihilation,
     coherent_state,
@@ -21,6 +22,7 @@ from squeezedbath import (
     thermal_state,
     von_neumann_entropy,
 )
+from squeezedbath import fock
 from squeezedbath.fock import _squeeze_matrix
 
 
@@ -99,6 +101,11 @@ class TestSqueezeOperator:
         with pytest.raises(CutoffLeak):
             squeeze_operator(0.35, 16)
 
+    def test_lost_unitarity_raises_not_unitary(self, monkeypatch):
+        monkeypatch.setattr(fock, "_squeeze_matrix", lambda r, n: 2.0 * np.eye(n))
+        with pytest.raises(NotUnitary, match="lost unitarity"):
+            squeeze_operator(0.1, 12)
+
 
 class TestSqueezeMatrixOracle:
     """The parity-block eigensolve construction against a dense expm."""
@@ -161,9 +168,15 @@ class TestCoherentState:
 
 
 class TestSqueezedThermalState:
-    def test_zero_squeezing_reduces_to_thermal(self):
-        np.testing.assert_allclose(squeezed_thermal_state(0.7, 0.0, 40).matrix,
-                                   thermal_state(0.7, 40).matrix)
+    # at n = 2 the top-two-level leak gate rejects every state; start at 3
+    @pytest.mark.parametrize(
+        "nbar,n", [(0.0, 3), (0.7, 40), (2.0, 58), (9.508, 300)]
+    )
+    def test_zero_squeezing_reduces_to_thermal(self, nbar, n):
+        # bath_invariant_state relies on this being exact, not approximate
+        np.testing.assert_array_equal(_squeeze_matrix(0.0, n), np.eye(n))
+        np.testing.assert_array_equal(squeezed_thermal_state(nbar, 0.0, n).matrix,
+                                      thermal_state(nbar, n).matrix)
 
     def test_entropy_matches_thermal(self):
         rho = squeezed_thermal_state(1.0, 0.3, 60)
