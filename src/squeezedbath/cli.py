@@ -21,6 +21,7 @@ import math
 import multiprocessing
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,21 +42,24 @@ UNITS_NOTE = (
     "in kappa; energies in hbar*kappa; entropy in k_B"
 )
 
-TRAJECTORY_COLUMNS = [
-    "t",
-    "energy",
-    "entropy",
-    "ergotropy",
-    "passive_energy",
-    "E_d_cum",
-    "W_cum",
-    "dEpas_d_cum",
-    "dErgo_d_cum",
-    "sigma_cum",
-    "trace_err",
-    "min_eig",
+# (CSV header, FirstLawLedger field) per trajectory column
+_TRAJECTORY_FIELDS = [
+    ("t", "times"),
+    ("energy", "energy"),
+    ("entropy", "entropy"),
+    ("ergotropy", "ergotropy"),
+    ("passive_energy", "passive_energy"),
+    ("E_d_cum", "dissipated_cum"),
+    ("W_cum", "work_cum"),
+    ("dEpas_d_cum", "passive_dissipated_cum"),
+    ("dErgo_d_cum", "ergotropy_dissipated_cum"),
+    ("sigma_cum", "sigma_cum"),
+    ("trace_err", "trace_errors"),
+    ("min_eig", "min_eigs"),
 ]
+TRAJECTORY_COLUMNS = [column for column, _ in _TRAJECTORY_FIELDS]
 
+# every cycle column is the CycleReport field of the same name
 CYCLE_COLUMNS = [
     "E_dh",
     "E_dh_prime",
@@ -70,12 +74,27 @@ CYCLE_COLUMNS = [
     "entropy_closure",
 ]
 
+# (CSV header, EntropyReport field) per carnot-stroke column after duration
+_STROKE_FIELDS = [
+    ("delta_S", "delta_S"),
+    ("E_d", "dissipated"),
+    ("E_d_prime", "alt_energy"),
+    ("sigma", "sigma_spohn"),
+    ("slack", "slack_total_heat"),
+    ("slack_prime", "slack_alt_path"),
+]
+
+# (CSV header, OttoClosedForm field) per otto-sweep reference column
+_CLOSED_FORM_FIELDS = [
+    ("eta_closed_form", "eta"),
+    ("eta_max_closed_form", "eta_max"),
+    ("eta_sigma_closed_form", "eta_sigma"),
+]
+
 
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return "%.12g" % float(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return str(value)
 
 
@@ -85,7 +104,7 @@ def _render(columns, rows) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+        writer.writerow([_fmt(row[column]) for column in columns])
     return buf.getvalue()
 
 
@@ -115,12 +134,8 @@ def _as_float_list(section: str, key: str, raw: str):
 
 
 def _as_floats_or_empty(section: str, key: str, raw: str):
-    out = []
-    for piece in raw.split(","):
-        piece = piece.strip()
-        if piece:
-            out.append(_as_float(section, key, piece))
-    return out
+    pieces = (piece.strip() for piece in raw.split(","))
+    return [_as_float(section, key, piece) for piece in pieces if piece]
 
 
 def _as_word(section: str, key: str, raw: str) -> str:
@@ -135,85 +150,14 @@ _CONVERTERS = {
     "word": _as_word,
 }
 
-# schema: key -> (type, default); default=REQUIRED means the key must appear
-REQUIRED = object()
 
-SCHEMAS = {
-    "decay": {
-        "alpha": ("float", REQUIRED),
-        "t_final": ("float", REQUIRED),
-        "omega": ("float", 1.0),
-        "kappa": ("float", 1.0),
-        "nbar": ("float", 0.0),
-        "cutoff": ("int", 40),
-        "dt": ("float", None),
-    },
-    "squeezed-relax": {
-        "t_final": ("float", REQUIRED),
-        "nbar": ("float", 0.0),
-        "r": ("float", 0.4),
-        "initial_nbar": ("float", 0.0),
-        "omega": ("float", 10.0),
-        "kappa": ("float", 1.0),
-        "cutoff": ("int", 40),
-        "dt": ("float", None),
-    },
-    "carnot-stroke": {
-        "durations": ("float_list", REQUIRED),
-        "temperature": ("float", 5.0),
-        "omega_start": ("float", 25.0),
-        "omega_end": ("float", 20.0),
-        "r": ("float", 0.2),
-        "kappa": ("float", 1.0),
-        "cutoff": ("int", 40),
-        "dt": ("float", None),
-    },
-    "otto-sweep": {
-        "temp_hot": ("float", REQUIRED),
-        "temp_cold": ("float", REQUIRED),
-        "omega_hot": ("float", REQUIRED),
-        "x_values": ("float_list", REQUIRED),
-        "r_values": ("float_list", REQUIRED),
-        "kappa": ("float", 1.0),
-        "stroke_time": ("float", 30.0),
-        "cutoff": ("int", 0),  # 0 = size automatically
-    },
-    "cycle": {
-        "kind": ("word", "otto"),
-        "temp_cold": ("float", REQUIRED),
-        "temp_hot": ("float", REQUIRED),
-        "omega_cold": ("float", None),
-        "omega_hot": ("float", REQUIRED),
-        "omega_hot_end": ("float", None),
-        "r": ("float", 0.0),
-        "kappa": ("float", 1.0),
-        "stroke_time": ("float", 30.0),
-        "settle_time": ("float", None),
-        "cutoff": ("int", 0),
-        "dt": ("float", None),
-    },
-    "multibath": {
-        "temp_cold": ("float", REQUIRED),
-        "temp_hot": ("float", REQUIRED),
-        "mid_temperatures": ("floats_or_empty", REQUIRED),
-        "omega_cold": ("float", REQUIRED),
-        "omega_hot": ("float", REQUIRED),
-        "r": ("float", 0.0),
-        "kappa": ("float", 1.0),
-        "stroke_time": ("float", 30.0),
-        "cutoff": ("int", 0),
-    },
-}
-
-# keys the --dt/--cutoff overrides may touch, per scenario
-_DT_SCENARIOS = {"decay", "squeezed-relax", "carnot-stroke", "cycle"}
+REQUIRED = object()  # schema default of a key that must appear
 
 
 def _load_config(scenario: str, path: str, args) -> dict:
-    text = Path(path).read_text()
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        parser.read_string(text)
+        parser.read_string(Path(path).read_text())
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}")
     if parser.defaults():
@@ -224,7 +168,7 @@ def _load_config(scenario: str, path: str, args) -> dict:
     if extra:
         raise ConfigError(f"unexpected sections: {', '.join(extra)}")
 
-    schema = SCHEMAS[scenario]
+    schema = SCENARIOS[scenario].schema
     section = parser[scenario]
     unknown = sorted(set(section.keys()) - set(schema.keys()))
     if unknown:
@@ -240,70 +184,42 @@ def _load_config(scenario: str, path: str, args) -> dict:
             out[key] = default
 
     if args.dt is not None:
-        if scenario not in _DT_SCENARIOS:
+        if "dt" not in schema:
             raise ConfigError(f"--dt is not used by the {scenario} scenario")
         out["dt"] = args.dt
     if args.cutoff is not None:
         out["cutoff"] = args.cutoff
+    if "workers" in args:  # registered on the subcommands that fan out only
+        out["workers"] = max(1, args.workers)
     return out
 
 
 # ---------------------------------------------------------------------------
-# scenarios
+# scenarios; each runner returns (columns, rows), every row a dict by column
 
 
-def _ledger_rows(ledger) -> list:
-    rows = []
-    for i in range(len(ledger.times)):
-        rows.append(
-            [
-                ledger.times[i],
-                ledger.energy[i],
-                ledger.entropy[i],
-                ledger.ergotropy[i],
-                ledger.passive_energy[i],
-                ledger.dissipated_cum[i],
-                ledger.work_cum[i],
-                ledger.passive_dissipated_cum[i],
-                ledger.ergotropy_dissipated_cum[i],
-                ledger.sigma_cum[i],
-                ledger.trace_errors[i],
-                ledger.min_eigs[i],
-            ]
-        )
-    return rows
+def _trajectory_table(gen, rho0, cfg: dict):
+    ledger = accumulate_ledger(evolve(gen, rho0, cfg["t_final"], dt=cfg["dt"]), gen)
+    series = {column: getattr(ledger, field) for column, field in _TRAJECTORY_FIELDS}
+    rows = [{c: v[i] for c, v in series.items()} for i in range(len(ledger.times))]
+    return TRAJECTORY_COLUMNS, rows
 
 
 def _run_decay(cfg: dict):
     dim = HilbertDim(cfg["cutoff"])
     gen = thermal_generator(cfg["omega"], cfg["kappa"], nbar=cfg["nbar"], dim=dim)
-    rho0 = coherent_state(cfg["alpha"], dim)
-    traj = evolve(gen, rho0, cfg["t_final"], dt=cfg["dt"])
-    return TRAJECTORY_COLUMNS, _ledger_rows(accumulate_ledger(traj, gen))
+    return _trajectory_table(gen, coherent_state(cfg["alpha"], dim), cfg)
 
 
 def _run_squeezed_relax(cfg: dict):
     dim = HilbertDim(cfg["cutoff"])
-    gen = squeezed_generator(
-        cfg["omega"], cfg["kappa"], cfg["nbar"], cfg["r"], dim=dim
-    )
-    rho0 = thermal_state(cfg["initial_nbar"], dim)
-    traj = evolve(gen, rho0, cfg["t_final"], dt=cfg["dt"])
-    return TRAJECTORY_COLUMNS, _ledger_rows(accumulate_ledger(traj, gen))
+    gen = squeezed_generator(cfg["omega"], cfg["kappa"], cfg["nbar"], cfg["r"], dim=dim)
+    return _trajectory_table(gen, thermal_state(cfg["initial_nbar"], dim), cfg)
 
 
 def _run_carnot_stroke(cfg: dict):
     dim = HilbertDim(cfg["cutoff"])
     temp = cfg["temperature"]
-    columns = [
-        "duration",
-        "delta_S",
-        "E_d",
-        "E_d_prime",
-        "sigma",
-        "slack",
-        "slack_prime",
-    ]
     rows = []
     for tau in sorted(cfg["durations"]):
         sched = linear_ramp_schedule(cfg["omega_start"], cfg["omega_end"], tau, dim)
@@ -313,18 +229,9 @@ def _run_carnot_stroke(cfg: dict):
         nb0 = bose_occupation(cfg["omega_start"], temp)
         traj = evolve(gen, thermal_state(nb0, dim), tau, dt=cfg["dt"])
         rep = entropy_bound_report(traj, gen, dt=cfg["dt"])
-        rows.append(
-            [
-                tau,
-                rep.delta_S,
-                rep.dissipated,
-                rep.alt_energy,
-                rep.sigma_spohn,
-                rep.slack_total_heat,
-                rep.slack_alt_path,
-            ]
-        )
-    return columns, rows
+        row = {column: getattr(rep, field) for column, field in _STROKE_FIELDS}
+        rows.append({"duration": tau, **row})
+    return ["duration"] + [column for column, _ in _STROKE_FIELDS], rows
 
 
 def _cycle_spec(cfg: dict, mid_temps=()) -> eng.CycleSpec:
@@ -341,20 +248,8 @@ def _cycle_spec(cfg: dict, mid_temps=()) -> eng.CycleSpec:
     )
 
 
-def _cycle_row(report: eng.CycleReport) -> list:
-    return [
-        report.E_dh,
-        report.E_dh_prime,
-        report.E_dc,
-        report.work_out,
-        report.eta,
-        report.eta_max,
-        report.eta_sigma,
-        report.eta_carnot,
-        report.regime,
-        report.firstlaw_residual,
-        report.entropy_closure,
-    ]
+def _cycle_row(report: eng.CycleReport) -> dict:
+    return {column: getattr(report, column) for column in CYCLE_COLUMNS}
 
 
 def _run_cycle(cfg: dict):
@@ -369,7 +264,7 @@ def _run_cycle(cfg: dict):
         if cfg["omega_cold"] is None:
             raise ConfigError("[cycle] missing required key: omega_cold")
         report = eng.run_otto(_cycle_spec(cfg))
-        return columns, [["otto"] + _cycle_row(report)]
+        return columns, [{"kind": "otto", **_cycle_row(report)}]
 
     if cfg["omega_hot_end"] is None:
         raise ConfigError("[cycle] kind = carnot_like needs omega_hot_end")
@@ -379,77 +274,62 @@ def _run_cycle(cfg: dict):
         )
     if cfg["r"] != 0.0:
         raise ConfigError("[cycle] kind = carnot_like supports thermal baths only")
+    # unset keys fall back to CarnotSpec's own defaults
+    given = {"settle_time": cfg["settle_time"], "cutoff": cfg["cutoff"] or None}
     spec = eng.matched_carnot_spec(
         cfg["temp_cold"],
         cfg["temp_hot"],
         cfg["omega_hot"],
         cfg["omega_hot_end"],
         cfg["stroke_time"],
-        settle_time=14.0 if cfg["settle_time"] is None else cfg["settle_time"],
         kappa=cfg["kappa"],
-        cutoff=cfg["cutoff"] or 40,
         dt=cfg["dt"],
+        **{key: value for key, value in given.items() if value is not None},
     )
     rep = eng.run_carnot_like(spec)
-    regime = eng.ENGINE if rep.work_out > eng.ENGINE_TOL else eng.NOT_ENGINE
-    row = [
-        "carnot_like",
-        rep.heat_hot,
-        rep.heat_hot,  # thermal contact: passive share equals the full flow
-        rep.heat_cold,
-        rep.work_out,
-        rep.eta,
-        rep.eta_carnot,
-        rep.eta_carnot,
-        rep.eta_carnot,
-        regime,
-        rep.firstlaw_residual,
-        rep.entropy_closure,
-    ]
+    row = {
+        "kind": "carnot_like",
+        "E_dh": rep.heat_hot,
+        "E_dh_prime": rep.heat_hot,  # thermal contact: passive share is the full flow
+        "E_dc": rep.heat_cold,
+        "work_out": rep.work_out,
+        "eta": rep.eta,
+        "eta_max": rep.eta_carnot,
+        "eta_sigma": rep.eta_carnot,
+        "eta_carnot": rep.eta_carnot,
+        "regime": eng.ENGINE if rep.work_out > eng.ENGINE_TOL else eng.NOT_ENGINE,
+        "firstlaw_residual": rep.firstlaw_residual,
+        "entropy_closure": rep.entropy_closure,
+    }
     return columns, [row]
 
 
-def _sweep_point(task):
-    cfg, x, r = task
+def _sweep_point(cfg: dict, x: float, r: float) -> dict:
     omega_cold = x * cfg["omega_hot"]
     try:
         closed = eng.closed_form_otto(
             cfg["temp_cold"], cfg["temp_hot"], omega_cold, cfg["omega_hot"], r
         )
-        closed_cols = [closed.eta, closed.eta_max, closed.eta_sigma]
     except eng.RegimeViolation:
-        closed_cols = [math.nan, math.nan, math.nan]
-    spec = eng.CycleSpec(
-        temp_cold=cfg["temp_cold"],
-        temp_hot=cfg["temp_hot"],
-        omega_cold=omega_cold,
-        omega_hot=cfg["omega_hot"],
-        r=r,
-        kappa=cfg["kappa"],
-        stroke_time=cfg["stroke_time"],
-        cutoff=cfg["cutoff"] or None,
-    )
-    report = eng.run_otto(spec)
-    return [x, r] + _cycle_row(report) + closed_cols
+        closed = None
+    report = eng.run_otto(_cycle_spec({**cfg, "omega_cold": omega_cold, "r": r}))
+    row = {"x": x, "r": r, **_cycle_row(report)}
+    for column, field in _CLOSED_FORM_FIELDS:
+        row[column] = math.nan if closed is None else getattr(closed, field)
+    return row
 
 
-def _run_otto_sweep(cfg: dict, workers: int):
-    columns = ["x", "r"] + CYCLE_COLUMNS + [
-        "eta_closed_form",
-        "eta_max_closed_form",
-        "eta_sigma_closed_form",
-    ]
+def _run_otto_sweep(cfg: dict):
+    columns = ["x", "r"] + CYCLE_COLUMNS + [c for c, _ in _CLOSED_FORM_FIELDS]
     tasks = [
         (cfg, float(x), float(r))
         for r in sorted(cfg["r_values"])
         for x in sorted(cfg["x_values"])
     ]
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            rows = pool.map(_sweep_point, tasks)
-    else:
-        rows = [_sweep_point(t) for t in tasks]
-    return columns, rows
+    if cfg["workers"] > 1:
+        with multiprocessing.Pool(cfg["workers"]) as pool:
+            return columns, pool.starmap(_sweep_point, tasks)
+    return columns, [_sweep_point(*task) for task in tasks]
 
 
 def _run_multibath(cfg: dict):
@@ -463,11 +343,109 @@ def _run_multibath(cfg: dict):
     # the widest temperature pair seen by the full cycle
     reduced = report if not mids else eng.run_otto(_cycle_spec(cfg))
     temps = [cfg["temp_cold"], cfg["temp_hot"]] + mids
-    bound_two = eng.eta_max(
-        reduced.E_dh_prime, reduced.E_dh, min(temps), max(temps)
-    )
-    columns = CYCLE_COLUMNS + ["bound_multibath", "two_bath_eta_max"]
-    return columns, [_cycle_row(report) + [bound_multi, bound_two]]
+    bound_two = eng.eta_max(reduced.E_dh_prime, reduced.E_dh, min(temps), max(temps))
+    bounds = {"bound_multibath": bound_multi, "two_bath_eta_max": bound_two}
+    return CYCLE_COLUMNS + list(bounds), [{**_cycle_row(report), **bounds}]
+
+
+class Scenario(NamedTuple):
+    """One subcommand: its --help line, config schema and runner."""
+
+    help: str
+    schema: dict
+    run: Callable[[dict], tuple]
+
+
+SCENARIOS = {
+    "decay": Scenario(
+        "coherent-state damping ledger (trajectory CSV)",
+        {
+            "alpha": ("float", REQUIRED),
+            "t_final": ("float", REQUIRED),
+            "omega": ("float", 1.0),
+            "kappa": ("float", 1.0),
+            "nbar": ("float", 0.0),
+            "cutoff": ("int", 40),
+            "dt": ("float", None),
+        },
+        _run_decay,
+    ),
+    "squeezed-relax": Scenario(
+        "relaxation into a squeezed reservoir (trajectory CSV)",
+        {
+            "t_final": ("float", REQUIRED),
+            "nbar": ("float", 0.0),
+            "r": ("float", 0.4),
+            "initial_nbar": ("float", 0.0),
+            "omega": ("float", 10.0),
+            "kappa": ("float", 1.0),
+            "cutoff": ("int", 40),
+            "dt": ("float", None),
+        },
+        _run_squeezed_relax,
+    ),
+    "carnot-stroke": Scenario(
+        "isothermal sweep entropy balance per duration",
+        {
+            "durations": ("float_list", REQUIRED),
+            "temperature": ("float", 5.0),
+            "omega_start": ("float", 25.0),
+            "omega_end": ("float", 20.0),
+            "r": ("float", 0.2),
+            "kappa": ("float", 1.0),
+            "cutoff": ("int", 40),
+            "dt": ("float", None),
+        },
+        _run_carnot_stroke,
+    ),
+    "otto-sweep": Scenario(
+        "Otto cycle grid over frequency ratio and squeezing",
+        {
+            "temp_hot": ("float", REQUIRED),
+            "temp_cold": ("float", REQUIRED),
+            "omega_hot": ("float", REQUIRED),
+            "x_values": ("float_list", REQUIRED),
+            "r_values": ("float_list", REQUIRED),
+            "kappa": ("float", 1.0),
+            "stroke_time": ("float", 30.0),
+            "cutoff": ("int", 0),  # 0 = size automatically
+        },
+        _run_otto_sweep,
+    ),
+    "cycle": Scenario(
+        "single Otto cycle report",
+        {
+            "kind": ("word", "otto"),
+            "temp_cold": ("float", REQUIRED),
+            "temp_hot": ("float", REQUIRED),
+            "omega_cold": ("float", None),
+            "omega_hot": ("float", REQUIRED),
+            "omega_hot_end": ("float", None),
+            "r": ("float", 0.0),
+            "kappa": ("float", 1.0),
+            "stroke_time": ("float", 30.0),
+            "settle_time": ("float", None),
+            "cutoff": ("int", 0),
+            "dt": ("float", None),
+        },
+        _run_cycle,
+    ),
+    "multibath": Scenario(
+        "Otto cycle with extra reservoirs and its bounds",
+        {
+            "temp_cold": ("float", REQUIRED),
+            "temp_hot": ("float", REQUIRED),
+            "mid_temperatures": ("floats_or_empty", REQUIRED),
+            "omega_cold": ("float", REQUIRED),
+            "omega_hot": ("float", REQUIRED),
+            "r": ("float", 0.0),
+            "kappa": ("float", 1.0),
+            "stroke_time": ("float", 30.0),
+            "cutoff": ("int", 0),
+        },
+        _run_multibath,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -481,16 +459,8 @@ def main(argv=None) -> int:
         "and engine cycles with thermal or squeezed reservoirs.",
     )
     sub = parser.add_subparsers(dest="scenario", required=True)
-    descriptions = {
-        "decay": "coherent-state damping ledger (trajectory CSV)",
-        "squeezed-relax": "relaxation into a squeezed reservoir (trajectory CSV)",
-        "carnot-stroke": "isothermal sweep entropy balance per duration",
-        "otto-sweep": "Otto cycle grid over frequency ratio and squeezing",
-        "cycle": "single Otto cycle report",
-        "multibath": "Otto cycle with extra reservoirs and its bounds",
-    }
-    for name in SCHEMAS:
-        p = sub.add_parser(name, help=descriptions[name])
+    for name, scenario in SCENARIOS.items():
+        p = sub.add_parser(name, help=scenario.help)
         p.add_argument("--config", required=True, help="INI file with one "
                        f"[{name}] section")
         p.add_argument("--out", required=True, help="output CSV path")
@@ -513,19 +483,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        if args.scenario == "decay":
-            columns, rows = _run_decay(cfg)
-        elif args.scenario == "squeezed-relax":
-            columns, rows = _run_squeezed_relax(cfg)
-        elif args.scenario == "carnot-stroke":
-            columns, rows = _run_carnot_stroke(cfg)
-        elif args.scenario == "otto-sweep":
-            columns, rows = _run_otto_sweep(cfg, max(1, args.workers))
-        elif args.scenario == "cycle":
-            columns, rows = _run_cycle(cfg)
-        else:
-            columns, rows = _run_multibath(cfg)
-        text = _render(columns, rows)
+        text = _render(*SCENARIOS[args.scenario].run(cfg))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

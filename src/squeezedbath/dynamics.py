@@ -30,7 +30,6 @@ import scipy.sparse.linalg
 from .errors import (
     CutoffLeak,
     NonUniqueSteadyState,
-    NotUnitary,
     PositivityLoss,
     SlowDriveViolation,
     SteadyStateResidual,
@@ -43,6 +42,7 @@ from .fock import (
     DimLike,
     HilbertDim,
     Operator,
+    _check_unitary,
     as_dim,
     squeezed_thermal_state,
 )
@@ -435,9 +435,7 @@ def conjugate_generator(gen: Generator, unitary: Operator) -> Generator:
     if unitary.dim != gen.dim:
         raise ValueError("dimension mismatch")
     u = unitary.matrix
-    err = np.abs(u.conj().T @ u - np.eye(gen.dim.cutoff)).max()
-    if err > 1e-9:
-        raise NotUnitary(f"conjugating operator fails U^dag U = 1 by {err:.3e}")
+    _check_unitary(u, "conjugating operator")
     ud = u.conj().T
 
     new_jumps = tuple(

@@ -38,6 +38,7 @@ from .fock import (
     _squeeze_matrix,
     thermal_populations,
 )
+from .passivity import _population_entropy
 
 STEADY_TOL = 1e-8
 CLOSURE_TOL = 1e-6
@@ -341,7 +342,7 @@ def _check_steady(v: np.ndarray, target: np.ndarray, label: str) -> float:
     resid = 0.5 * float(np.abs(v - target).sum())
     if not resid <= STEADY_TOL:  # a NaN residual fails the gate too
         raise NotSteady(
-            f"{label} contact ended {resid:.3e} away from its fixed point "
+            f"{label} ended {resid:.3e} away from its fixed point "
             f"(gate {STEADY_TOL:g}); lengthen the stroke"
         )
     return resid
@@ -377,6 +378,28 @@ def run_otto(spec: CycleSpec) -> CycleReport:
 
     w_h, w_c = spec.omega_hot, spec.omega_cold
     strokes = []
+
+    def contact(p, nbar, omega, temperature, label, frame=None):
+        """Relax p toward occupation nbar (in the frame whose transition
+        probabilities from the Fock levels are `frame`, if given), gate the
+        fixed point and log the stroke. Returns the frame's end and start
+        populations, the bath flow and its passive share."""
+        n_start = mean_n(p)
+        if frame is None:
+            v0, weights = p, levels
+        else:
+            v0 = frame.T @ p
+            v0 /= v0.sum()
+            weights = levels @ frame
+        v = relax_populations(v0, nbar, spec.kappa, spec.stroke_time)
+        _check_steady(v, thermal_populations(nbar, n_dim), label)
+        n_end = float(weights @ v)
+        e_d = omega * (n_end - n_start)
+        e_pas = omega * (passive_n(v) - passive_n(p))
+        e_a, e_b = omega * n_start, omega * n_end
+        strokes.append(StrokeLedger(label, 0.0, e_d, e_a, e_b, temperature))
+        return v, v0, e_d, e_pas
+
     p0 = thermal_populations(nbar_c, n_dim)
     p = p0
 
@@ -386,70 +409,30 @@ def run_otto(spec: CycleSpec) -> CycleReport:
 
     mid_flows = []
     for stage, nb in zip(spec.mid_baths, stage_nbars):
-        v = relax_populations(p, nb, spec.kappa, spec.stroke_time)
-        _check_steady(v, thermal_populations(nb, n_dim), f"T={stage.temperature:g}")
-        e_d = w_h * (mean_n(v) - mean_n(p))
-        e_pas = w_h * (passive_n(v) - passive_n(p))
-        mid_flows.append((e_d, e_pas, stage.temperature))
-        e_a, e_b = w_h * mean_n(p), w_h * mean_n(v)
-        strokes.append(
-            StrokeLedger(
-                f"contact T={stage.temperature:g}",
-                0.0,
-                e_d,
-                e_a,
-                e_b,
-                temperature=stage.temperature,
-            )
-        )
-        p = v
+        t = stage.temperature
+        p, _, e_d, e_pas = contact(p, nb, w_h, t, f"contact T={t:g}")
+        mid_flows.append((e_d, e_pas, t))
 
     # energising contact, damped in its squeezed frame
-    n_start_lab = mean_n(p)
-    pas_start = passive_n(p)
-    if spec.r != 0.0:
-        # transition probabilities between Fock and squeezed-frame levels
-        s2 = _squeeze_matrix(float(spec.r), n_dim) ** 2
-        v0 = s2.T @ p
-        v0 /= v0.sum()
-        lab_weights = levels @ s2
-    else:
-        v0 = p
-        lab_weights = levels
-    v_t = relax_populations(v0, nbar_h, spec.kappa, spec.stroke_time)
-    _check_steady(v_t, thermal_populations(nbar_h, n_dim), "energising")
-    n_end_lab = float(lab_weights @ v_t)
-    e_dh = w_h * (n_end_lab - n_start_lab)
-    e_dh_prime = w_h * (passive_n(v_t) - pas_start)
-    e_dh_tilde = w_h * (mean_n(v_t) - mean_n(v0))
-    e_a, e_b = w_h * n_start_lab, w_h * n_end_lab
-    strokes.append(
-        StrokeLedger(
-            "energising contact", 0.0, e_dh, e_a, e_b, temperature=spec.temp_hot
-        )
+    frame = _squeeze_matrix(float(spec.r), n_dim) ** 2 if spec.r != 0.0 else None
+    v_t, v0, e_dh, e_dh_prime = contact(
+        p, nbar_h, w_h, spec.temp_hot, "energising contact", frame
     )
+    e_dh_tilde = w_h * (mean_n(v_t) - mean_n(v0))
 
     # unsqueeze: the frame populations become the lab populations exactly
-    if spec.r != 0.0:
-        e_a, e_b = w_h * n_end_lab, w_h * mean_n(v_t)
+    if frame is not None:
+        e_a, e_b = strokes[-1].energy_end, w_h * mean_n(v_t)
         strokes.append(StrokeLedger("unsqueeze", e_b - e_a, 0.0, e_a, e_b))
-    p_top = v_t
 
     # expansion
-    e_a, e_b = w_h * mean_n(p_top), w_c * mean_n(p_top)
+    e_a, e_b = w_h * mean_n(v_t), w_c * mean_n(v_t)
     strokes.append(StrokeLedger("expansion", e_b - e_a, 0.0, e_a, e_b))
 
-    # cold contact
-    p_end = relax_populations(p_top, nbar_c, spec.kappa, spec.stroke_time)
-    _check_steady(p_end, thermal_populations(nbar_c, n_dim), "cold")
-    e_dc = w_c * (mean_n(p_end) - mean_n(p_top))
-    e_a, e_b = w_c * mean_n(p_top), w_c * mean_n(p_end)
-    strokes.append(
-        StrokeLedger("cold contact", 0.0, e_dc, e_a, e_b, temperature=spec.temp_cold)
-    )
+    p_end, _, e_dc, _ = contact(v_t, nbar_c, w_c, spec.temp_cold, "cold contact")
 
     closure = 0.5 * float(np.abs(p_end - p0).sum())
-    entropy_closure = abs(_diag_entropy(p_end) - _diag_entropy(p0))
+    entropy_closure = abs(_population_entropy(p_end) - _population_entropy(p0))
     work_out = -sum(s.work_on for s in strokes)
     total_flow = sum(s.dissipated for s in strokes)
     firstlaw_residual = abs(work_out - total_flow)
@@ -596,11 +579,6 @@ class CarnotReport:
     strokes: tuple
 
 
-def _diag_entropy(p: np.ndarray) -> float:
-    q = p[p > 1e-14]
-    return float(-(q * np.log(q)).sum())
-
-
 def _isotherm(spec, p_in, temp, w_from, w_to):
     """Sweep omega under a fixed-temperature contact, then settle.
 
@@ -631,7 +609,7 @@ def _isotherm(spec, p_in, temp, w_from, w_to):
         heat_settle = 0.0
     heat += heat_settle
 
-    d_s = _diag_entropy(p_out) - _diag_entropy(p_in)
+    d_s = _population_entropy(p_out) - _population_entropy(p_in)
     sigma = d_s - heat / temp
     return p_out, heat, work_on, sigma, d_s
 
@@ -704,7 +682,7 @@ def run_carnot_like(spec: CarnotSpec) -> CarnotReport:
     )
 
     closure = 0.5 * float(np.abs(p - p0).sum())
-    entropy_closure = abs(_diag_entropy(p) - _diag_entropy(p0))
+    entropy_closure = abs(_population_entropy(p) - _population_entropy(p0))
     work_out = -sum(s.work_on for s in strokes)
     total_flow = q_h + q_c
     firstlaw_residual = abs(work_out - total_flow)

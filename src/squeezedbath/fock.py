@@ -156,6 +156,13 @@ def _check_top_levels(populations: np.ndarray, dim: HilbertDim, what: str) -> No
         )
 
 
+def _check_unitary(u: np.ndarray, what: str) -> None:
+    """Raise NotUnitary when U^dag U departs from 1 by more than TOL_UNITARY."""
+    err = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
+    if err > TOL_UNITARY:
+        raise NotUnitary(f"{what} lost unitarity: {err:.3e}")
+
+
 def annihilation(dim: DimLike = DEFAULT_CUTOFF) -> Operator:
     """Lowering operator a with sqrt(n) on the first superdiagonal."""
     d = as_dim(dim)
@@ -185,9 +192,7 @@ def squeeze_operator(r: float, dim: DimLike = DEFAULT_CUTOFF) -> Operator:
     """
     d = as_dim(dim)
     s = _squeeze_matrix(float(r), d.cutoff)
-    err = np.abs(s.T @ s - np.eye(d.cutoff)).max()
-    if err > TOL_UNITARY:
-        raise NotUnitary(f"squeeze operator lost unitarity: {err:.3e}")
+    _check_unitary(s, "squeeze operator")
     _check_top_levels(s[:, 0] ** 2, d, f"squeeze_operator(r={r})")
     return Operator(d, s)
 

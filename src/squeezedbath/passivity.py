@@ -101,11 +101,16 @@ def passive_energy(rho: DensityMatrix, hamiltonian: Operator) -> float:
     return float(p_desc @ e_vals)
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-Tr[rho ln rho] in nats; eigenvalues below EIG_FLOOR contribute 0."""
-    p = rho.eigenvalues
+def _population_entropy(p: np.ndarray) -> float:
+    """-sum p ln p in nats over a spectrum or population array, summed in
+    the given order; entries below EIG_FLOOR contribute 0."""
     p = p[p > EIG_FLOOR]
     return float(-(p * np.log(p)).sum())
+
+
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """-Tr[rho ln rho] in nats; eigenvalues below EIG_FLOOR contribute 0."""
+    return _population_entropy(rho.eigenvalues)
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -127,8 +132,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
             return math.inf
     r_vals, r_vecs = np.linalg.eigh(rho.matrix)
     r_pos = np.clip(r_vals, 0.0, None)
-    keep = r_pos > EIG_FLOOR
-    term_rho = float((r_pos[keep] * np.log(r_pos[keep])).sum())
+    term_rho = -_population_entropy(r_pos)
     # Tr[rho ln sigma] via sigma's eigenbasis; null directions carry no rho weight
     overlap = np.abs(s_vecs.conj().T @ r_vecs) ** 2  # |<s_i|r_j>|^2
     log_s = np.where(null, 0.0, np.log(np.clip(s_vals, EIG_FLOOR, None)))

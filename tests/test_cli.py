@@ -3,6 +3,7 @@ import math
 import pytest
 
 from squeezedbath import SlowDriveViolation
+from squeezedbath import cli
 from squeezedbath import engine as eng
 from squeezedbath.cli import CYCLE_COLUMNS, TRAJECTORY_COLUMNS, main
 
@@ -32,6 +33,29 @@ def read_table(path):
 def column(header, rows, name, parse=float):
     i = header.index(name)
     return [parse(row[i]) for row in rows]
+
+
+def keep_reports(monkeypatch, owner, name):
+    """Patch owner.name so every report it returns is also recorded."""
+    reports = []
+    original = getattr(owner, name)
+
+    def keep(*args, **kwargs):
+        reports.append(original(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(owner, name, keep)
+    return reports
+
+
+def assert_columns_hold_fields(header, row, report, fields):
+    """Each listed column holds the report field fields[column] (to print precision)."""
+    for name, field in fields.items():
+        value, expected = row[header.index(name)], getattr(report, field)
+        if isinstance(expected, str):
+            assert value == expected, name
+        else:
+            assert float(value) == pytest.approx(expected, rel=1e-11, abs=0), name
 
 
 class TestConfigValidation:
@@ -205,7 +229,8 @@ class TestSqueezedRelaxScenario:
 
 
 class TestCarnotStrokeScenario:
-    def test_per_duration_entropy_balance(self, tmp_path):
+    def test_per_duration_entropy_balance(self, tmp_path, monkeypatch):
+        reports = keep_reports(monkeypatch, cli, "entropy_bound_report")
         cfg = write_config(
             tmp_path, "carnot-stroke", durations="6, 3", temperature=5.0
         )
@@ -227,10 +252,21 @@ class TestCarnotStrokeScenario:
         slack_prime = column(header, rows, "slack_prime")
         assert all(v > 0 for v in slack_prime)
         assert slack_prime[1] < slack_prime[0]  # slower drive saturates tighter
+        fields = {
+            "delta_S": "delta_S",
+            "E_d": "dissipated",
+            "E_d_prime": "alt_energy",
+            "sigma": "sigma_spohn",
+            "slack": "slack_total_heat",
+            "slack_prime": "slack_alt_path",
+        }
+        for row, rep in zip(rows, reports, strict=True):
+            assert_columns_hold_fields(header, row, rep, fields)
 
 
 class TestCycleScenario:
-    def test_otto_report_row(self, tmp_path):
+    def test_otto_report_row(self, tmp_path, monkeypatch):
+        reports = keep_reports(monkeypatch, eng, "run_otto")
         cfg = write_config(
             tmp_path,
             "cycle",
@@ -251,16 +287,12 @@ class TestCycleScenario:
         (cap,) = column(header, rows, "eta_max")
         assert eta == pytest.approx(0.8100764734799257, rel=1e-9)
         assert eta <= cap
+        (rep,) = reports
+        fields = {name: name for name in CYCLE_COLUMNS}
+        assert_columns_hold_fields(header, rows[0], rep, fields)
 
     def test_carnot_like_approaches_carnot_when_slow(self, tmp_path, monkeypatch):
-        reports = []
-        run_carnot_like = eng.run_carnot_like
-
-        def keep_report(spec):
-            reports.append(run_carnot_like(spec))
-            return reports[-1]
-
-        monkeypatch.setattr(eng, "run_carnot_like", keep_report)
+        reports = keep_reports(monkeypatch, eng, "run_carnot_like")
         cfg = write_config(
             tmp_path,
             "cycle",
@@ -284,11 +316,23 @@ class TestCycleScenario:
         assert eta_c - eta < 1e-2
         (resid,) = column(header, rows, "firstlaw_residual")
         assert resid < 1e-9
-        # the closure columns hold the report's entropy and first-law closures
+        # a thermal contact: the passive share is the full hot flow and both
+        # caps are Carnot's
         (rep,) = reports
-        (s_closure,) = column(header, rows, "entropy_closure")
-        assert s_closure == pytest.approx(rep.entropy_closure, rel=1e-11, abs=0)
-        assert resid == pytest.approx(rep.firstlaw_residual, rel=1e-11, abs=0)
+        fields = {
+            "E_dh": "heat_hot",
+            "E_dh_prime": "heat_hot",
+            "E_dc": "heat_cold",
+            "work_out": "work_out",
+            "eta": "eta",
+            "eta_max": "eta_carnot",
+            "eta_sigma": "eta_carnot",
+            "eta_carnot": "eta_carnot",
+            "firstlaw_residual": "firstlaw_residual",
+            "entropy_closure": "entropy_closure",
+        }
+        assert set(fields) == set(CYCLE_COLUMNS) - {"regime"}
+        assert_columns_hold_fields(header, rows[0], rep, fields)
 
 
 class TestOttoSweepScenario:

@@ -11,6 +11,7 @@ from squeezedbath import (
     LedgerInconsistent,
     NotUnitary,
     Operator,
+    SlowDriveViolation,
     accumulate_ledger,
     alt_path_energy,
     bath_invariant_state,
@@ -294,3 +295,16 @@ class TestEntropyBoundReport:
         assert rep.sigma_spohn >= -1e-9
         assert rep.slack_alt_path >= -1e-9
         assert rep.alt_energy != rep.dissipated
+
+    def test_fast_sweep_warns_once_per_stroke(self):
+        # |d(omega)/dt|/omega = 0.1 to 0.125 against the 0.01 kappa threshold;
+        # the comparison path replays the same schedule and must not warn again
+        sched = linear_ramp_schedule(25.0, 20.0, 2.0, dim=20)
+        gen = squeezed_generator(sched, 1.0, None, 0.2, dim=20, temperature=5.0)
+        rho0 = thermal_state(bose_occupation(25.0, 5.0), 20)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            traj = evolve(gen, rho0, 2.0)
+            entropy_bound_report(traj, gen)
+        slow = [w for w in caught if issubclass(w.category, SlowDriveViolation)]
+        assert len(slow) == 1
