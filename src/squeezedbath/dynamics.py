@@ -43,6 +43,7 @@ from .fock import (
     HilbertDim,
     Operator,
     _check_unitary,
+    _squeeze_matrix,
     as_dim,
     squeezed_thermal_state,
 )
@@ -188,8 +189,9 @@ class Generator:
     """Dissipative generator: jump channels plus a (possibly driven) H(t).
 
     kind tags which analytic structure applies ("thermal", "squeezed",
-    "custom"); invariant states and entropy routes key off it, evolve does
-    not. kappa/nbar/r/temperature are bookkeeping metadata mirroring the
+    "custom"); invariant states and entropy routes key off it, and evolve
+    only to decide whether to track a squeezed bath's heat.
+    kappa/nbar/r/temperature are bookkeeping metadata mirroring the
     construction parameters; nbar is None when the occupation varies in
     time (occupation_fn then holds it).
     """
@@ -472,6 +474,11 @@ class Trajectory:
 
     dissipated_cum[i] = integral of Tr[L(rho) H] up to times[i] (energy in
     through the bath coupling); work_cum[i] = integral of Tr[rho dH/dt].
+    squeezed_heat_cum[i] = integral of omega(t) Tr[L(rho) S n S^dag], the
+    same flow counted in the energy of the mode a squeezed bath damps,
+    whose frozen invariant has ln rho_inv = -(omega/T) S n S^dag - ln Z.
+    It is tracked only under a squeezed bath with a swept occupation and
+    is None otherwise; at r = 0 it would equal dissipated_cum.
     """
 
     times: np.ndarray
@@ -479,6 +486,7 @@ class Trajectory:
     dissipated_cum: np.ndarray
     work_cum: np.ndarray
     trace_errors: np.ndarray
+    squeezed_heat_cum: Optional[np.ndarray] = None
 
     @property
     def final_state(self) -> DensityMatrix:
@@ -658,6 +666,10 @@ def evolve(
     and rho0 is diagonal, only the level populations are
     integrated; they are then also the spectrum. Anything else runs on the
     complex matrix. Snapshots are complex DensityMatrix objects either way.
+
+    Under a squeezed bath with a swept occupation the flow
+    omega(t) Tr[L(rho) S n S^dag] is co-integrated with the same stage
+    values into squeezed_heat_cum, which ledger.sigma_series reads.
     """
     if rho0.dim != gen.dim:
         raise ValueError("state dimension mismatch")
@@ -699,10 +711,25 @@ def evolve(
     e_d = 0.0
     w = 0.0
 
+    # a squeezed bath with a swept occupation has the invariant
+    # S rho_th(N(t)) S^dag, whose log is affine in K = S n S^dag; its flow
+    # gives the exact entropy production (see ledger.sigma_series)
+    heat_sq = None
+    if gen.kind == "squeezed" and gen.occupation_fn is not None:
+        s = _squeeze_matrix(gen.r, gen.dim.cutoff)
+        # vdot(K^T, k) = Tr[k K]; K is real, so the conjugation is a no-op
+        k_frame = (s * np.arange(gen.dim.cutoff)) @ s.T
+        k_frame_t = np.ascontiguousarray(k_frame.T, dtype=rho.dtype)
+        heat_sq = 0.0
+
+        def sq_heat_rate(k: np.ndarray, t: float) -> float:
+            return sched.frequency(t) * float(np.vdot(k_frame_t, k).real)
+
     times = [0.0]
     states = [rho0]
     diss = [0.0]
     work = [0.0]
+    sq_heat = [0.0]
     terr = [rho0.trace_error]
 
     def snapshot(step: int, m: np.ndarray) -> None:
@@ -724,6 +751,8 @@ def evolve(
         diss.append(e_d)
         work.append(w)
         terr.append(err)
+        if heat_sq is not None:
+            sq_heat.append(heat_sq)
 
     for step in range(1, n_steps + 1):
         t0 = (step - 1) * dt
@@ -753,6 +782,13 @@ def evolve(
         rho = rep.symmetrise(rho)  # scrub roundoff asymmetry
         e_d += (dt / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
         w += (dt / 6.0) * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+        if heat_sq is not None:
+            heat_sq += (dt / 6.0) * (
+                sq_heat_rate(k1, t0)
+                + 2.0 * sq_heat_rate(k2, th)
+                + 2.0 * sq_heat_rate(k3, th)
+                + sq_heat_rate(k4, t1)
+            )
 
         if step % snapshot_stride == 0 or step == n_steps:
             snapshot(step, rho)
@@ -763,6 +799,7 @@ def evolve(
         dissipated_cum=np.asarray(diss),
         work_cum=np.asarray(work),
         trace_errors=np.asarray(terr),
+        squeezed_heat_cum=None if heat_sq is None else np.asarray(sq_heat),
     )
 
 

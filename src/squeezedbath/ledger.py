@@ -12,9 +12,12 @@ time-independent generator with invariant state rho_inv,
              = [S(rho_t) - S(rho_0)] + Tr[(rho_t - rho_0) ln rho_inv],
 
 which is monotone nondecreasing. The second form is used because it
-telescopes exactly from snapshots, with no quadrature error. Driven
-thermal baths at fixed temperature admit the closed form
-delta_S - E_d/T; anything else goes through trapezoid quadrature of the
+telescopes exactly from snapshots, with no quadrature error. A driven
+tagged bath at fixed temperature T has the frozen invariant
+S rho_th(N(t)) S^dag, so ln rho_inv(t) = -(omega(t)/T) S n S^dag - ln Z(t)
+and, as Tr L(rho) = 0, sigma = delta_S - Phi/T exactly, with Phi the heat
+evolve co-integrates in the squeezed mode's energy (E_d itself at r = 0).
+Only custom generators go through trapezoid quadrature of the
 instantaneous production rate with the invariant recomputed per snapshot.
 """
 
@@ -34,7 +37,7 @@ from .dynamics import (
     thermal_generator,
 )
 from .errors import LedgerInconsistent, SlowDriveViolation
-from .fock import DensityMatrix, Operator, _check_unitary
+from .fock import DensityMatrix, Operator, _check_unitary, squeezed_thermal_state
 from .passivity import (
     EIG_FLOOR,
     passive_decompose,
@@ -126,19 +129,41 @@ def sigma_series(traj: Trajectory, gen: Generator) -> np.ndarray:
     """Cumulative entropy production along a trajectory.
 
     Time-independent generators use the exact telescoping form against
-    the invariant state. Driven thermal baths at fixed temperature use
-    delta_S - E_d/T with the co-integrated bath flow (exact, since
-    ln rho_inv(t) is an affine function of H(t)/T). The general driven
-    case falls back to trapezoid quadrature of the production rate with
-    the frozen-time invariant recomputed per snapshot.
+    the invariant state. A tagged bath with a swept occupation uses
+    delta_S - Phi/T, exact because ln rho_inv(t) is affine in
+    omega(t)/T: Phi is E_d for a thermal bath and squeezed_heat_cum for a
+    squeezed one, so the trajectory must come from evolve under gen (a
+    squeezed trajectory without it raises ValueError), and a squeezed
+    invariant that leaks past the cutoff raises CutoffLeak. At T = 0 the
+    occupation stays zero and the invariant is fixed. Custom driven
+    generators fall back to trapezoid quadrature of the production rate
+    with the frozen-time invariant recomputed per snapshot.
     """
     if _is_time_independent(gen):
         return _sigma_against_invariant(traj, bath_invariant_state(gen, t=0.0))
-    if gen.kind == "thermal" and gen.temperature is not None and gen.temperature > 0:
-        s0 = von_neumann_entropy(traj.states[0])
-        ds = np.array([von_neumann_entropy(s) - s0 for s in traj.states])
-        return ds - traj.dissipated_cum / gen.temperature
+    if gen.kind == "custom":
+        return _sigma_by_quadrature(traj, gen)
+    if gen.temperature == 0:  # the occupation stays zero: a fixed invariant
+        return _sigma_against_invariant(traj, bath_invariant_state(gen, t=0.0))
+    if gen.kind == "thermal":
+        heat = traj.dissipated_cum
+    else:
+        heat = traj.squeezed_heat_cum
+        if heat is None:
+            raise ValueError(
+                "trajectory carries no squeezed-mode heat; the trajectory must "
+                "come from evolve under this generator"
+            )
+        # the invariant must fit under the cutoff at every snapshot; its
+        # top-level population grows with the occupation, so check the peak
+        squeezed_thermal_state(max(map(gen.occupation_at, traj.times)), gen.r, gen.dim)
+    s0 = von_neumann_entropy(traj.states[0])
+    ds = np.array([von_neumann_entropy(s) - s0 for s in traj.states])
+    return ds - heat / gen.temperature
 
+
+def _sigma_by_quadrature(traj: Trajectory, gen: Generator) -> np.ndarray:
+    """Trapezoid quadrature of the Spohn rate for a custom driven generator."""
     rates = np.empty(len(traj.states))
     for i, (t, state) in enumerate(zip(traj.times, traj.states)):
         log_inv = _log_state(bath_invariant_state(gen, t=float(t)))

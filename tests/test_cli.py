@@ -5,7 +5,8 @@ import pytest
 from squeezedbath import SlowDriveViolation
 from squeezedbath import cli
 from squeezedbath import engine as eng
-from squeezedbath.cli import CYCLE_COLUMNS, TRAJECTORY_COLUMNS, main
+from squeezedbath.cli import _STROKE_FIELDS, CYCLE_COLUMNS, TRAJECTORY_COLUMNS, main
+from test_gaussian_oracle import gaussian_stroke
 
 pytestmark = pytest.mark.filterwarnings("ignore::squeezedbath.SlowDriveViolation")
 
@@ -262,6 +263,18 @@ class TestCarnotStrokeScenario:
         }
         for row, rep in zip(rows, reports, strict=True):
             assert_columns_hold_fields(header, row, rep, fields)
+
+    def test_columns_match_the_gaussian_oracle(self, tmp_path):
+        cfg = write_config(tmp_path, "carnot-stroke", durations="2, 4")
+        out = tmp_path / "stroke.csv"
+        assert run("carnot-stroke", cfg, out) == 0
+        header, rows = read_table(out)
+        for row in rows:
+            tau = float(row[header.index("duration")])
+            oracle, _ = gaussian_stroke(25.0, 20.0, tau, 5.0, 0.2)
+            for name, field in _STROKE_FIELDS:
+                value = float(row[header.index(name)])
+                assert value == pytest.approx(oracle[field], rel=0, abs=1e-10), name
 
 
 class TestCycleScenario:

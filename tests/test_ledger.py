@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from squeezedbath import (
+    CutoffLeak,
     Generator,
     HilbertDim,
     annihilation,
@@ -35,6 +36,7 @@ from squeezedbath import (
     trace_distance,
     von_neumann_entropy,
 )
+from squeezedbath import ledger
 
 # bose_occupation(1, T) = 0.5 at this temperature
 T_HALF = 1.0 / math.log(3.0)
@@ -47,6 +49,31 @@ def _driven_stroke(stride=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         traj = evolve(gen, rho0, 5.0, snapshot_stride=stride)
+    return gen, traj
+
+
+def _custom_clone(gen):
+    """The same jumps and schedule under the "custom" tag."""
+    return Generator(
+        dim=gen.dim,
+        hamiltonian=gen.hamiltonian,
+        jumps=gen.jumps,
+        kind="custom",
+        picture=gen.picture,
+        kappa=gen.kappa,
+        temperature=gen.temperature,
+        occupation_fn=gen.occupation_fn,
+    )
+
+
+def _driven_squeezed_stroke(evolve_as_custom=False, r=0.2, dim=20):
+    """A 25 -> 20 squeezed sweep, evolved under gen or its custom clone."""
+    sched = linear_ramp_schedule(25.0, 20.0, 2.0, dim=dim)
+    gen = squeezed_generator(sched, 1.0, None, r, dim=dim, temperature=5.0)
+    rho0 = thermal_state(bose_occupation(25.0, 5.0), dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        traj = evolve(_custom_clone(gen) if evolve_as_custom else gen, rho0, 2.0)
     return gen, traj
 
 
@@ -82,19 +109,39 @@ class TestSigmaSeries:
         # same jumps and picture, but the "custom" tag forces the
         # trapezoid fallback; both routes describe the same stroke
         gen, traj = _driven_stroke()
-        clone = Generator(
-            dim=gen.dim,
-            hamiltonian=gen.hamiltonian,
-            jumps=gen.jumps,
-            kind="custom",
-            picture=gen.picture,
-            kappa=gen.kappa,
-            temperature=gen.temperature,
-            occupation_fn=gen.occupation_fn,
-        )
         sa = sigma_series(traj, gen)
-        sb = sigma_series(traj, clone)
+        sb = sigma_series(traj, _custom_clone(gen))
         assert np.abs(sa - sb).max() < 1e-8
+
+    def test_driven_squeezed_stroke_reads_sigma_off_the_trajectory(self, monkeypatch):
+        gen, traj = _driven_squeezed_stroke()
+        assert traj.squeezed_heat_cum.shape == traj.times.shape
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sigma_series rebuilt the invariant per snapshot")
+
+        monkeypatch.setattr(ledger, "bath_invariant_state", forbidden)
+        monkeypatch.setattr(ledger, "_log_state", forbidden)
+        sig = sigma_series(traj, gen)
+        assert sig[0] == 0.0
+        assert np.diff(sig).min() >= -1e-12
+
+    def test_squeezed_trajectory_without_its_heat_is_rejected(self):
+        gen, traj = _driven_squeezed_stroke(evolve_as_custom=True)
+        assert traj.squeezed_heat_cum is None
+        with pytest.raises(ValueError, match="must come from evolve under this"):
+            sigma_series(traj, gen)
+
+    def test_squeezed_invariant_past_the_cutoff_raises(self):
+        # at r = 0.5 the squeezed invariant puts 1.6e-4 on the top two of
+        # 12 levels, although the evolved state itself stays positive
+        gen, traj = _driven_squeezed_stroke(r=0.5, dim=12)
+        with pytest.raises(CutoffLeak):
+            sigma_series(traj, gen)
+
+    def test_thermal_stroke_tracks_no_squeezed_heat(self):
+        _, traj = _driven_stroke()
+        assert traj.squeezed_heat_cum is None
 
 
 class TestSpohnSigma:
