@@ -297,7 +297,7 @@ def _run_cycle(cfg: dict):
         "eta_max": rep.eta_carnot,
         "eta_sigma": rep.eta_carnot,
         "eta_carnot": rep.eta_carnot,
-        "regime": eng.ENGINE if rep.work_out > eng.ENGINE_TOL else eng.NOT_ENGINE,
+        "regime": rep.regime,
         "firstlaw_residual": rep.firstlaw_residual,
         "entropy_closure": rep.entropy_closure,
     }

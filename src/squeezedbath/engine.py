@@ -157,13 +157,10 @@ def eta_max(
     Reduces to the Carnot value when the whole flow is passive and exceeds
     it when part of the flow arrives as extractable (nonpassive) energy.
     """
-    if not 0 < temp_cold <= temp_hot:
-        raise ValueError("need 0 < temp_cold <= temp_hot")
-    if dissipated_flow <= 0:
-        raise RegimeViolation("bound needs a positive energising flow")
+    value = eta_sigma(passive_flow, dissipated_flow, temp_cold, temp_hot)
     if passive_flow < 0:
         raise RegimeViolation("bound assumes a nonnegative passive flow")
-    return 1.0 - (temp_cold / temp_hot) * (passive_flow / dissipated_flow)
+    return value
 
 
 def eta_sigma(
@@ -186,6 +183,20 @@ def eta_sigma(
     return 1.0 - (temp_cold / temp_hot) * (frame_flow / dissipated_flow)
 
 
+def _caps(passive_flow, frame_flow, dissipated_flow, temp_cold, temp_hot) -> tuple:
+    """(eta_max, eta_sigma) of a two-contact cycle's energising flow.
+
+    Both are NaN when the energising contact feeds nothing in; a negative
+    passive flow leaves only the trivial cap 1 for eta_max.
+    """
+    if dissipated_flow <= 0:
+        return math.nan, math.nan
+    eta_s = eta_sigma(frame_flow, dissipated_flow, temp_cold, temp_hot)
+    if passive_flow < 0:
+        return 1.0, eta_s
+    return eta_max(passive_flow, dissipated_flow, temp_cold, temp_hot), eta_s
+
+
 def eta_bound_combined(
     passive_flow: float,
     frame_flow: float,
@@ -194,26 +205,27 @@ def eta_bound_combined(
     temp_hot: float,
 ) -> float:
     """Tightest of the passive-flow cap, the frame-flow cap and 1."""
-    bounds = [1.0, eta_sigma(frame_flow, dissipated_flow, temp_cold, temp_hot)]
-    if passive_flow >= 0:
-        bounds.append(eta_max(passive_flow, dissipated_flow, temp_cold, temp_hot))
-    return min(bounds)
+    if dissipated_flow <= 0:  # eta_sigma raises, checking temperatures first
+        eta_sigma(frame_flow, dissipated_flow, temp_cold, temp_hot)
+    caps = _caps(passive_flow, frame_flow, dissipated_flow, temp_cold, temp_hot)
+    return min(1.0, *caps)
 
 
-def eta_actual(dissipated_hot: float, dissipated_cold: float) -> tuple:
-    """Measured efficiency and operating regime of a two-contact cycle.
+def eta_actual(dissipated_hot: float, dissipated_cold: float, *other_flows) -> tuple:
+    """Measured efficiency and operating regime of a closed cycle.
 
-    Work out equals the sum of the two bath flows over a closed cycle.
-    When the cold contact also feeds energy in, every input unit leaves as
-    work, so the efficiency is pinned at 1 and the regime flag says so.
+    Work out is the sum of the bath flows (the first law) and the energy
+    in is the sum of the flows that feed the medium. When the cold
+    contact also feeds energy in, the regime flag says so; with two
+    contacts every input unit then leaves as work and the efficiency is 1.
     """
-    work_out = dissipated_hot + dissipated_cold
-    if work_out <= ENGINE_TOL:
+    flows = (dissipated_hot, dissipated_cold, *other_flows)
+    work_out = sum(flows)
+    energy_in = sum(e for e in flows if e > ENGINE_TOL)
+    if work_out <= ENGINE_TOL or energy_in <= 0:
         return math.nan, NOT_ENGINE
-    if dissipated_cold > ENGINE_TOL:
-        return 1.0, ENGINE_AND_FRIDGE
-    # work_out > ENGINE_TOL >= dissipated_cold forces dissipated_hot > 0 here
-    return 1.0 + dissipated_cold / dissipated_hot, ENGINE
+    regime = ENGINE_AND_FRIDGE if dissipated_cold > ENGINE_TOL else ENGINE
+    return work_out / energy_in, regime
 
 
 # ---------------------------------------------------------------------------
@@ -240,20 +252,6 @@ class OttoClosedForm:
 def squeezed_excess(nbar: float, r: float) -> float:
     """Occupation added by squeezing a thermal state: (2 nbar + 1) sinh^2 r."""
     return (2.0 * nbar + 1.0) * math.sinh(r) ** 2
-
-
-def _caps(passive_flow, frame_flow, dissipated_flow, temp_cold, temp_hot) -> tuple:
-    """(eta_max, eta_sigma) of a two-contact cycle's energising flow.
-
-    Both are NaN when the energising contact feeds nothing in; a negative
-    passive flow leaves only the trivial cap 1 for eta_max.
-    """
-    if dissipated_flow <= 0:
-        return math.nan, math.nan
-    eta_s = eta_sigma(frame_flow, dissipated_flow, temp_cold, temp_hot)
-    if passive_flow < 0:
-        return 1.0, eta_s
-    return eta_max(passive_flow, dissipated_flow, temp_cold, temp_hot), eta_s
 
 
 def closed_form_otto(
@@ -338,6 +336,25 @@ def _sorted_desc(v: np.ndarray) -> np.ndarray:
     return np.sort(v)[::-1]
 
 
+def _work_stroke(label: str, e_a: float, e_b: float) -> StrokeLedger:
+    """A stroke without bath contact (a frozen-spectrum frequency jump or
+    the unsqueezing unitary): its energy change is pure work."""
+    return StrokeLedger(label, e_b - e_a, 0.0, e_a, e_b)
+
+
+def _closure(strokes, p_start: np.ndarray, p_end: np.ndarray) -> dict:
+    """Work out, first-law residual and closure of a cycle's strokes that
+    carried the populations from p_start to p_end, by report field."""
+    work_out = -sum(s.work_on for s in strokes)
+    total_flow = sum(s.dissipated for s in strokes)
+    return dict(
+        work_out=work_out,
+        firstlaw_residual=abs(work_out - total_flow),
+        closure=0.5 * float(np.abs(p_end - p_start).sum()),
+        entropy_closure=abs(_population_entropy(p_end) - _population_entropy(p_start)),
+    )
+
+
 def _check_steady(v: np.ndarray, target: np.ndarray, label: str) -> float:
     resid = 0.5 * float(np.abs(v - target).sum())
     if not resid <= STEADY_TOL:  # a NaN residual fails the gate too
@@ -402,10 +419,7 @@ def run_otto(spec: CycleSpec) -> CycleReport:
 
     p0 = thermal_populations(nbar_c, n_dim)
     p = p0
-
-    # compression: spectrum frozen, energy change is pure work
-    e_a, e_b = w_c * mean_n(p), w_h * mean_n(p)
-    strokes.append(StrokeLedger("compression", e_b - e_a, 0.0, e_a, e_b))
+    strokes.append(_work_stroke("compression", w_c * mean_n(p), w_h * mean_n(p)))
 
     mid_flows = []
     for stage, nb in zip(spec.mid_baths, stage_nbars):
@@ -422,33 +436,14 @@ def run_otto(spec: CycleSpec) -> CycleReport:
 
     # unsqueeze: the frame populations become the lab populations exactly
     if frame is not None:
-        e_a, e_b = strokes[-1].energy_end, w_h * mean_n(v_t)
-        strokes.append(StrokeLedger("unsqueeze", e_b - e_a, 0.0, e_a, e_b))
-
-    # expansion
-    e_a, e_b = w_h * mean_n(v_t), w_c * mean_n(v_t)
-    strokes.append(StrokeLedger("expansion", e_b - e_a, 0.0, e_a, e_b))
+        strokes.append(
+            _work_stroke("unsqueeze", strokes[-1].energy_end, w_h * mean_n(v_t))
+        )
+    strokes.append(_work_stroke("expansion", w_h * mean_n(v_t), w_c * mean_n(v_t)))
 
     p_end, _, e_dc, _ = contact(v_t, nbar_c, w_c, spec.temp_cold, "cold contact")
 
-    closure = 0.5 * float(np.abs(p_end - p0).sum())
-    entropy_closure = abs(_population_entropy(p_end) - _population_entropy(p0))
-    work_out = -sum(s.work_on for s in strokes)
-    total_flow = sum(s.dissipated for s in strokes)
-    firstlaw_residual = abs(work_out - total_flow)
-
-    if not spec.mid_baths:
-        eta, regime = eta_actual(e_dh, e_dc)
-    else:
-        flows = (e_dh, e_dc, *(f[0] for f in mid_flows))
-        energy_in = sum(e for e in flows if e > ENGINE_TOL)
-        if work_out <= ENGINE_TOL or energy_in <= 0:
-            eta = math.nan
-            regime = NOT_ENGINE
-        else:
-            eta = work_out / energy_in
-            regime = ENGINE if e_dc <= ENGINE_TOL else ENGINE_AND_FRIDGE
-
+    eta, regime = eta_actual(e_dh, e_dc, *(f[0] for f in mid_flows))
     eta_m, eta_s = _caps(e_dh_prime, e_dh_tilde, e_dh, spec.temp_cold, spec.temp_hot)
     return CycleReport(
         spec=spec,
@@ -457,16 +452,13 @@ def run_otto(spec: CycleSpec) -> CycleReport:
         E_dh_tilde=e_dh_tilde,
         E_dc=e_dc,
         mid_flows=tuple(mid_flows),
-        work_out=work_out,
         eta=eta,
         regime=regime,
         eta_max=eta_m,
         eta_sigma=eta_s,
         eta_carnot=eta_carnot(spec.temp_cold, spec.temp_hot),
-        firstlaw_residual=firstlaw_residual,
-        closure=closure,
-        entropy_closure=entropy_closure,
         strokes=tuple(strokes),
+        **_closure(strokes, p0, p_end),
     )
 
 
@@ -570,6 +562,7 @@ class CarnotReport:
     heat_cold: float
     work_out: float
     eta: float
+    regime: str
     eta_carnot: float
     sigma_total: float
     delta_S_hot: float
@@ -579,10 +572,10 @@ class CarnotReport:
     strokes: tuple
 
 
-def _isotherm(spec, p_in, temp, w_from, w_to):
+def _isotherm(spec, p_in, temp, w_from, w_to, label):
     """Sweep omega under a fixed-temperature contact, then settle.
 
-    Returns (populations, heat, work_on, sigma, entropy change).
+    Returns (populations, stroke, sigma, entropy change).
     States stay diagonal throughout, so evolve() integrates only the level
     populations, with the energy currents co-integrated on them.
     """
@@ -597,21 +590,24 @@ def _isotherm(spec, p_in, temp, w_from, w_to):
     p_ramp = np.clip(np.diagonal(traj.final_state.matrix).real, 0.0, None)
     p_ramp = p_ramp / p_ramp.sum()
     heat = float(traj.dissipated_cum[-1])
-    work_on = float(traj.work_cum[-1])
 
     levels = np.arange(n_dim, dtype=float)
-    nb = bose_occupation(w_to, temp)
+    p_out = p_ramp
     if spec.settle_time > 0:
+        nb = bose_occupation(w_to, temp)
         p_out = relax_populations(p_ramp, nb, spec.kappa, spec.settle_time)
-        heat_settle = w_to * float(levels @ (p_out - p_ramp))
-    else:
-        p_out = p_ramp
-        heat_settle = 0.0
-    heat += heat_settle
+        heat += w_to * float(levels @ (p_out - p_ramp))
 
+    stroke = StrokeLedger(
+        label,
+        float(traj.work_cum[-1]),
+        heat,
+        w_from * float(levels @ p_in),
+        w_to * float(levels @ p_out),
+        temperature=temp,
+    )
     d_s = _population_entropy(p_out) - _population_entropy(p_in)
-    sigma = d_s - heat / temp
-    return p_out, heat, work_on, sigma, d_s
+    return p_out, stroke, d_s - heat / temp, d_s
 
 
 def run_carnot_like(spec: CarnotSpec) -> CarnotReport:
@@ -621,83 +617,40 @@ def run_carnot_like(spec: CarnotSpec) -> CarnotReport:
     grows. The frequency jumps between isotherms preserve the spectrum
     exactly (the ladder commutes with itself), so they cost pure work.
     """
-    n_dim = spec.cutoff
-    levels = np.arange(n_dim, dtype=float)
+    levels = np.arange(spec.cutoff, dtype=float)
     nb0 = bose_occupation(spec.omega_hot_start, spec.temp_hot)
-    p0 = thermal_populations(nb0, n_dim)
+    p0 = thermal_populations(nb0, spec.cutoff)
 
-    strokes = []
-    p = p0
-
-    p, q_h, w_ramp_h, sigma_h, ds_h = _isotherm(
-        spec, p, spec.temp_hot, spec.omega_hot_start, spec.omega_hot_end
+    p, hot, sigma_h, ds_h = _isotherm(
+        spec, p0, spec.temp_hot, spec.omega_hot_start, spec.omega_hot_end,
+        "hot isotherm",
     )
-    strokes.append(
-        StrokeLedger(
-            "hot isotherm",
-            w_ramp_h,
-            q_h,
-            spec.omega_hot_start * float(levels @ p0),
-            spec.omega_hot_end * float(levels @ p),
-            temperature=spec.temp_hot,
-        )
-    )
-
     n_mid = float(levels @ p)
-    w_jump1 = (spec.omega_cold_start - spec.omega_hot_end) * n_mid
-    strokes.append(
-        StrokeLedger(
-            "expansion",
-            w_jump1,
-            0.0,
-            spec.omega_hot_end * n_mid,
-            spec.omega_cold_start * n_mid,
-        )
+    expansion = _work_stroke(
+        "expansion", spec.omega_hot_end * n_mid, spec.omega_cold_start * n_mid
     )
-
-    p, q_c, w_ramp_c, sigma_c, _ds_c = _isotherm(
-        spec, p, spec.temp_cold, spec.omega_cold_start, spec.omega_cold_end
+    p, cold, sigma_c, _ = _isotherm(
+        spec, p, spec.temp_cold, spec.omega_cold_start, spec.omega_cold_end,
+        "cold isotherm",
     )
-    strokes.append(
-        StrokeLedger(
-            "cold isotherm",
-            w_ramp_c,
-            q_c,
-            spec.omega_cold_start * n_mid,
-            spec.omega_cold_end * float(levels @ p),
-            temperature=spec.temp_cold,
-        )
-    )
-
     n_end = float(levels @ p)
-    w_jump2 = (spec.omega_hot_start - spec.omega_cold_end) * n_end
-    strokes.append(
-        StrokeLedger(
-            "compression",
-            w_jump2,
-            0.0,
-            spec.omega_cold_end * n_end,
-            spec.omega_hot_start * n_end,
-        )
+    compression = _work_stroke(
+        "compression", spec.omega_cold_end * n_end, spec.omega_hot_start * n_end
     )
+    strokes = (hot, expansion, cold, compression)
 
-    closure = 0.5 * float(np.abs(p - p0).sum())
-    entropy_closure = abs(_population_entropy(p) - _population_entropy(p0))
-    work_out = -sum(s.work_on for s in strokes)
-    total_flow = q_h + q_c
-    firstlaw_residual = abs(work_out - total_flow)
-    eta = work_out / q_h if q_h > 0 and work_out > 0 else math.nan
-
+    # the jumps land on the next isotherm only for matched sweeps, so the
+    # medium's own energy release enters the first law as a third flow
+    release = hot.energy_start - compression.energy_end
+    eta, regime = eta_actual(hot.dissipated, cold.dissipated, release)
     return CarnotReport(
-        heat_hot=q_h,
-        heat_cold=q_c,
-        work_out=work_out,
+        heat_hot=hot.dissipated,
+        heat_cold=cold.dissipated,
         eta=eta,
+        regime=regime,
         eta_carnot=eta_carnot(spec.temp_cold, spec.temp_hot),
         sigma_total=sigma_h + sigma_c,
         delta_S_hot=ds_h,
-        closure=closure,
-        entropy_closure=entropy_closure,
-        firstlaw_residual=firstlaw_residual,
-        strokes=tuple(strokes),
+        strokes=strokes,
+        **_closure(strokes, p0, p),
     )

@@ -84,12 +84,8 @@ def passive_decompose(
 
 def ergotropy(rho: DensityMatrix, hamiltonian: Operator) -> float:
     """Extractable work of (rho, H); spectra only, no unitary built."""
-    if hamiltonian.dim != rho.dim:
-        raise ValueError("dimension mismatch between state and Hamiltonian")
-    e_vals, _ = _hamiltonian_eigensystem(hamiltonian)
-    p_desc = np.clip(rho.eigenvalues[::-1], 0.0, None)
-    energy = real_expectation(rho, hamiltonian)
-    return max(energy - float(p_desc @ e_vals), 0.0)
+    passive = passive_energy(rho, hamiltonian)  # checks the dimensions first
+    return max(real_expectation(rho, hamiltonian) - passive, 0.0)
 
 
 def passive_energy(rho: DensityMatrix, hamiltonian: Operator) -> float:

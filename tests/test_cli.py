@@ -341,10 +341,11 @@ class TestCycleScenario:
             "eta_max": "eta_carnot",
             "eta_sigma": "eta_carnot",
             "eta_carnot": "eta_carnot",
+            "regime": "regime",
             "firstlaw_residual": "firstlaw_residual",
             "entropy_closure": "entropy_closure",
         }
-        assert set(fields) == set(CYCLE_COLUMNS) - {"regime"}
+        assert set(fields) == set(CYCLE_COLUMNS)
         assert_columns_hold_fields(header, rows[0], rep, fields)
 
 

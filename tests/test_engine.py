@@ -71,6 +71,12 @@ class TestEfficiencyBounds:
         # only the trivial ceiling
         assert eta_bound_combined(-0.1, -0.5, 1.0, 1.0, 3.0) == 1.0
 
+    def test_combined_cap_rejects_a_non_positive_flow_after_the_temperatures(self):
+        with pytest.raises(RegimeViolation):
+            eta_bound_combined(1.0, 1.0, 0.0, 1.0, 3.0)
+        with pytest.raises(ValueError):
+            eta_bound_combined(1.0, 1.0, 0.0, 3.0, 1.0)
+
     def test_measured_efficiency_branches(self):
         eta, regime = eta_actual(1.0, -1.0)
         assert math.isnan(eta) and regime == "not_engine"
@@ -78,6 +84,13 @@ class TestEfficiencyBounds:
         assert eta == pytest.approx(0.5) and regime == "engine"
         eta, regime = eta_actual(1.0, 0.5)
         assert eta == 1.0 and regime == "engine_and_refrigerator"
+
+    def test_measured_efficiency_counts_every_feeding_flow(self):
+        # work is the sum of all flows, the energy in the sum of the feeding ones
+        eta, regime = eta_actual(2.0, -1.0, 0.5)
+        assert eta == pytest.approx(0.6) and regime == "engine"
+        eta, regime = eta_actual(2.0, -1.0, -1.5)
+        assert math.isnan(eta) and regime == "not_engine"
 
 
 class TestClosedFormOtto:
@@ -213,6 +226,7 @@ class TestRunOtto:
         assert temp == 1.5
         assert e_d < 0  # the medium dumps heat into the mid contact
         assert e_d == pytest.approx(e_pas, abs=1e-12)
+        assert (rep.eta, rep.regime) == eta_actual(rep.E_dh, rep.E_dc, e_d)
         assert rep.eta < otto_squeezed.eta
         assert len(rep.strokes) == 6
 
@@ -296,12 +310,26 @@ class TestCarnotLike:
                 assert rep.closure < 1e-12
                 assert rep.firstlaw_residual < 1e-12
                 assert rep.eta < rep.eta_carnot
+                assert rep.regime == "engine"
                 jumps = [s for s in rep.strokes if s.temperature is None]
                 assert all(s.dissipated == 0.0 for s in jumps)
         assert etas[0] < etas[1] < 0.5
         assert sigmas[0] > sigmas[1]
         assert etas[1] == pytest.approx(0.49719996080473233, abs=1e-6)
         assert 0.5 - etas[1] < 1e-2
+
+    def test_unmatched_sweeps_that_absorb_work_are_not_an_engine(self):
+        # the cold sweep ends far below the hot start, so the closing jump
+        # pumps energy into the medium and the cycle does not close
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowDriveViolation)
+            rep = run_carnot_like(
+                CarnotSpec(2.5, 5.0, 25.0, 20.0, 5.0, 4.0, stroke_time=3.0)
+            )
+        assert rep.work_out == pytest.approx(-4.82, abs=0.01)
+        assert rep.heat_hot > 0 and rep.heat_cold > 0
+        assert rep.regime == "not_engine"
+        assert math.isnan(rep.eta)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private module-level name is referenced outside its own definition.
 
-No linter ships with the test dependencies, so this AST check stands in
-for one. The package __init__ is skipped: its imports are re-exports.
+No linter ships with the test dependencies, so these AST checks stand in
+for one. The package __init__ is skipped by the import check: its imports
+are re-exports.
 """
 
 import ast
@@ -58,3 +60,69 @@ def test_check_sees_dead_imports():
         "x = scipy.linalg.eigh(a)\n"
     )
     assert unused_imports(src) == [("math", 1), ("scipy.sparse", 2), ("c", 4)]
+
+
+def _private_definitions(tree):
+    """(name, statement) per private module-level function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def unreferenced_privates(sources: dict) -> list:
+    """(module, name) per private definition that no other top-level
+    statement of the package's modules (sources: module -> text) names."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    return [
+        (module, name)
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree)
+        if not any(
+            name in _references(stmt)
+            for other in trees.values()
+            for stmt in other.body
+            if stmt is not node
+        )
+    ]
+
+
+def test_no_unreferenced_private_names():
+    package = Path(squeezedbath.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert unreferenced_privates(sources) == []
+
+
+def test_check_sees_dead_private_names():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n_unused: int = 4\n"
+            "def _helper():\n    return _helper()\n"  # only calls itself
+            "def _shared():\n    return _LIMIT\n"
+            "class _Dead:\n    pass\n"
+        ),
+        "b.py": "from .a import _shared\n",
+    }
+    assert unreferenced_privates(sources) == [
+        ("a.py", "_unused"),
+        ("a.py", "_helper"),
+        ("a.py", "_Dead"),
+    ]
