@@ -258,7 +258,7 @@ def _run_cycle(cfg: dict):
         raise ConfigError(f"[cycle] kind: expected otto or carnot_like, got {kind!r}")
     columns = ["kind"] + CYCLE_COLUMNS
     if kind == "otto":
-        for key in ("omega_hot_end", "settle_time", "dt"):
+        for key in ("omega_hot_end", "settle_time"):
             if cfg[key] is not None:
                 raise ConfigError(f"[cycle] {key} only applies to kind = carnot_like")
         if cfg["omega_cold"] is None:
@@ -283,7 +283,6 @@ def _run_cycle(cfg: dict):
         cfg["omega_hot_end"],
         cfg["stroke_time"],
         kappa=cfg["kappa"],
-        dt=cfg["dt"],
         **{key: value for key, value in given.items() if value is not None},
     )
     rep = eng.run_carnot_like(spec)
@@ -426,7 +425,6 @@ SCENARIOS = {
             "stroke_time": ("float", 30.0),
             "settle_time": ("float", None),
             "cutoff": ("int", 0),
-            "dt": ("float", None),
         },
         _run_cycle,
     ),

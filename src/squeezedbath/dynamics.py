@@ -21,7 +21,7 @@ import dataclasses
 import functools
 import math
 import warnings
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse
@@ -56,6 +56,8 @@ RESIDUAL_TOL = 1e-10
 # small/large split that benchmark spans report
 DENSE_STEADY_LIMIT = 32
 SLOW_DRIVE_FRAC = 0.01
+# _thermal_contact's step h, as 2 kappa h (the mean's relaxation per step)
+_CONTACT_STEP = 0.005
 
 
 def bose_occupation(omega: float, temperature: float) -> float:
@@ -534,116 +536,6 @@ def _warn_if_drive_fast(gen: Generator, dt: float, n_steps: int) -> None:
             return
 
 
-class _MatrixState:
-    """The full density matrix, in complex or (when it stays real) float."""
-
-    def __init__(self, gen: Generator, dtype: type) -> None:
-        self.gen = gen
-        self.dtype = dtype
-
-    def start(self, rho0: DensityMatrix) -> np.ndarray:
-        m = rho0.matrix.real if self.dtype is float else rho0.matrix
-        return m.astype(self.dtype, copy=True)
-
-    def deriv(self, m: np.ndarray, t: float) -> np.ndarray:
-        return apply(self.gen, m, t, hermitian=True)
-
-    @staticmethod
-    def diagonal(m: np.ndarray) -> np.ndarray:
-        return m.diagonal().real
-
-    @staticmethod
-    def trace(m: np.ndarray) -> float:
-        return float(m.trace().real)
-
-    @staticmethod
-    def symmetrise(m: np.ndarray) -> np.ndarray:
-        return 0.5 * (m + m.conj().T)
-
-    @staticmethod
-    def spectrum(m: np.ndarray):
-        return m, np.linalg.eigvalsh(m)
-
-
-class _PopulationState:
-    """Level populations of a state that stays diagonal.
-
-    Holds when every jump sits on one band L[n, n+k]: L rho L^dag and
-    L^dag L rho are then diagonal for diagonal rho, and each jump moves
-    population from level n+k to level n at rate 2 g |L[n, n+k]|^2.
-    """
-
-    def __init__(self, gen: Generator, offsets: Sequence[int]) -> None:
-        n = gen.dim.cutoff
-        self.flows = []
-        for j, k in zip(gen.jumps, offsets):
-            weight = np.abs(np.diagonal(j.operator.matrix, k)) ** 2
-            rows = slice(max(0, -k), n - max(0, k))
-            cols = slice(max(0, k), n - max(0, -k))
-            self.flows.append((rows, cols, weight, j.rate))
-
-    @staticmethod
-    def start(rho0: DensityMatrix) -> np.ndarray:
-        return np.diagonal(rho0.matrix).real.copy()
-
-    def deriv(self, p: np.ndarray, t: float) -> np.ndarray:
-        out = np.zeros_like(p)
-        for rows, cols, weight, rate in self.flows:
-            g = _rate_at(rate, t)
-            if g == 0.0:
-                continue
-            flow = (2.0 * g) * weight * p[cols]
-            out[rows] += flow
-            out[cols] -= flow
-        return out
-
-    @staticmethod
-    def diagonal(p: np.ndarray) -> np.ndarray:
-        return p
-
-    @staticmethod
-    def trace(p: np.ndarray) -> float:
-        return float(p.sum())
-
-    @staticmethod
-    def symmetrise(p: np.ndarray) -> np.ndarray:
-        return p
-
-    @staticmethod
-    def spectrum(p: np.ndarray):
-        return np.diag(p), np.sort(p)
-
-
-def _band_offset(m: np.ndarray) -> Optional[int]:
-    """Offset k of the one band m[n, n+k] holding every nonzero, else None."""
-    rows, cols = np.nonzero(m)
-    ks = np.unique(cols - rows)
-    if ks.size > 1:
-        return None
-    return int(ks[0]) if ks.size else 0
-
-
-def _state_representation(gen: Generator, rho0: DensityMatrix):
-    """Cheapest representation that holds the trajectory exactly.
-
-    In the interaction picture H(t) drops out of the equation of motion,
-    so real jumps keep a real state real, and band jumps keep a diagonal
-    state diagonal. The energy currents then need only the diagonal of
-    H(t), which a diagonal-ladder schedule supplies.
-    """
-    m = rho0.matrix
-    if gen.picture != "interaction" or not gen._real_jumps or np.any(m.imag):
-        return _MatrixState(gen, complex)
-    offsets = [_band_offset(j.operator.matrix) for j in gen.jumps]
-    if (
-        gen.hamiltonian.levels is not None
-        and None not in offsets
-        and not np.any(m - np.diag(np.diagonal(m)))
-    ):
-        return _PopulationState(gen, offsets)
-    return _MatrixState(gen, float)
-
-
 def evolve(
     gen: Generator,
     rho0: DensityMatrix,
@@ -659,12 +551,9 @@ def evolve(
     (every snapshot_stride steps, final step always included) are validated:
     a significantly negative eigenvalue raises PositivityLoss.
 
-    The state is carried in the cheapest form the run keeps exact. Under
-    an interaction-picture generator with real jumps a real rho0 stays
-    real and is integrated in float arithmetic. If in addition every jump
-    sits on a single band of the Fock basis, H(t) is a ladder schedule
-    and rho0 is diagonal, only the level populations are
-    integrated; they are then also the spectrum. Anything else runs on the
+    The density matrix is carried in float arithmetic when the run keeps
+    it real: in the interaction picture H(t) drops out of the equation of
+    motion, so real jumps keep a real rho0 real. Anything else runs on the
     complex matrix. Snapshots are complex DensityMatrix objects either way.
 
     Under a squeezed bath with a swept occupation the flow
@@ -693,21 +582,22 @@ def evolve(
     sched = gen.hamiltonian
     ladder = sched.levels is not None
     track_work = not sched.is_constant
-    rep = _state_representation(gen, rho0)
+    m0 = rho0.matrix
+    real = gen.picture == "interaction" and gen._real_jumps and not np.any(m0.imag)
 
     def heat_rate(k: np.ndarray, t: float) -> float:
         if ladder:
-            return float((rep.diagonal(k) * sched.diagonal(t)).sum())
+            return float((k.diagonal().real * sched.diagonal(t)).sum())
         return float(np.einsum("ij,ji->", k, sched.evaluate(t)).real)
 
     def work_rate(m: np.ndarray, t: float) -> float:
         if not track_work:
             return 0.0
         if ladder:
-            return float((rep.diagonal(m) * sched.diagonal_derivative(t)).sum())
+            return float((m.diagonal().real * sched.diagonal_derivative(t)).sum())
         return float(np.einsum("ij,ji->", m, sched.derivative(t)).real)
 
-    rho = rep.start(rho0)
+    rho = m0.real.astype(float) if real else m0.astype(complex)
     e_d = 0.0
     w = 0.0
 
@@ -734,11 +624,13 @@ def evolve(
 
     def snapshot(step: int, m: np.ndarray) -> None:
         t = step * dt
-        tr = rep.trace(m)
+        tr = float(m.trace().real)
         err = abs(tr - 1.0)
         if not err <= 1e-8:  # NaN fails too
             raise TraceDrift(f"integrator trace drifted to {tr:.12f} at t={t:g}")
-        x, eigs = rep.spectrum(rep.symmetrise(m / tr))
+        x = m / tr
+        x = 0.5 * (x + x.conj().T)
+        eigs = np.linalg.eigvalsh(x)
         if eigs[0] < -1e-9:
             raise PositivityLoss(
                 f"negative eigenvalue {eigs[0]:.3e} at t={t:g}; "
@@ -759,27 +651,27 @@ def evolve(
         th = t0 + 0.5 * dt
         t1 = t0 + dt
 
-        k1 = rep.deriv(rho, t0)
+        k1 = apply(gen, rho, t0, hermitian=True)
         g1 = heat_rate(k1, t0)
         p1 = work_rate(rho, t0)
 
         r2 = rho + (0.5 * dt) * k1
-        k2 = rep.deriv(r2, th)
+        k2 = apply(gen, r2, th, hermitian=True)
         g2 = heat_rate(k2, th)
         p2 = work_rate(r2, th)
 
         r3 = rho + (0.5 * dt) * k2
-        k3 = rep.deriv(r3, th)
+        k3 = apply(gen, r3, th, hermitian=True)
         g3 = heat_rate(k3, th)
         p3 = work_rate(r3, th)
 
         r4 = rho + dt * k3
-        k4 = rep.deriv(r4, t1)
+        k4 = apply(gen, r4, t1, hermitian=True)
         g4 = heat_rate(k4, t1)
         p4 = work_rate(r4, t1)
 
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = rep.symmetrise(rho)  # scrub roundoff asymmetry
+        rho = 0.5 * (rho + rho.conj().T)  # scrub roundoff asymmetry
         e_d += (dt / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
         w += (dt / 6.0) * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
         if heat_sq is not None:
@@ -951,3 +843,39 @@ def relax_populations(
             f"{p0.size} (tolerance {TOL_LEAK:g}); raise the cutoff"
         )
     return out / out.sum()
+
+
+def _thermal_contact(gen: Generator, n0: float, t_final: float) -> tuple:
+    """Mean occupation, heat and work of a thermal contact on a swept ladder.
+
+    gen is a thermal bath generator; its occupation N(t) may follow
+    omega(t). Such a contact is one phase-insensitive channel, so its mean
+    obeys dn/dt = -2 kappa (n - N(t)) on its own. Fixed-step RK4
+    integrates n from n0 together with the heat (the integral of omega dn)
+    and the work (the integral of omega_dot n dt) from the same stage
+    values, and warns like evolve when the sweep is too fast. Returns
+    (n(t_final), heat, work).
+    """
+    sched = gen.hamiltonian
+    rate = 2.0 * gen.kappa
+    n_steps = max(50, math.ceil(rate * t_final / _CONTACT_STEP))
+    h = t_final / n_steps
+    _warn_if_drive_fast(gen, h, n_steps)
+    grid = [0.5 * h * j for j in range(2 * n_steps + 1)]
+    occ = [gen.occupation_at(t) for t in grid]
+    w = [sched.frequency(t) for t in grid]
+    wdot = [sched.frequency_dot(t) for t in grid]
+    n, heat, work = float(n0), 0.0, 0.0
+    for a in range(0, 2 * n_steps, 2):
+        b, c = a + 1, a + 2
+        k1 = -rate * (n - occ[a])
+        n2 = n + 0.5 * h * k1
+        k2 = -rate * (n2 - occ[b])
+        n3 = n + 0.5 * h * k2
+        k3 = -rate * (n3 - occ[b])
+        n4 = n + h * k3
+        k4 = -rate * (n4 - occ[c])
+        heat += (h / 6.0) * (w[a] * k1 + 2.0 * w[b] * (k2 + k3) + w[c] * k4)
+        work += (h / 6.0) * (wdot[a] * n + 2.0 * wdot[b] * (n2 + n3) + wdot[c] * n4)
+        n += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return n, heat, work

@@ -43,3 +43,7 @@ class ConfigError(ValueError):
 
 class SlowDriveViolation(UserWarning):
     """Frequency ramp too fast for the quasi-static assumptions to hold."""
+
+
+class OpenCycle(UserWarning):
+    """A cycle's end state misses its start state by more than the closure gate."""

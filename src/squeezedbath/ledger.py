@@ -30,6 +30,7 @@ import numpy as np
 
 from .dynamics import (
     Generator,
+    _thermal_contact,
     Trajectory,
     apply,
     bath_invariant_state,
@@ -347,8 +348,12 @@ def entropy_bound_report(
     """Entropy balance of a finished stroke against its bath.
 
     The bath temperature defaults to the generator's; the comparison path
-    runs under the passive-frame generator derived from the bath tag (a
-    custom generator is its own passive frame). Both dissipated
+    starts from the passive state and runs under the passive-frame
+    generator derived from the bath tag (a custom generator is its own
+    passive frame). For a squeezed bath that frame is a thermal contact,
+    one phase-insensitive channel whose mean, and so whose flow, closes on
+    itself: dynamics._thermal_contact integrates it. Thermal and custom
+    baths run it through alt_path_energy, with step dt. Both dissipated
     fluxes are divided by the temperature; the slacks delta_S - bound
     quantify how far the stroke is from saturating each inequality.
     """
@@ -370,12 +375,17 @@ def entropy_bound_report(
     # so a too-fast sweep was already reported when the stroke was evolved
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SlowDriveViolation)
-        e_alt, alt_traj = alt_path_energy(alt_gen, traj.states[0], t_final, dt=dt)
+        if gen.kind == "squeezed":
+            h0 = Operator(gen.dim, alt_gen.hamiltonian.evaluate(0.0))
+            pi0 = passive_decompose(traj.states[0], h0).passive_state
+            n0 = float(np.diagonal(pi0.matrix).real @ np.arange(gen.dim.cutoff))
+            _, e_alt, _ = _thermal_contact(alt_gen, n0, t_final)
+        else:
+            e_alt, alt_traj = alt_path_energy(alt_gen, traj.states[0], t_final, dt=dt)
+            pi0 = alt_traj.states[0]
 
     sigma = float(sigma_series(traj, gen)[-1])
-
-    # the comparison path starts from the passive state pi_0
-    rel = relative_entropy(alt_traj.states[0], bath_invariant_state(alt_gen, t=0.0))
+    rel = relative_entropy(pi0, bath_invariant_state(alt_gen, t=0.0))
 
     bound_total = e_d / t_bath
     bound_alt = e_alt / t_bath

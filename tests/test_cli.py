@@ -117,6 +117,21 @@ class TestConfigValidation:
         out = tmp_path / "out.csv"
         assert run("otto-sweep", cfg, out, "--dt", "0.01") == 2
         assert not out.exists()
+        # the carnot_like isotherms run as exact channels: no step to set
+        cycle = dict(
+            kind="carnot_like",
+            temp_cold=2.5,
+            temp_hot=5.0,
+            omega_hot=25.0,
+            omega_hot_end=20.0,
+            stroke_time=40.0,
+        )
+        cfg = write_config(tmp_path, "cycle", **cycle)
+        assert run("cycle", cfg, out, "--dt", "0.01") == 2
+        assert not out.exists()
+        cfg = write_config(tmp_path, "cycle", dt=0.01, **cycle)
+        assert run("cycle", cfg, out) == 2
+        assert not out.exists()
 
     def test_runtime_failure_leaves_no_output(self, tmp_path, capsys):
         cfg = write_config(

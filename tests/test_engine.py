@@ -9,6 +9,7 @@ from squeezedbath import (
     CarnotSpec,
     CycleSpec,
     NotSteady,
+    OpenCycle,
     RegimeViolation,
     SlowDriveViolation,
     bose_occupation,
@@ -18,13 +19,18 @@ from squeezedbath import (
     eta_carnot,
     eta_max,
     eta_sigma,
+    evolve,
+    linear_ramp_schedule,
     matched_carnot_spec,
     multibath_bound,
     run_carnot_like,
     run_otto,
     squeezed_excess,
+    thermal_generator,
+    thermal_populations,
+    thermal_state,
 )
-from squeezedbath.engine import _check_steady
+from squeezedbath.engine import _check_steady, _isotherm
 
 # reference working point: T_c=1, T_h=3, omega_h = 0.1 T_h, omega ratio 1/2
 POINT = dict(temp_cold=1.0, temp_hot=3.0, omega_cold=0.15, omega_hot=0.3)
@@ -323,13 +329,54 @@ class TestCarnotLike:
         # pumps energy into the medium and the cycle does not close
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SlowDriveViolation)
-            rep = run_carnot_like(
-                CarnotSpec(2.5, 5.0, 25.0, 20.0, 5.0, 4.0, stroke_time=3.0)
-            )
+            with pytest.warns(OpenCycle):
+                rep = run_carnot_like(
+                    CarnotSpec(2.5, 5.0, 25.0, 20.0, 5.0, 4.0, stroke_time=3.0)
+                )
+        assert rep.closure > 0.1
         assert rep.work_out == pytest.approx(-4.82, abs=0.01)
         assert rep.heat_hot > 0 and rep.heat_cold > 0
         assert rep.regime == "not_engine"
         assert math.isnan(rep.eta)
+
+    def test_fast_sweeps_warn_once_per_isotherm(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_carnot_like(matched_carnot_spec(2.5, 5.0, 25.0, 20.0, 3.0))
+        kinds = [w.category for w in caught]
+        assert kinds == [SlowDriveViolation, SlowDriveViolation]
+
+    def test_closed_cycles_do_not_warn_open(self):
+        # the README carnot_like cycle, otto-sweep grid and multibath cycle
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", OpenCycle)
+            run_carnot_like(matched_carnot_spec(2.5, 5.0, 25.0, 20.0, 40.0))
+            for r in (0.1, 0.5, 1.0):
+                for x in (0.3, 0.5, 0.7, 0.9):
+                    run_otto(CycleSpec(1.0, 3.0, 0.3 * x, 0.3, r=r))
+            run_otto(CycleSpec(1.0, 3.0, 0.15, 0.3, r=0.5, mid_baths=(BathStage(1.5),)))
+
+    @pytest.mark.parametrize("stroke_time", [40.0, 3.0])
+    def test_isotherm_channel_matches_evolve(self, stroke_time):
+        # the README hot isotherm, 25 -> 20 at T = 5, then its settle,
+        # integrated on the density matrix under thermal_generator
+        spec = matched_carnot_spec(2.5, 5.0, 25.0, 20.0, stroke_time)
+        nb0 = bose_occupation(25.0, 5.0)
+        sched = linear_ramp_schedule(25.0, 20.0, stroke_time, 40)
+        ramp = thermal_generator(sched, 1.0, dim=40, temperature=5.0)
+        settle = thermal_generator(20.0, 1.0, dim=40, temperature=5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowDriveViolation)
+            p_out, stroke, _, _ = _isotherm(
+                spec, thermal_populations(nb0, 40), 5.0, 25.0, 20.0, "hot"
+            )
+            swept = evolve(ramp, thermal_state(nb0, 40), stroke_time)
+        held = evolve(settle, swept.final_state, spec.settle_time)
+        p_ref = np.diagonal(held.final_state.matrix).real
+        np.testing.assert_allclose(p_out, p_ref, rtol=0, atol=1e-12)
+        heat = swept.dissipated_cum[-1] + held.dissipated_cum[-1]
+        assert stroke.dissipated == pytest.approx(heat, rel=0, abs=1e-12)
+        assert stroke.work_on == pytest.approx(swept.work_cum[-1], rel=0, abs=1e-12)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

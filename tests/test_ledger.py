@@ -302,6 +302,25 @@ class TestAltPath:
 
 
 class TestEntropyBoundReport:
+    @pytest.mark.parametrize(
+        "tau, alpha", [(2.0, None), (4.0, None), (10.0, None), (2.0, 1.0)]
+    )
+    def test_squeezed_comparison_path_matches_alt_path_energy(self, tau, alpha):
+        # the report runs the passive-frame path as a thermal channel;
+        # alt_path_energy integrates the same path on the density matrix
+        sched = linear_ramp_schedule(25.0, 20.0, tau, dim=40)
+        gen = squeezed_generator(sched, 1.0, None, 0.2, dim=40, temperature=5.0)
+        if alpha is None:
+            rho0 = thermal_state(bose_occupation(25.0, 5.0), 40)
+        else:  # a start that is not its own passive state
+            rho0 = coherent_state(alpha, 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowDriveViolation)
+            traj = evolve(gen, rho0, tau)
+            rep = entropy_bound_report(traj, gen)
+            e_alt, _ = alt_path_energy(passive_frame_generator(gen), rho0, tau)
+        assert rep.alt_energy == pytest.approx(e_alt, rel=0, abs=1e-12)
+
     def test_relaxation_bounds_are_ordered_and_obeyed(self):
         gen = thermal_generator(1.0, 1.0, dim=30, temperature=T_HALF)
         traj = evolve(gen, coherent_state(1.2, 30), 4.0)
