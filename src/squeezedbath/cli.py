@@ -114,9 +114,12 @@ def _render(columns, rows) -> str:
 
 def _as_float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _as_int(section: str, key: str, raw: str) -> int:
@@ -186,6 +189,8 @@ def _load_config(scenario: str, path: str, args) -> dict:
     if args.dt is not None:
         if "dt" not in schema:
             raise ConfigError(f"--dt is not used by the {scenario} scenario")
+        if not math.isfinite(args.dt):
+            raise ConfigError(f"--dt: expected a finite number, got {args.dt}")
         out["dt"] = args.dt
     if args.cutoff is not None:
         out["cutoff"] = args.cutoff

@@ -58,6 +58,8 @@ DENSE_STEADY_LIMIT = 32
 SLOW_DRIVE_FRAC = 0.01
 # _thermal_contact's step h, as 2 kappa h (the mean's relaxation per step)
 _CONTACT_STEP = 0.005
+# classical RK4 as (node c, weight 6 b) per stage
+_RK4_TABLEAU = ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
 
 
 def bose_occupation(omega: float, temperature: float) -> float:
@@ -133,6 +135,15 @@ class HamiltonianSchedule:
             return self.evaluate_fn(t)
         return np.diag(self.diagonal(t).astype(complex))
 
+    def trace_with(self, m: np.ndarray, t: float, derivative: bool = False) -> float:
+        """Tr[m H(t)], or Tr[m dH/dt] with derivative=True; a ladder
+        schedule reads only the diagonal of m."""
+        if self.levels is not None:
+            d = self.diagonal_derivative(t) if derivative else self.diagonal(t)
+            return float((m.diagonal().real * d).sum())
+        h = self.derivative(t) if derivative else self.evaluate(t)
+        return float(np.einsum("ij,ji->", m, h).real)
+
     def derivative(self, t: float) -> np.ndarray:
         if self.levels is None:
             return self.derivative_fn(t)
@@ -192,9 +203,10 @@ class Generator:
 
     kind tags which analytic structure applies ("thermal", "squeezed",
     "custom"); invariant states and entropy routes key off it, and evolve
-    only to decide whether to track a squeezed bath's heat.
+    tracks the squeezed-mode heat of a tagged bath whose occupation varies.
     kappa/nbar/r/temperature are bookkeeping metadata mirroring the
-    construction parameters; nbar is None when the occupation varies in
+    construction parameters: a tagged bath carries its squeezing r (0.0
+    for a thermal one), and nbar is None when the occupation varies in
     time (occupation_fn then holds it).
     """
 
@@ -206,7 +218,7 @@ class Generator:
     kappa: Optional[float] = None
     temperature: Optional[float] = None
     nbar: Optional[float] = None
-    r: Optional[float] = None
+    r: float = 0.0
     occupation_fn: Optional[Callable[[float], float]] = None
 
     def __post_init__(self) -> None:
@@ -216,6 +228,8 @@ class Generator:
             raise ValueError(f"a {self.kind} generator needs nbar or occupation_fn")
         if self.kind == "squeezed" and not self.r:
             raise ValueError("a squeezed generator needs a nonzero r")
+        if self.kind == "thermal" and self.r:
+            raise ValueError("a thermal generator has r = 0")
         if self.picture not in ("interaction", "schroedinger"):
             raise ValueError(f"unknown picture {self.picture!r}")
         if self.hamiltonian.dim != self.dim:
@@ -317,8 +331,9 @@ def _bath_generator(
 ) -> Generator:
     """Oscillator damped through b = a cosh(r) + a^dag sinh(r).
 
-    r = 0 is the thermal bath (b = a exactly), tagged "thermal" with
-    r=None; any other r is tagged "squeezed".
+    r = 0 is the thermal bath (b = a exactly), tagged "thermal"; any
+    other r is tagged "squeezed". A fixed nbar, a static frequency or
+    T = 0 (zero occupation at every frequency) gives constant rates.
     """
     d = as_dim(dim)
     if kappa <= 0:
@@ -346,7 +361,7 @@ def _bath_generator(
         )
 
     occupation_fn = None
-    if nbar is not None or schedule.is_constant:
+    if nbar is not None or schedule.is_constant or temperature == 0:
         if nbar is None:
             nbar = bose_occupation(schedule.frequency(0.0), temperature)
         nbar = float(nbar)
@@ -374,7 +389,7 @@ def _bath_generator(
         kappa=float(kappa),
         temperature=temperature,
         nbar=nbar,
-        r=float(r) if r else None,
+        r=float(r),
         occupation_fn=occupation_fn,
     )
 
@@ -426,7 +441,7 @@ def bath_invariant_state(gen: Generator, t: float = 0.0) -> DensityMatrix:
     """
     if gen.kind == "custom":
         return steady_state(gen, t=t)
-    return squeezed_thermal_state(gen.occupation_at(t), gen.r or 0.0, gen.dim)
+    return squeezed_thermal_state(gen.occupation_at(t), gen.r, gen.dim)
 
 
 def conjugate_generator(gen: Generator, unitary: Operator) -> Generator:
@@ -462,7 +477,6 @@ def conjugate_generator(gen: Generator, unitary: Operator) -> Generator:
         kappa=gen.kappa,
         temperature=gen.temperature,
         nbar=None,
-        r=None,
     )
 
 
@@ -477,10 +491,10 @@ class Trajectory:
     dissipated_cum[i] = integral of Tr[L(rho) H] up to times[i] (energy in
     through the bath coupling); work_cum[i] = integral of Tr[rho dH/dt].
     squeezed_heat_cum[i] = integral of omega(t) Tr[L(rho) S n S^dag], the
-    same flow counted in the energy of the mode a squeezed bath damps,
-    whose frozen invariant has ln rho_inv = -(omega/T) S n S^dag - ln Z.
-    It is tracked only under a squeezed bath with a swept occupation and
-    is None otherwise; at r = 0 it would equal dissipated_cum.
+    same flow counted in the energy of the mode a tagged bath damps, whose
+    frozen invariant has ln rho_inv = -(omega/T) S n S^dag - ln Z. It is
+    tracked only under a tagged bath with a swept occupation and is None
+    otherwise; at r = 0 (S = 1) it equals dissipated_cum up to roundoff.
     """
 
     times: np.ndarray
@@ -549,25 +563,26 @@ def evolve(
     integrated alongside the state with the same stage values, so the
     cumulative columns share the integrator's order of accuracy. Snapshots
     (every snapshot_stride steps, final step always included) are validated:
-    a significantly negative eigenvalue raises PositivityLoss.
+    a significantly negative eigenvalue raises PositivityLoss. Each keeps
+    its unclipped spectrum, so min_eig shows the margin to that gate.
 
     The density matrix is carried in float arithmetic when the run keeps
     it real: in the interaction picture H(t) drops out of the equation of
     motion, so real jumps keep a real rho0 real. Anything else runs on the
     complex matrix. Snapshots are complex DensityMatrix objects either way.
 
-    Under a squeezed bath with a swept occupation the flow
+    Under a tagged bath with a swept occupation the flow
     omega(t) Tr[L(rho) S n S^dag] is co-integrated with the same stage
     values into squeezed_heat_cum, which ledger.sigma_series reads.
     """
     if rho0.dim != gen.dim:
         raise ValueError("state dimension mismatch")
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
+    if not (t_final > 0 and math.isfinite(t_final)):
+        raise ValueError(f"t_final must be positive and finite, got {t_final}")
     if dt is None:
         dt = _stability_dt(gen, t_final)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     n_steps = max(1, math.ceil(t_final / dt - 1e-12))
     if n_steps > 20_000_000:
         raise ValueError(f"step count {n_steps} is unreasonable; enlarge dt")
@@ -580,118 +595,75 @@ def evolve(
     _warn_if_drive_fast(gen, dt, n_steps)
 
     sched = gen.hamiltonian
-    ladder = sched.levels is not None
     track_work = not sched.is_constant
     m0 = rho0.matrix
     real = gen.picture == "interaction" and gen._real_jumps and not np.any(m0.imag)
-
-    def heat_rate(k: np.ndarray, t: float) -> float:
-        if ladder:
-            return float((k.diagonal().real * sched.diagonal(t)).sum())
-        return float(np.einsum("ij,ji->", k, sched.evaluate(t)).real)
-
-    def work_rate(m: np.ndarray, t: float) -> float:
-        if not track_work:
-            return 0.0
-        if ladder:
-            return float((m.diagonal().real * sched.diagonal_derivative(t)).sum())
-        return float(np.einsum("ij,ji->", m, sched.derivative(t)).real)
-
     rho = m0.real.astype(float) if real else m0.astype(complex)
-    e_d = 0.0
-    w = 0.0
 
-    # a squeezed bath with a swept occupation has the invariant
-    # S rho_th(N(t)) S^dag, whose log is affine in K = S n S^dag; its flow
+    # a tagged bath with a swept occupation has the invariant S rho_th(N(t))
+    # S^dag, whose log is affine in K = S n S^dag (K = n at r = 0); its flow
     # gives the exact entropy production (see ledger.sigma_series)
-    heat_sq = None
-    if gen.kind == "squeezed" and gen.occupation_fn is not None:
+    track_phi = gen.kind != "custom" and gen.occupation_fn is not None
+    if track_phi:
         s = _squeeze_matrix(gen.r, gen.dim.cutoff)
         # vdot(K^T, k) = Tr[k K]; K is real, so the conjugation is a no-op
-        k_frame = (s * np.arange(gen.dim.cutoff)) @ s.T
-        k_frame_t = np.ascontiguousarray(k_frame.T, dtype=rho.dtype)
-        heat_sq = 0.0
-
-        def sq_heat_rate(k: np.ndarray, t: float) -> float:
-            return sched.frequency(t) * float(np.vdot(k_frame_t, k).real)
-
-    times = [0.0]
-    states = [rho0]
-    diss = [0.0]
-    work = [0.0]
-    sq_heat = [0.0]
-    terr = [rho0.trace_error]
-
-    def snapshot(step: int, m: np.ndarray) -> None:
-        t = step * dt
-        tr = float(m.trace().real)
-        err = abs(tr - 1.0)
-        if not err <= 1e-8:  # NaN fails too
-            raise TraceDrift(f"integrator trace drifted to {tr:.12f} at t={t:g}")
-        x = m / tr
-        x = 0.5 * (x + x.conj().T)
-        eigs = np.linalg.eigvalsh(x)
-        if eigs[0] < -1e-9:
-            raise PositivityLoss(
-                f"negative eigenvalue {eigs[0]:.3e} at t={t:g}; "
-                "shrink dt or raise the cutoff"
-            )
-        times.append(t)
-        states.append(
-            DensityMatrix(Operator(gen.dim, x), _spectrum=np.clip(eigs, 0.0, None))
+        k_frame_t = np.ascontiguousarray(
+            ((s * np.arange(gen.dim.cutoff)) @ s.T).T, dtype=rho.dtype
         )
-        diss.append(e_d)
-        work.append(w)
-        terr.append(err)
-        if heat_sq is not None:
-            sq_heat.append(heat_sq)
+
+    def flow_rates(m: np.ndarray, k: np.ndarray, t: float) -> tuple:
+        """(E_d, W, Phi) rates at a stage: Tr[k H], Tr[m dH/dt], omega Tr[k K]."""
+        work = sched.trace_with(m, t, derivative=True) if track_work else 0.0
+        phi = 0.0
+        if track_phi:
+            phi = sched.frequency(t) * float(np.vdot(k_frame_t, k).real)
+        return sched.trace_with(k, t), work, phi
+
+    flows = (0.0, 0.0, 0.0)
+    times, states, cum, terr = [0.0], [rho0], [flows], [rho0.trace_error]
 
     for step in range(1, n_steps + 1):
         t0 = (step - 1) * dt
-        th = t0 + 0.5 * dt
-        t1 = t0 + dt
-
-        k1 = apply(gen, rho, t0, hermitian=True)
-        g1 = heat_rate(k1, t0)
-        p1 = work_rate(rho, t0)
-
-        r2 = rho + (0.5 * dt) * k1
-        k2 = apply(gen, r2, th, hermitian=True)
-        g2 = heat_rate(k2, th)
-        p2 = work_rate(r2, th)
-
-        r3 = rho + (0.5 * dt) * k2
-        k3 = apply(gen, r3, th, hermitian=True)
-        g3 = heat_rate(k3, th)
-        p3 = work_rate(r3, th)
-
-        r4 = rho + dt * k3
-        k4 = apply(gen, r4, t1, hermitian=True)
-        g4 = heat_rate(k4, t1)
-        p4 = work_rate(r4, t1)
-
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for c, weight in _RK4_TABLEAU:
+            t = t0 + c * dt
+            m = rho if c == 0.0 else rho + (c * dt) * k
+            k = apply(gen, m, t, hermitian=True)
+            f = flow_rates(m, k, t)
+            if c == 0.0:
+                dk, df = k, f
+            else:
+                dk = dk + weight * k
+                df = [a + weight * b for a, b in zip(df, f)]
+        rho = rho + (dt / 6.0) * dk
         rho = 0.5 * (rho + rho.conj().T)  # scrub roundoff asymmetry
-        e_d += (dt / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
-        w += (dt / 6.0) * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
-        if heat_sq is not None:
-            heat_sq += (dt / 6.0) * (
-                sq_heat_rate(k1, t0)
-                + 2.0 * sq_heat_rate(k2, th)
-                + 2.0 * sq_heat_rate(k3, th)
-                + sq_heat_rate(k4, t1)
-            )
+        flows = [a + (dt / 6.0) * b for a, b in zip(flows, df)]
 
         if step % snapshot_stride == 0 or step == n_steps:
-            snapshot(step, rho)
+            t = step * dt
+            tr = float(rho.trace().real)
+            err = abs(tr - 1.0)
+            if not err <= 1e-8:  # NaN fails too
+                raise TraceDrift(f"integrator trace drifted to {tr:.12f} at t={t:g}")
+            x = rho / tr  # still exactly Hermitian after the scrub
+            eigs = np.linalg.eigvalsh(x)
+            if eigs[0] < -1e-9:
+                raise PositivityLoss(
+                    f"negative eigenvalue {eigs[0]:.3e} at t={t:g}; "
+                    "shrink dt or raise the cutoff"
+                )
+            times.append(t)
+            states.append(DensityMatrix(Operator(gen.dim, x), _spectrum=eigs))
+            cum.append(flows)
+            terr.append(err)
 
+    diss, work, phi = np.array(cum).T.copy()
     return Trajectory(
         times=np.asarray(times),
         states=tuple(states),
-        dissipated_cum=np.asarray(diss),
-        work_cum=np.asarray(work),
+        dissipated_cum=diss,
+        work_cum=work,
         trace_errors=np.asarray(terr),
-        squeezed_heat_cum=None if heat_sq is None else np.asarray(sq_heat),
+        squeezed_heat_cum=phi if track_phi else None,
     )
 
 
@@ -853,12 +825,17 @@ def _thermal_contact(gen: Generator, n0: float, t_final: float) -> tuple:
     obeys dn/dt = -2 kappa (n - N(t)) on its own. Fixed-step RK4
     integrates n from n0 together with the heat (the integral of omega dn)
     and the work (the integral of omega_dot n dt) from the same stage
-    values, and warns like evolve when the sweep is too fast. Returns
-    (n(t_final), heat, work).
+    values, and warns like evolve when the sweep is too fast. The step
+    resolves the faster of the relaxation 2 kappa and the sweep
+    |omega_dot|/omega, read on the grid the relaxation alone would take.
+    Returns (n(t_final), heat, work).
     """
     sched = gen.hamiltonian
     rate = 2.0 * gen.kappa
     n_steps = max(50, math.ceil(rate * t_final / _CONTACT_STEP))
+    for t in np.linspace(0.0, t_final, n_steps + 1):
+        sweep = abs(sched.frequency_dot(t)) / sched.frequency(t)
+        n_steps = max(n_steps, math.ceil(sweep * t_final / _CONTACT_STEP))
     h = t_final / n_steps
     _warn_if_drive_fast(gen, h, n_steps)
     grid = [0.5 * h * j for j in range(2 * n_steps + 1)]

@@ -14,11 +14,12 @@ time-independent generator with invariant state rho_inv,
 which is monotone nondecreasing. The second form is used because it
 telescopes exactly from snapshots, with no quadrature error. A driven
 tagged bath at fixed temperature T has the frozen invariant
-S rho_th(N(t)) S^dag, so ln rho_inv(t) = -(omega(t)/T) S n S^dag - ln Z(t)
-and, as Tr L(rho) = 0, sigma = delta_S - Phi/T exactly, with Phi the heat
-evolve co-integrates in the squeezed mode's energy (E_d itself at r = 0).
-Only custom generators go through trapezoid quadrature of the
-instantaneous production rate with the invariant recomputed per snapshot.
+S rho_th(N(t)) S^dag (S = 1 for a thermal bath), so
+ln rho_inv(t) = -(omega(t)/T) S n S^dag - ln Z(t) and, as Tr L(rho) = 0,
+sigma = delta_S - Phi/T exactly, with Phi the heat evolve co-integrates in
+the damped mode's energy. Only custom generators go through trapezoid
+quadrature of the instantaneous production rate with the invariant
+recomputed per snapshot.
 """
 
 from __future__ import annotations
@@ -117,8 +118,6 @@ def _sigma_against_invariant(
 
 
 def _is_time_independent(gen: Generator) -> bool:
-    if not gen.hamiltonian.is_constant and gen.picture == "schroedinger":
-        return False
     if any(callable(j.rate) for j in gen.jumps):
         return False
     # interaction picture: a constant-rate dissipator is autonomous even
@@ -129,35 +128,29 @@ def _is_time_independent(gen: Generator) -> bool:
 def sigma_series(traj: Trajectory, gen: Generator) -> np.ndarray:
     """Cumulative entropy production along a trajectory.
 
-    Time-independent generators use the exact telescoping form against
-    the invariant state. A tagged bath with a swept occupation uses
-    delta_S - Phi/T, exact because ln rho_inv(t) is affine in
-    omega(t)/T: Phi is E_d for a thermal bath and squeezed_heat_cum for a
-    squeezed one, so the trajectory must come from evolve under gen (a
-    squeezed trajectory without it raises ValueError), and a squeezed
-    invariant that leaks past the cutoff raises CutoffLeak. At T = 0 the
-    occupation stays zero and the invariant is fixed. Custom driven
-    generators fall back to trapezoid quadrature of the production rate
-    with the frozen-time invariant recomputed per snapshot.
+    Three routes. Time-independent generators (a T = 0 bath among them)
+    use the exact telescoping form against the invariant state. A tagged
+    bath with a swept occupation uses delta_S - Phi/T, exact because
+    ln rho_inv(t) is affine in omega(t)/T, with Phi = squeezed_heat_cum:
+    the trajectory must come from evolve under gen (one without it raises
+    ValueError), and an invariant that leaks past the cutoff raises
+    CutoffLeak. Custom driven generators fall back to trapezoid quadrature
+    of the production rate with the frozen-time invariant recomputed per
+    snapshot.
     """
     if _is_time_independent(gen):
         return _sigma_against_invariant(traj, bath_invariant_state(gen, t=0.0))
     if gen.kind == "custom":
         return _sigma_by_quadrature(traj, gen)
-    if gen.temperature == 0:  # the occupation stays zero: a fixed invariant
-        return _sigma_against_invariant(traj, bath_invariant_state(gen, t=0.0))
-    if gen.kind == "thermal":
-        heat = traj.dissipated_cum
-    else:
-        heat = traj.squeezed_heat_cum
-        if heat is None:
-            raise ValueError(
-                "trajectory carries no squeezed-mode heat; the trajectory must "
-                "come from evolve under this generator"
-            )
-        # the invariant must fit under the cutoff at every snapshot; its
-        # top-level population grows with the occupation, so check the peak
-        squeezed_thermal_state(max(map(gen.occupation_at, traj.times)), gen.r, gen.dim)
+    heat = traj.squeezed_heat_cum
+    if heat is None:
+        raise ValueError(
+            "trajectory carries no squeezed-mode heat; the trajectory must "
+            "come from evolve under this generator"
+        )
+    # the invariant must fit under the cutoff at every snapshot; its
+    # top-level population grows with the occupation, so check the peak
+    squeezed_thermal_state(max(map(gen.occupation_at, traj.times)), gen.r, gen.dim)
     s0 = von_neumann_entropy(traj.states[0])
     ds = np.array([von_neumann_entropy(s) - s0 for s in traj.states])
     return ds - heat / gen.temperature
@@ -204,14 +197,6 @@ def _h_levels(gen: Generator, t: float) -> np.ndarray:
     return np.linalg.eigvalsh(sched.evaluate(t))
 
 
-def _energy(gen: Generator, m: np.ndarray, t: float) -> float:
-    """Tr[m H(t)], from the diagonal alone for a ladder schedule."""
-    sched = gen.hamiltonian
-    if sched.levels is not None:
-        return float(np.diagonal(m).real @ sched.diagonal(t))
-    return float(np.einsum("ij,ji->", m, sched.evaluate(t)).real)
-
-
 def _reference_frequency(gen: Generator) -> float:
     sched = gen.hamiltonian
     if sched.frequency is not None:
@@ -240,6 +225,7 @@ def accumulate_ledger(traj: Trajectory, gen: Generator) -> FirstLawLedger:
     """
     n = len(traj.states)
     times = traj.times
+    sched = gen.hamiltonian
     energy = np.empty(n)
     entropy = np.empty(n)
     pas = np.empty(n)
@@ -249,7 +235,7 @@ def accumulate_ledger(traj: Trajectory, gen: Generator) -> FirstLawLedger:
         levels = _h_levels(gen, float(times[i]))
         p_desc = np.clip(state.eigenvalues[::-1], 0.0, None)
         spectra_desc.append(p_desc)
-        energy[i] = _energy(gen, state.matrix, float(times[i]))
+        energy[i] = sched.trace_with(state.matrix, float(times[i]))
         pas[i] = float(p_desc @ levels)
         entropy[i] = von_neumann_entropy(state)
         min_eigs[i] = state.min_eig
@@ -263,7 +249,7 @@ def accumulate_ledger(traj: Trajectory, gen: Generator) -> FirstLawLedger:
         # descending populations pair with ascending levels in the passive state
         dp = spectra_desc[k + 1] - spectra_desc[k]
         pas_d[k + 1] = pas_d[k] + float(dp @ levels_mid)
-        de = _energy(gen, traj.states[k + 1].matrix - traj.states[k].matrix, t_mid)
+        de = sched.trace_with(traj.states[k + 1].matrix - traj.states[k].matrix, t_mid)
         cross[k + 1] = cross[k] + de - (pas_d[k + 1] - pas_d[k])
 
     ergo_d = traj.dissipated_cum - pas_d

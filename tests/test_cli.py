@@ -91,6 +91,40 @@ class TestConfigValidation:
         assert run("decay", cfg, tmp_path / "out.csv") == 2
         assert "expected a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keys", [
+        {"alpha": 1.0, "t_final": "nan"},
+        {"alpha": "-inf", "t_final": 1.0},
+        {"alpha": 1.0, "t_final": 1.0, "omega": "inf"},
+    ])
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, keys):
+        cfg = write_config(tmp_path, "decay", **keys)
+        out = tmp_path / "out.csv"
+        assert run("decay", cfg, out) == 2
+        assert not out.exists()
+        assert "expected a finite number" in capsys.readouterr().err
+
+    def test_non_finite_list_entry_fails_before_any_stroke(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a stroke ran before the config was checked")
+
+        monkeypatch.setattr(cli, "evolve", forbidden)
+        cfg = write_config(tmp_path, "carnot-stroke", durations="10, inf")
+        out = tmp_path / "out.csv"
+        assert run("carnot-stroke", cfg, out) == 2
+        assert not out.exists()
+        assert "[carnot-stroke] durations: expected a finite number" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("dt", ["nan", "inf", "-inf"])
+    def test_non_finite_dt_override_is_a_config_error(self, tmp_path, capsys, dt):
+        cfg = write_config(tmp_path, "decay", alpha=1.0, t_final=1.0)
+        out = tmp_path / "out.csv"
+        assert run("decay", cfg, out, f"--dt={dt}") == 2
+        assert not out.exists()
+        assert "--dt: expected a finite number" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run("decay", tmp_path / "absent.ini", tmp_path / "out.csv") == 2
         assert "not found" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from scipy.integrate import solve_ivp
 
 from squeezedbath import (
     CutoffLeak,
@@ -148,6 +149,14 @@ class TestBathValidation:
         with pytest.raises(ValueError, match="needs a nonzero r"):
             Generator(HilbertDim(6), h, jumps, kind="squeezed", nbar=0.2)
 
+    def test_thermal_tag_means_zero_squeezing(self):
+        # the thermal kind is the r = 0 member of the squeezed family
+        h = constant_hamiltonian(harmonic_hamiltonian(1.0, 6))
+        jumps = (JumpTerm(annihilation(6), 1.0),)
+        assert Generator(HilbertDim(6), h, jumps, kind="thermal", nbar=0.2).r == 0.0
+        with pytest.raises(ValueError, match="a thermal generator has r = 0"):
+            Generator(HilbertDim(6), h, jumps, kind="thermal", nbar=0.2, r=0.3)
+
     def test_static_frequency_is_a_constant_ladder(self):
         gen = squeezed_generator(2.0, 1.0, None, 0.3, dim=6, temperature=1.5)
         sched = gen.hamiltonian
@@ -161,7 +170,7 @@ class TestSqueezedGenerator:
     def test_zero_squeezing_matches_thermal(self):
         sq = squeezed_generator(1.0, 1.3, 0.6, 0.0, dim=12)
         th = thermal_generator(1.0, 1.3, nbar=0.6, dim=12)
-        assert sq.kind == "thermal" and sq.r is None
+        assert sq.kind == "thermal" and sq.r == 0.0 and th.r == 0.0
         assert [j.rate for j in sq.jumps] == [j.rate for j in th.jumps]
         for js, jt in zip(sq.jumps, th.jumps, strict=True):
             np.testing.assert_array_equal(js.operator.matrix, jt.operator.matrix)
@@ -362,6 +371,14 @@ class TestEvolve:
             evolve(gen, number_state(0, 10), -1.0)
         with pytest.raises(ValueError):
             evolve(gen, number_state(0, 10), 1.0, dt=-0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_or_step_is_named(self, bad):
+        gen = thermal_generator(1.0, 1.0, nbar=0.0, dim=10)
+        with pytest.raises(ValueError, match="t_final must be positive and finite"):
+            evolve(gen, number_state(0, 10), bad)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            evolve(gen, number_state(0, 10), 1.0, dt=bad)
 
 
 class TestRepresentationOracle:
@@ -675,6 +692,28 @@ class TestRelaxPopulations:
         vacuum[0] = 1.0
         with pytest.raises(CutoffLeak):
             relax_populations(vacuum, 5.0, 1.0, 10.0)
+
+
+class TestThermalContact:
+    def test_fast_sweep_matches_dop853(self):
+        # a 20 -> 1 sweep over tau = 0.1 reaches |omega_dot|/omega = 190,
+        # far above 2 kappa = 2, so the step must follow the sweep
+        tau, temp = 0.1, 2.0
+        sched = linear_ramp_schedule(20.0, 1.0, tau, dim=20)
+        gen = thermal_generator(sched, 1.0, dim=20, temperature=temp)
+        n0 = bose_occupation(20.0, temp)
+        with pytest.warns(SlowDriveViolation):
+            got = dynamics._thermal_contact(gen, n0, tau)
+        slope = -19.0 / tau
+
+        def rhs(t, y):
+            w = 20.0 + slope * t
+            dn = -2.0 * (y[0] - 1.0 / math.expm1(w / temp))
+            return [dn, w * dn, slope * y[0]]
+
+        sol = solve_ivp(rhs, (0.0, tau), [n0, 0.0, 0.0], method="DOP853",
+                        rtol=1e-13, atol=1e-16)
+        np.testing.assert_allclose(got, sol.y[:, -1], rtol=0, atol=1e-10)
 
 
 class TestRequiredCutoff:

@@ -3,11 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from squeezedbath import (
     CutoffLeak,
     Generator,
     HilbertDim,
+    JumpTerm,
     annihilation,
     LedgerInconsistent,
     NotUnitary,
@@ -18,6 +20,7 @@ from squeezedbath import (
     bath_invariant_state,
     bose_occupation,
     coherent_state,
+    constant_hamiltonian,
     entropy_bound_report,
     evolve,
     firstlaw_tolerance,
@@ -31,12 +34,14 @@ from squeezedbath import (
     squeeze_operator,
     squeezed_generator,
     squeezed_thermal_state,
+    superoperator,
     thermal_generator,
     thermal_state,
     trace_distance,
     von_neumann_entropy,
 )
 from squeezedbath import ledger
+from squeezedbath.passivity import EIG_FLOOR
 
 # bose_occupation(1, T) = 0.5 at this temperature
 T_HALF = 1.0 / math.log(3.0)
@@ -132,6 +137,28 @@ class TestSigmaSeries:
         with pytest.raises(ValueError, match="must come from evolve under this"):
             sigma_series(traj, gen)
 
+    def test_zero_temperature_sweep_has_a_fixed_invariant(self):
+        # bose_occupation(omega, 0) = 0 at every omega: the rates are
+        # constant and sigma telescopes against the squeezed vacuum
+        sched = linear_ramp_schedule(25.0, 20.0, 3.0, dim=30)
+        gen = squeezed_generator(sched, 1.0, None, 0.3, dim=30, temperature=0.0)
+        assert gen.occupation_fn is None and gen.nbar == 0.0
+        assert not any(callable(j.rate) for j in gen.jumps)
+        with pytest.warns(SlowDriveViolation):
+            traj = evolve(gen, thermal_state(0.4, 30), 3.0)
+        assert traj.squeezed_heat_cum is None
+        sig = sigma_series(traj, gen)
+        assert sig[0] == 0.0
+        assert np.diff(sig).min() >= -1e-12
+        # the invariant is the pure S|0>; with its null space floored at
+        # EIG_FLOOR, ln rho_inv = ln(EIG_FLOOR) (1 - |psi><psi|)
+        psi = np.linalg.eigh(squeezed_thermal_state(0.0, 0.3, 30).matrix)[1][:, -1]
+        fid = np.array([np.vdot(psi, s.matrix @ psi).real for s in traj.states])
+        s0 = von_neumann_entropy(traj.states[0])
+        ds = np.array([von_neumann_entropy(s) - s0 for s in traj.states])
+        np.testing.assert_allclose(sig, ds + math.log(EIG_FLOOR) * (fid[0] - fid),
+                                   rtol=0, atol=1e-9)
+
     def test_squeezed_invariant_past_the_cutoff_raises(self):
         # at r = 0.5 the squeezed invariant puts 1.6e-4 on the top two of
         # 12 levels, although the evolved state itself stays positive
@@ -139,9 +166,12 @@ class TestSigmaSeries:
         with pytest.raises(CutoffLeak):
             sigma_series(traj, gen)
 
-    def test_thermal_stroke_tracks_no_squeezed_heat(self):
+    def test_thermal_stroke_squeezed_heat_is_its_dissipated_heat(self):
+        # a thermal bath is the r = 0 squeezed bath: S = 1, so Phi = E_d
         _, traj = _driven_stroke()
-        assert traj.squeezed_heat_cum is None
+        np.testing.assert_allclose(traj.squeezed_heat_cum, traj.dissipated_cum,
+                                   rtol=0, atol=1e-12)
+        assert abs(traj.dissipated_cum[-1]) > 1e-2
 
 
 class TestSpohnSigma:
@@ -221,6 +251,44 @@ class TestAccumulateLedger:
         assert led.sigma_cum[0] == 0.0
         assert np.all(led.min_eigs > -1e-9)
         assert np.all(led.trace_errors < 1e-9)
+
+    def test_min_eig_column_holds_the_unclipped_spectrum(self):
+        # the README decay run: roundoff leaves tiny negative eigenvalues
+        # that the -1e-9 gate accepts, and the column must show them
+        gen = thermal_generator(10.0, 1.0, nbar=0.0, dim=40)
+        traj = evolve(gen, coherent_state(1.0, 40), 4.0)
+        led = accumulate_ledger(traj, gen)
+        smallest = [np.linalg.eigvalsh(s.matrix)[0] for s in traj.states]
+        np.testing.assert_allclose(led.min_eigs, smallest, rtol=0, atol=1e-15)
+        assert led.min_eigs.min() < 0.0
+        assert led.min_eigs.min() > -1e-9
+
+    def test_schroedinger_custom_generator_matches_expm(self):
+        # a non-diagonal H takes the commutator into evolve's stability
+        # step and the matrix branch of Tr[m H(t)] in evolve and the ledger
+        n = 12
+        a = annihilation(n).matrix
+        h = Operator(HilbertDim(n), 1.5 * a.conj().T @ a + 0.4 * (a + a.conj().T))
+        gen = Generator(
+            dim=HilbertDim(n),
+            hamiltonian=constant_hamiltonian(h),
+            jumps=(JumpTerm(annihilation(n), 1.2),
+                   JumpTerm(annihilation(n).dagger(), 0.3)),
+        )
+        assert gen.hamiltonian.levels is None and gen.picture == "schroedinger"
+        rho0 = coherent_state(0.8, n)
+        traj = evolve(gen, rho0, 1.5)
+        prop = scipy.linalg.expm(superoperator(gen).toarray() * 1.5)
+        exact = (prop @ rho0.matrix.reshape(-1)).reshape(n, n)
+        np.testing.assert_allclose(traj.final_state.matrix, exact, rtol=0, atol=1e-9)
+        led = accumulate_ledger(traj, gen)
+        energies = [np.trace(s.matrix @ h.matrix).real for s in traj.states]
+        np.testing.assert_allclose(led.energy, energies, rtol=0, atol=1e-12)
+        # the commutator carries no energy, so every energy change is bath flow
+        np.testing.assert_allclose(led.energy - led.energy[0], led.dissipated_cum,
+                                   rtol=0, atol=1e-10)
+        assert np.all(led.work_cum == 0.0)
+        assert np.all(np.diff(led.sigma_cum) >= -1e-12)
 
     def test_sparse_snapshots_raise_inconsistency(self):
         gen, traj = _driven_stroke(stride=50)

@@ -119,6 +119,39 @@ class TestErgotropy:
             assert energy >= e_pas - 1e-10
 
 
+class TestNonDiagonalHamiltonian:
+    def test_joint_rotation_leaves_the_passive_split_unchanged(self):
+        # rotating a diagonal ladder by V makes H non-diagonal, so its
+        # eigenbasis comes from eigh; rotating the state with it must
+        # carry every passive quantity along
+        n = 8
+        rng = np.random.default_rng(11)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        v = np.linalg.qr(g)[0]
+        w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m0 = w @ w.conj().T
+        rho0 = DensityMatrix(m0 / np.trace(m0).real)
+        h0 = harmonic_hamiltonian(1.3, n)
+        rho = DensityMatrix(v @ rho0.matrix @ v.conj().T)
+        h = Operator(HilbertDim(n), v @ h0.matrix @ v.conj().T)
+        assert np.abs(h.matrix - np.diag(np.diag(h.matrix))).max() > 0.1
+
+        ref = passive_decompose(rho0, h0)
+        dec = passive_decompose(rho, h)
+        assert dec.passive_energy == pytest.approx(ref.passive_energy, abs=1e-12)
+        assert dec.ergotropy == pytest.approx(ref.ergotropy, abs=1e-12)
+        assert dec.ergotropy > 0.1
+        assert passive_energy(rho, h) == pytest.approx(ref.passive_energy, abs=1e-12)
+        assert ergotropy(rho, h) == pytest.approx(ref.ergotropy, abs=1e-12)
+        np.testing.assert_allclose(
+            dec.passive_state.matrix,
+            v @ ref.passive_state.matrix @ v.conj().T, rtol=0, atol=1e-12,
+        )
+        u = dec.extraction_unitary.matrix
+        np.testing.assert_allclose(u @ rho.matrix @ u.conj().T,
+                                   dec.passive_state.matrix, rtol=0, atol=1e-12)
+
+
 class TestEntropy:
     def test_pure_state_zero(self):
         assert von_neumann_entropy(coherent_state(1.0, 40)) < 1e-10
