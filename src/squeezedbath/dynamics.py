@@ -24,6 +24,7 @@ import warnings
 from typing import Callable, Optional, Union
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -514,6 +515,7 @@ def _stability_dt(gen: Generator, t_final: float) -> float:
 
     The margin below the stability edge keeps local truncation error on
     near-zero eigenvalues under the positivity gate even for pure states.
+    On evolve's exact channel route the step only sets the snapshot grid.
     """
     scale = 0.0
     for j in gen.jumps:
@@ -557,19 +559,24 @@ def evolve(
     dt: Optional[float] = None,
     snapshot_stride: Optional[int] = None,
 ) -> Trajectory:
-    """Fixed-step fourth-order Runge-Kutta propagation with energy ledgers.
+    """Propagate a state with energy ledgers, snapshot by snapshot.
+
+    The run takes n = ceil(t_final / dt) steps of equal length (dt from
+    _stability_dt by default) and keeps a snapshot every snapshot_stride
+    steps, the final step always included. Two routes fill that grid:
+
+    - A tagged bath whose rates and ladder H are both constant is an exact
+      channel in its own frame (_band_channel): one propagator per
+      snapshot interval, so dt only sets the snapshot grid.
+    - Every other generator (custom, swept occupation, swept H) runs
+      fixed-step fourth-order Runge-Kutta at dt.
 
     The bath energy current Tr[L(rho)H] and drive power Tr[rho dH/dt] are
-    integrated alongside the state with the same stage values, so the
-    cumulative columns share the integrator's order of accuracy. Snapshots
-    (every snapshot_stride steps, final step always included) are validated:
-    a significantly negative eigenvalue raises PositivityLoss. Each keeps
-    its unclipped spectrum, so min_eig shows the margin to that gate.
-
-    The density matrix is carried in float arithmetic when the run keeps
-    it real: in the interaction picture H(t) drops out of the equation of
-    motion, so real jumps keep a real rho0 real. Anything else runs on the
-    complex matrix. Snapshots are complex DensityMatrix objects either way.
+    integrated with the state (never taken as a difference of energies).
+    Each snapshot is validated: a trace off by more than 1e-8 raises
+    TraceDrift and an eigenvalue below -1e-9 raises PositivityLoss. Each
+    keeps its unclipped spectrum, so min_eig shows the margin to that gate.
+    Snapshots are complex DensityMatrix objects on both routes.
 
     Under a tagged bath with a swept occupation the flow
     omega(t) Tr[L(rho) S n S^dag] is co-integrated with the same stage
@@ -594,6 +601,59 @@ def evolve(
 
     _warn_if_drive_fast(gen, dt, n_steps)
 
+    channel = (
+        gen.kind != "custom"
+        and gen.occupation_fn is None
+        and gen.hamiltonian.is_constant
+    )
+    track_phi = gen.kind != "custom" and gen.occupation_fn is not None
+    marks = [*range(snapshot_stride, n_steps, snapshot_stride), n_steps]
+    if channel:
+        run = _channel_run(gen, rho0, dt, marks)
+    else:
+        run = _rk4_run(gen, rho0, dt, marks, track_phi)
+
+    times, states, cum, terr = [0.0], [rho0], [(0.0, 0.0, 0.0)], [rho0.trace_error]
+    for step, rho, flows in run:
+        t = step * dt
+        tr = float(rho.trace().real)
+        err = abs(tr - 1.0)
+        if not err <= 1e-8:  # NaN fails too
+            raise TraceDrift(f"integrator trace drifted to {tr:.12f} at t={t:g}")
+        x = rho / tr  # exactly Hermitian: each route scrubs its state
+        eigs = np.linalg.eigvalsh(x)
+        if eigs[0] < -1e-9:
+            raise PositivityLoss(
+                f"negative eigenvalue {eigs[0]:.3e} at t={t:g}; "
+                "shrink dt or raise the cutoff"
+            )
+        times.append(t)
+        states.append(DensityMatrix(Operator(gen.dim, x), _spectrum=eigs))
+        cum.append(flows)
+        terr.append(err)
+
+    diss, work, phi = np.array(cum).T.copy()
+    return Trajectory(
+        times=np.asarray(times),
+        states=tuple(states),
+        dissipated_cum=diss,
+        work_cum=work,
+        trace_errors=np.asarray(terr),
+        squeezed_heat_cum=phi if track_phi else None,
+    )
+
+
+def _rk4_run(
+    gen: Generator, rho0: DensityMatrix, dt: float, marks: list, track_phi: bool
+):
+    """Fixed-step RK4 from rho0; yields (step, rho, (E_d, W, Phi)) at each
+    step in marks, with the flows co-integrated from the same stage values.
+
+    The density matrix is carried in float arithmetic when the run keeps
+    it real: in the interaction picture H(t) drops out of the equation of
+    motion, so real jumps keep a real rho0 real. Anything else runs on the
+    complex matrix.
+    """
     sched = gen.hamiltonian
     track_work = not sched.is_constant
     m0 = rho0.matrix
@@ -603,7 +663,6 @@ def evolve(
     # a tagged bath with a swept occupation has the invariant S rho_th(N(t))
     # S^dag, whose log is affine in K = S n S^dag (K = n at r = 0); its flow
     # gives the exact entropy production (see ledger.sigma_series)
-    track_phi = gen.kind != "custom" and gen.occupation_fn is not None
     if track_phi:
         s = _squeeze_matrix(gen.r, gen.dim.cutoff)
         # vdot(K^T, k) = Tr[k K]; K is real, so the conjugation is a no-op
@@ -620,51 +679,126 @@ def evolve(
         return sched.trace_with(k, t), work, phi
 
     flows = (0.0, 0.0, 0.0)
-    times, states, cum, terr = [0.0], [rho0], [flows], [rho0.trace_error]
+    step = 0
+    for mark in marks:
+        for step in range(step + 1, mark + 1):
+            t0 = (step - 1) * dt
+            for c, weight in _RK4_TABLEAU:
+                t = t0 + c * dt
+                m = rho if c == 0.0 else rho + (c * dt) * k
+                k = apply(gen, m, t, hermitian=True)
+                f = flow_rates(m, k, t)
+                if c == 0.0:
+                    dk, df = k, f
+                else:
+                    dk = dk + weight * k
+                    df = [a + weight * b for a, b in zip(df, f)]
+            rho = rho + (dt / 6.0) * dk
+            rho = 0.5 * (rho + rho.conj().T)  # scrub roundoff asymmetry
+            flows = [a + (dt / 6.0) * b for a, b in zip(flows, df)]
+        yield mark, rho, flows
 
-    for step in range(1, n_steps + 1):
-        t0 = (step - 1) * dt
-        for c, weight in _RK4_TABLEAU:
-            t = t0 + c * dt
-            m = rho if c == 0.0 else rho + (c * dt) * k
-            k = apply(gen, m, t, hermitian=True)
-            f = flow_rates(m, k, t)
-            if c == 0.0:
-                dk, df = k, f
-            else:
-                dk = dk + weight * k
-                df = [a + weight * b for a, b in zip(df, f)]
-        rho = rho + (dt / 6.0) * dk
-        rho = 0.5 * (rho + rho.conj().T)  # scrub roundoff asymmetry
-        flows = [a + (dt / 6.0) * b for a, b in zip(flows, df)]
 
-        if step % snapshot_stride == 0 or step == n_steps:
-            t = step * dt
-            tr = float(rho.trace().real)
-            err = abs(tr - 1.0)
-            if not err <= 1e-8:  # NaN fails too
-                raise TraceDrift(f"integrator trace drifted to {tr:.12f} at t={t:g}")
-            x = rho / tr  # still exactly Hermitian after the scrub
-            eigs = np.linalg.eigvalsh(x)
-            if eigs[0] < -1e-9:
-                raise PositivityLoss(
-                    f"negative eigenvalue {eigs[0]:.3e} at t={t:g}; "
-                    "shrink dt or raise the cutoff"
-                )
-            times.append(t)
-            states.append(DensityMatrix(Operator(gen.dim, x), _spectrum=eigs))
-            cum.append(flows)
-            terr.append(err)
+def _band_index(n: int) -> tuple:
+    """(k, i) for every upper-triangle entry rho[i, i+k], band by band."""
+    return np.nonzero(np.arange(n)[None, :] < n - np.arange(n)[:, None])
 
-    diss, work, phi = np.array(cum).T.copy()
-    return Trajectory(
-        times=np.asarray(times),
-        states=tuple(states),
-        dissipated_cum=diss,
-        work_cum=work,
-        trace_errors=np.asarray(terr),
-        squeezed_heat_cum=phi if track_phi else None,
-    )
+
+def _band_channel(gen: Generator, interval: float) -> tuple:
+    """Exact propagator of a constant-rate tagged bath over one interval.
+
+    In the frame rho~ = S^T rho S, with S = fock._squeeze_matrix(r) (the
+    identity at r = 0, and b = S a S^T up to truncation), the bath is
+    thermal damping of a at rates down = kappa (N+1) and up = kappa N. Its
+    truncated generator maps each band x_k[i] = rho~[i, i+k] onto itself
+    through a tridiagonal block T_k, the same one RK4 integrates at r = 0
+    (Caruso, Giovannetti & Holevo, NJP 8, 310 (2006)). One batched expm of
+    the blocks T_k^T t, each bordered by the column T_k^T h_k t (h_k the
+    band-k entries of S^T H S), gives exp(T_k t) and weights f_k whose dot
+    with x_k(0) is band k's share of the bath flow, the integral of
+    Tr[L(rho) H] over the interval.
+
+    Band 0 keeps the trace, so its block has the stationary populations p
+    (geometric, ratio N/(N+1)) with 1^T T_0 = 0. Squaring in expm doubles
+    any roundoff on that conserved mode at each step, so the block is
+    deflated to T_0 - sigma p 1^T (sigma = 2 kappa), whose modes all decay,
+    and p 1^T is added back. Past an interval of 1e20 over the largest rate
+    every decaying mode has underflowed, so longer intervals are capped
+    there; expm's norm estimates would overflow near 1e77.
+
+    Returns the propagators and weights as (n, n, n) and (n, n) arrays
+    indexed by band; rows past a band's length are padding.
+    """
+    n = gen.dim.cutoff
+    k, i = _band_index(n)
+    down = gen.kappa * (gen.nbar + 1.0)
+    up = gen.kappa * gen.nbar
+    c = np.arange(1.0, n + 1.0)
+    c[-1] = 0.0  # the diagonal of the truncated a a^dag
+    rates = down * (2 * i + k) + up * (c[i] + c[i + k])
+    t = min(interval, 1e20 / rates.max())
+    blocks = np.zeros((n, n + 1, n + 1))
+    blocks[k, i, i] = -rates * t
+    inner = i > 0  # x_k[i-1] and x_k[i] are both in band k
+    kk, ii = k[inner], i[inner]
+    rung = 2.0 * t * np.sqrt(ii * (ii + kk))
+    blocks[kk, ii, ii - 1] = down * rung  # T[i-1, i]: x_k[i] decays into x_k[i-1]
+    blocks[kk, ii - 1, ii] = up * rung  # T[i, i-1]: x_k[i-1] excites into x_k[i]
+    s = _squeeze_matrix(gen.r, n)
+    h = (s.T * gen.hamiltonian.diagonal(0.0)) @ s
+    h_bands = np.zeros((n, n))
+    h_bands[k, i] = h[i + k, i]
+    blocks[:, :n, n] = np.einsum("kij,kj->ki", blocks[:, :n, :n], h_bands)
+    p = (up / down) ** np.arange(n)
+    p /= p.sum()
+    sigma_t = 2.0 * gen.kappa * t
+    blocks[0, :n, :n] -= sigma_t * p  # (T_0 - sigma p 1^T)^T t
+    e = scipy.linalg.expm(blocks)
+    prop = e[:, :n, :n].transpose(0, 2, 1).copy()
+    prop[0] += -math.expm1(-sigma_t) * p[:, None]
+    weights = e[:, :n, n].copy()
+    weights[1:] *= 2.0  # band -k adds the complex conjugate of band k
+    return prop, weights
+
+
+def _channel_run(gen: Generator, rho0: DensityMatrix, dt: float, marks: list):
+    """The exact channel of a constant-rate tagged bath from rho0; yields
+    (step, rho, (E_d, 0, 0)) at each step in marks. One propagator per
+    distinct interval length: every stride, and a shorter final one.
+
+    The bands are carried as real and imaginary columns, the imaginary one
+    only for a complex rho0 (the channel and S are real), so a real run
+    yields float matrices as RK4 does.
+    """
+    n = gen.dim.cutoff
+    k, i = _band_index(n)
+    band, upper, lower = k * n + i, i * n + i + k, (i + k) * n + i
+    s = _squeeze_matrix(gen.r, n)
+    frame = (s.T @ rho0.matrix @ s).ravel()[upper]
+    frame[k == 0] = frame[k == 0].real  # the diagonal is real
+    parts = (frame.real, frame.imag) if np.any(frame.imag) else (frame.real,)
+    z = np.zeros((n * n, len(parts)))
+    z[band] = np.stack(parts, axis=1)
+    z = z.reshape(n, n, len(parts))
+    tables = {}
+    e_d, step = 0.0, 0
+    for mark in marks:
+        if mark - step not in tables:
+            tables[mark - step] = _band_channel(gen, (mark - step) * dt)
+        prop, weights = tables[mark - step]
+        e_d += float(np.vdot(weights, z[..., 0]))
+        z = prop @ z
+        step = mark
+        cols = z.reshape(n * n, -1)[band]
+        vals = cols[:, 0] if cols.shape[1] == 1 else cols[:, 0] + 1j * cols[:, 1]
+        rho = np.zeros(n * n, dtype=vals.dtype)
+        rho[lower] = vals.conj()
+        rho[upper] = vals
+        rho = rho.reshape(n, n)
+        if gen.r:
+            rho = s @ rho @ s.T
+            rho = 0.5 * (rho + rho.conj().T)  # scrub roundoff asymmetry
+        yield mark, rho, (e_d, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -99,9 +99,11 @@ def passive_energy(rho: DensityMatrix, hamiltonian: Operator) -> float:
 
 def _population_entropy(p: np.ndarray) -> float:
     """-sum p ln p in nats over a spectrum or population array, summed in
-    the given order; entries below EIG_FLOOR contribute 0."""
+    the given order; entries below EIG_FLOOR contribute 0. Never below
+    +0.0: a pure state would give -0.0 (negating 1 ln 1), or a few ulps
+    below 0 when roundoff lifts its one eigenvalue past 1."""
     p = p[p > EIG_FLOOR]
-    return float(-(p * np.log(p)).sum())
+    return max(0.0, float(-(p * np.log(p)).sum()))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

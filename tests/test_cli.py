@@ -239,6 +239,17 @@ class TestDecayScenario:
         for v in column(header, rows, "trace_err"):
             assert v < 1e-9
 
+    def test_pure_state_entropy_reads_zero(self, tmp_path):
+        # a coherent state stays pure under a T = 0 bath: its entropy cells
+        # read 0, never -0 or a roundoff residue below zero
+        cfg = write_config(tmp_path, "decay", alpha=1.0, t_final=0.5, cutoff=25)
+        out = tmp_path / "decay.csv"
+        assert run("decay", cfg, out) == 0
+        header, rows = read_table(out)
+        cells = column(header, rows, "entropy", parse=str)
+        assert cells[0] == "0"
+        assert not [cell for cell in cells if cell.startswith("-")]
+
     def test_repeated_runs_are_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, "decay", alpha=1.0, t_final=0.5, cutoff=25)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

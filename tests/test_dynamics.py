@@ -57,6 +57,21 @@ def matrix_units(n):
             yield e
 
 
+def custom_clone(gen):
+    """The same jumps, H and picture under the custom tag, which evolve
+    always runs by RK4."""
+    return Generator(
+        dim=gen.dim, hamiltonian=gen.hamiltonian, jumps=gen.jumps, picture=gen.picture
+    )
+
+
+def expm_evolved(gen, rho0, t):
+    """rho0 propagated by expm of the truncated superoperator."""
+    n = gen.dim.cutoff
+    prop = scipy.linalg.expm(superoperator(gen).toarray() * t)
+    return (prop @ rho0.matrix.reshape(-1)).reshape(n, n)
+
+
 class TestBoseOccupation:
     def test_values(self):
         assert math.isclose(bose_occupation(0.3, 3.0), 1 / math.expm1(0.1),
@@ -319,20 +334,24 @@ class TestEvolve:
         assert traj.trace_errors.max() < 1e-8
         assert np.all(np.diff(traj.times) > 0)
 
+    # the three gate tests run a custom clone of a constant thermal bath:
+    # the tagged original takes the exact channel, which these steps cannot
+    # break (TestChannelRoute checks it on the same inputs)
+
     def test_trace_drift_raised_for_runaway_step(self):
         # dt far past the RK4 edge grows the stiff modes until roundoff
         # alone moves the trace past the 1e-8 gate, before positivity is read
-        gen = thermal_generator(1.0, 1.0, nbar=0.5, dim=10)
+        gen = custom_clone(thermal_generator(1.0, 1.0, nbar=0.5, dim=10))
         with pytest.raises(TraceDrift):
             evolve(gen, coherent_state(0.5, 10), 2e4, dt=1e3, snapshot_stride=1)
 
     def test_non_finite_state_fails_the_trace_gate(self):
-        gen = thermal_generator(1.0, 1.0, nbar=0.5, dim=10)
+        gen = custom_clone(thermal_generator(1.0, 1.0, nbar=0.5, dim=10))
         with np.errstate(all="ignore"), pytest.raises(TraceDrift):
             evolve(gen, coherent_state(0.5, 10), 2e80, dt=1e80, snapshot_stride=1)
 
     def test_positivity_loss_raised_for_oversized_step(self):
-        gen = thermal_generator(1.0, 1.0, nbar=0.5, dim=12)
+        gen = custom_clone(thermal_generator(1.0, 1.0, nbar=0.5, dim=12))
         with pytest.raises(PositivityLoss):
             evolve(gen, number_state(0, 12), 3.0, dt=1.5)
 
@@ -379,6 +398,83 @@ class TestEvolve:
             evolve(gen, number_state(0, 10), bad)
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             evolve(gen, number_state(0, 10), 1.0, dt=bad)
+
+
+class TestChannelRoute:
+    """A tagged bath with constant rates and H runs as an exact channel."""
+
+    def test_constant_tagged_baths_never_call_apply(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("apply called")
+
+        monkeypatch.setattr(dynamics, "apply", refuse)
+        thermal = thermal_generator(2.0, 1.0, nbar=0.3, dim=12)
+        squeezed = squeezed_generator(2.0, 1.0, 0.3, 0.2, dim=12)
+        for gen in (thermal, squeezed):
+            evolve(gen, coherent_state(0.5, 12), 1.0)
+        swept = thermal_generator(
+            linear_ramp_schedule(2.0, 1.99, 1.0, dim=12), 1.0, dim=12, temperature=1.0
+        )
+        for gen in (custom_clone(thermal), custom_clone(squeezed), swept):
+            with pytest.raises(AssertionError, match="apply called"):
+                evolve(gen, coherent_state(0.5, 12), 1.0)
+
+    def test_random_start_matches_expm_of_the_truncated_generator(self):
+        n = 20
+        rng = np.random.default_rng(13)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m = g @ g.conj().T
+        rho0 = DensityMatrix(Operator(HilbertDim(n), m / np.trace(m).real))
+        gen = thermal_generator(1.3, 0.7, nbar=0.4, dim=n)
+        traj = evolve(gen, rho0, 1.75, dt=0.25)
+        assert len(traj.times) == 8
+        h = gen.hamiltonian.diagonal(0.0)
+        for t, state, e_d in zip(traj.times, traj.states, traj.dissipated_cum):
+            exact = expm_evolved(gen, rho0, t)
+            np.testing.assert_allclose(state.matrix, exact, rtol=0, atol=1e-12)
+            # the flow integral, not an energy difference, still closes it
+            de = float((np.diagonal(exact - rho0.matrix).real * h).sum())
+            assert e_d == pytest.approx(de, rel=0, abs=1e-12)
+
+    def test_short_final_interval_gets_its_own_propagator(self):
+        # squeezed-relax: 4113 steps at stride 10 end on a 3-step interval
+        gen = squeezed_generator(10.0, 1.0, 0.0, 0.4, dim=40)
+        rho0 = thermal_state(0.0, 40)
+        every = evolve(gen, rho0, 6.0, snapshot_stride=1)
+        assert len(every.times) - 1 == 4113
+        strided = evolve(gen, rho0, 6.0, snapshot_stride=10)
+        np.testing.assert_array_equal(strided.times, every.times[::10].tolist() + [6.0])
+        np.testing.assert_allclose(
+            strided.final_state.matrix, every.final_state.matrix, rtol=0, atol=1e-12
+        )
+        assert strided.dissipated_cum[-1] == pytest.approx(
+            every.dissipated_cum[-1], rel=0, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("t_final, dt", [(2e4, 1e3), (2e80, 1e80)])
+    def test_runaway_steps_reach_the_steady_state(self, t_final, dt):
+        # the inputs on which RK4 fails its trace gate
+        gen = thermal_generator(1.0, 1.0, nbar=0.5, dim=10)
+        rho0 = coherent_state(0.5, 10)
+        with np.errstate(over="raise", invalid="raise"):
+            traj = evolve(gen, rho0, t_final, dt=dt, snapshot_stride=1)
+        steady = steady_state(gen)
+        h = gen.hamiltonian.diagonal(0.0)
+        for state in traj.states[1:]:
+            assert trace_distance(state, steady) < 1e-12
+        de = float((np.diagonal(steady.matrix - rho0.matrix).real * h).sum())
+        np.testing.assert_allclose(traj.dissipated_cum[1:], de, rtol=0, atol=1e-12)
+
+    def test_oversized_step_stays_exact_and_positive(self):
+        # the input on which RK4 fails its positivity gate
+        gen = thermal_generator(1.0, 1.0, nbar=0.5, dim=12)
+        rho0 = number_state(0, 12)
+        traj = evolve(gen, rho0, 3.0, dt=1.5)
+        np.testing.assert_array_equal(traj.times, [0.0, 1.5, 3.0])
+        for t, state in zip(traj.times, traj.states):
+            exact = expm_evolved(gen, rho0, t)
+            np.testing.assert_allclose(state.matrix, exact, rtol=0, atol=1e-12)
+            assert state.min_eig >= 0.0
 
 
 class TestRepresentationOracle:

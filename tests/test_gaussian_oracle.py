@@ -1,6 +1,6 @@
-"""Independent Gaussian-moment oracle for driven squeezed strokes.
+"""Independent Gaussian-moment oracles for the built-in baths.
 
-The built-in baths are quadratic with linear jumps, so a thermal start
+The built-in baths are quadratic with linear jumps, so a Gaussian start
 stays Gaussian. In the damped mode b = a cosh r + a^dag sinh r the moments
 n_b = <b^dag b> and m_b = <b^2> obey
 
@@ -8,8 +8,10 @@ n_b = <b^dag b> and m_b = <b^2> obey
 
 with N(t) = 1/(exp(omega(t)/T) - 1). Everything the entropy report holds
 follows from these three real ODEs (the third is the same ODE at r = 0,
-the comparison path from the passive start); nothing here calls the
-library.
+the comparison path from the passive start). A constant bath needs no
+ODE: with eta = exp(-2 kappa t) a coherent amplitude decays as
+alpha sqrt(eta), and the frame quadrature variances relax as
+v(t) = eta v(0) + (1 - eta)/2. Nothing here calls the library.
 """
 
 import math
@@ -20,11 +22,14 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from squeezedbath import (
+    accumulate_ledger,
     bose_occupation,
+    coherent_state,
     entropy_bound_report,
     evolve,
     linear_ramp_schedule,
     squeezed_generator,
+    thermal_generator,
     thermal_state,
 )
 
@@ -82,3 +87,52 @@ class TestDrivenSqueezedStrokeOracle:
         for field, value in fields.items():
             assert getattr(rep, field) == pytest.approx(value, rel=0, abs=1e-10), field
         assert traj.work_cum[-1] == pytest.approx(work, rel=0, abs=1e-10)
+
+
+def coherent_decay(alpha, omega, times, kappa=1.0):
+    """Energy, E_d and entropy of a coherent start under a T = 0 bath."""
+    eta = np.exp(-2.0 * kappa * np.asarray(times))
+    energy = omega * abs(alpha) ** 2 * eta
+    return energy, energy - omega * abs(alpha) ** 2, np.zeros_like(eta)
+
+
+def vacuum_into_squeezed_vacuum(r, omega, times, kappa=1.0):
+    """Energy, E_d and entropy of the vacuum relaxing into the squeezed vacuum.
+
+    In the bath's frame the lab vacuum is a squeezed vacuum with quadrature
+    variances exp(+-2r)/2, damped toward the vacuum's 1/2; the lab mean
+    occupation undoes the squeeze on each quadrature.
+    """
+    eta = np.exp(-2.0 * kappa * np.asarray(times))
+    v_plus = eta * math.exp(2 * r) / 2 + (1 - eta) / 2
+    v_minus = eta * math.exp(-2 * r) / 2 + (1 - eta) / 2
+    nu = np.sqrt(v_plus * v_minus)
+    entropy = np.array([_gaussian_entropy(x) for x in nu])
+    n_lab = 0.5 * (v_plus * math.exp(-2 * r) + v_minus * math.exp(2 * r)) - 0.5
+    return omega * n_lab, omega * n_lab, entropy
+
+
+class TestConstantBathOracle:
+    """The README decay and squeezed-relax runs against the moments, at
+    every snapshot."""
+
+    def _check(self, gen, rho0, t_final, closed_form):
+        led = accumulate_ledger(evolve(gen, rho0, t_final), gen)
+        energy, dissipated, entropy = closed_form(led.times)
+        np.testing.assert_allclose(led.energy, energy, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(led.dissipated_cum, dissipated, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(led.entropy, entropy, rtol=0, atol=1e-10)
+
+    def test_coherent_decay(self):
+        gen = thermal_generator(10.0, 1.0, nbar=0.0, dim=40)
+        self._check(
+            gen, coherent_state(1.0, 40), 4.0,
+            lambda t: coherent_decay(1.0, 10.0, t),
+        )
+
+    def test_vacuum_into_squeezed_vacuum(self):
+        gen = squeezed_generator(10.0, 1.0, 0.0, 0.4, dim=40)
+        self._check(
+            gen, thermal_state(0.0, 40), 6.0,
+            lambda t: vacuum_into_squeezed_vacuum(0.4, 10.0, t),
+        )
