@@ -196,6 +196,12 @@ def _load_config(scenario: str, path: str, args) -> dict:
         out["cutoff"] = args.cutoff
     if "workers" in args:  # registered on the subcommands that fan out only
         out["workers"] = max(1, args.workers)
+    if out.get("dt") is not None and not out["dt"] > 0:
+        raise ConfigError(f"[{scenario}] dt or --dt: expected a positive step")
+    # cutoff 0 sizes the space automatically where that is the default
+    auto = out["cutoff"] == 0 == schema["cutoff"][1]
+    if out["cutoff"] < 2 and not auto:
+        raise ConfigError(f"[{scenario}] cutoff or --cutoff: expected at least 2")
     return out
 
 

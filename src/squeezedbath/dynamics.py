@@ -204,7 +204,7 @@ class Generator:
 
     kind tags which analytic structure applies ("thermal", "squeezed",
     "custom"); invariant states and entropy routes key off it, and evolve
-    tracks the squeezed-mode heat of a tagged bath whose occupation varies.
+    runs a tagged bath in its own frame (custom ones on the lab matrix).
     kappa/nbar/r/temperature are bookkeeping metadata mirroring the
     construction parameters: a tagged bath carries its squeezing r (0.0
     for a thermal one), and nbar is None when the occupation varies in
@@ -242,7 +242,6 @@ class Generator:
             if j.operator.dim != self.dim:
                 raise ValueError("jump operator dimension mismatch")
         self.jumps = jumps
-        self._compiled = {}
 
     def occupation_at(self, t: float) -> Optional[float]:
         if self.occupation_fn is not None:
@@ -250,61 +249,34 @@ class Generator:
         return self.nbar
 
     @functools.cached_property
-    def _real_jumps(self) -> bool:
-        """Every jump operator has real matrix elements."""
-        return not any(np.any(j.operator.matrix.imag) for j in self.jumps)
-
-    def _terms(self, real: bool = False):
-        """Per-jump dense factors (L, L^dag, L^dag L, rate), built once per dtype.
-
-        real=True keeps only the real parts, which is exact when every
-        jump is real.
-        """
-        if real not in self._compiled:
-            terms = []
-            for j in self.jumps:
-                lm = j.operator.matrix
-                if real:
-                    lm = np.ascontiguousarray(lm.real)
-                ld = np.ascontiguousarray(lm.conj().T)
-                terms.append((lm, ld, ld @ lm, j.rate))
-            self._compiled[real] = tuple(terms)
-        return self._compiled[real]
+    def _terms(self) -> tuple:
+        """Per-jump dense factors (L, L^dag, L^dag L, rate), built once."""
+        terms = []
+        for j in self.jumps:
+            lm, ld = j.operator.matrix, j.operator.matrix.conj().T.copy()
+            terms.append((lm, ld, ld @ lm, j.rate))
+        return tuple(terms)
 
 
 def apply(gen: Generator, rho, t: float = 0.0, *, hermitian: bool = False) -> np.ndarray:
-    """Action of the generator on a state (ndarray or DensityMatrix).
+    """Action of the generator on a state (ndarray or DensityMatrix), as a
+    complex array.
 
     hermitian=True promises the input is Hermitian, letting the
-    anticommutator half be mirrored instead of recomputed; the integrator
-    uses this on its stage values. A real input under an interaction-picture
-    generator whose jumps are all real is worked on in real arithmetic and
-    returns a real array; every other input returns a complex array.
+    anticommutator half be mirrored instead of recomputed; the lab-matrix
+    RK4 of a custom generator uses this on its stage values.
     """
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    real = (
-        not np.iscomplexobj(m) and gen.picture == "interaction" and gen._real_jumps
-    )
-    out = None
-    csum = None
-    for lm, ld, ldl, rate in gen._terms(real):
+    out = np.zeros(m.shape, dtype=complex)
+    csum = np.zeros(m.shape, dtype=complex)
+    for lm, ld, ldl, rate in gen._terms:
         g = _rate_at(rate, t)
-        if g == 0.0:
-            continue
-        sandwich = (lm @ m) @ ld
-        sandwich *= 2.0 * g
-        if out is None:
-            out = sandwich
-            csum = g * ldl
-        else:
-            out += sandwich
-            csum = csum + g * ldl
-    if out is None:
-        out = np.zeros(m.shape, dtype=float if real else complex)
-    else:
-        left = csum @ m
-        out -= left
-        out -= left.conj().T if hermitian else m @ csum
+        if g != 0.0:
+            out += (2.0 * g) * ((lm @ m) @ ld)
+            csum += g * ldl
+    left = csum @ m
+    out -= left
+    out -= left.conj().T if hermitian else m @ csum
     if gen.picture == "schroedinger":
         h = gen.hamiltonian.evaluate(t)
         out += -1j * (h @ m - m @ h)
@@ -493,9 +465,9 @@ class Trajectory:
     through the bath coupling); work_cum[i] = integral of Tr[rho dH/dt].
     squeezed_heat_cum[i] = integral of omega(t) Tr[L(rho) S n S^dag], the
     same flow counted in the energy of the mode a tagged bath damps, whose
-    frozen invariant has ln rho_inv = -(omega/T) S n S^dag - ln Z. It is
-    tracked only under a tagged bath with a swept occupation and is None
-    otherwise; at r = 0 (S = 1) it equals dissipated_cum up to roundoff.
+    frozen invariant has ln rho_inv = -(omega/T) S n S^dag - ln Z. Only a
+    tagged bath with a swept occupation fills it (None otherwise); at r = 0
+    (S = 1) it equals dissipated_cum up to roundoff.
     """
 
     times: np.ndarray
@@ -515,7 +487,8 @@ def _stability_dt(gen: Generator, t_final: float) -> float:
 
     The margin below the stability edge keeps local truncation error on
     near-zero eigenvalues under the positivity gate even for pure states.
-    On evolve's exact channel route the step only sets the snapshot grid.
+    It is the RK4 step of custom generators and swept tagged baths; for a
+    constant tagged bath it only sets the snapshot grid.
     """
     scale = 0.0
     for j in gen.jumps:
@@ -565,22 +538,20 @@ def evolve(
     _stability_dt by default) and keeps a snapshot every snapshot_stride
     steps, the final step always included. Two routes fill that grid:
 
-    - A tagged bath whose rates and ladder H are both constant is an exact
-      channel in its own frame (_band_channel): one propagator per
-      snapshot interval, so dt only sets the snapshot grid.
-    - Every other generator (custom, swept occupation, swept H) runs
-      fixed-step fourth-order Runge-Kutta at dt.
+    - A tagged bath runs on the bands of its frame rho~ = S^T rho S
+      (_frame_run): as an exact channel when its rates and ladder H are
+      constant (dt then only sets the grid), else by fixed-step RK4 at dt.
+    - A custom generator runs fixed-step RK4 at dt on the complex density
+      matrix (_rk4_run).
 
     The bath energy current Tr[L(rho)H] and drive power Tr[rho dH/dt] are
     integrated with the state (never taken as a difference of energies).
     Each snapshot is validated: a trace off by more than 1e-8 raises
     TraceDrift and an eigenvalue below -1e-9 raises PositivityLoss. Each
     keeps its unclipped spectrum, so min_eig shows the margin to that gate.
-    Snapshots are complex DensityMatrix objects on both routes.
-
-    Under a tagged bath with a swept occupation the flow
-    omega(t) Tr[L(rho) S n S^dag] is co-integrated with the same stage
-    values into squeezed_heat_cum, which ledger.sigma_series reads.
+    Snapshots are complex DensityMatrix objects on both routes. A tagged
+    bath with a swept occupation also fills squeezed_heat_cum, which
+    ledger.sigma_series reads.
     """
     if rho0.dim != gen.dim:
         raise ValueError("state dimension mismatch")
@@ -601,17 +572,9 @@ def evolve(
 
     _warn_if_drive_fast(gen, dt, n_steps)
 
-    channel = (
-        gen.kind != "custom"
-        and gen.occupation_fn is None
-        and gen.hamiltonian.is_constant
-    )
-    track_phi = gen.kind != "custom" and gen.occupation_fn is not None
+    tagged = gen.kind != "custom"
     marks = [*range(snapshot_stride, n_steps, snapshot_stride), n_steps]
-    if channel:
-        run = _channel_run(gen, rho0, dt, marks)
-    else:
-        run = _rk4_run(gen, rho0, dt, marks, track_phi)
+    run = (_frame_run if tagged else _rk4_run)(gen, rho0, dt, marks)
 
     times, states, cum, terr = [0.0], [rho0], [(0.0, 0.0, 0.0)], [rho0.trace_error]
     for step, rho, flows in run:
@@ -639,64 +602,45 @@ def evolve(
         dissipated_cum=diss,
         work_cum=work,
         trace_errors=np.asarray(terr),
-        squeezed_heat_cum=phi if track_phi else None,
+        squeezed_heat_cum=phi if tagged and gen.occupation_fn is not None else None,
     )
 
 
-def _rk4_run(
-    gen: Generator, rho0: DensityMatrix, dt: float, marks: list, track_phi: bool
-):
-    """Fixed-step RK4 from rho0; yields (step, rho, (E_d, W, Phi)) at each
-    step in marks, with the flows co-integrated from the same stage values.
-
-    The density matrix is carried in float arithmetic when the run keeps
-    it real: in the interaction picture H(t) drops out of the equation of
-    motion, so real jumps keep a real rho0 real. Anything else runs on the
-    complex matrix.
-    """
-    sched = gen.hamiltonian
-    track_work = not sched.is_constant
-    m0 = rho0.matrix
-    real = gen.picture == "interaction" and gen._real_jumps and not np.any(m0.imag)
-    rho = m0.real.astype(float) if real else m0.astype(complex)
-
-    # a tagged bath with a swept occupation has the invariant S rho_th(N(t))
-    # S^dag, whose log is affine in K = S n S^dag (K = n at r = 0); its flow
-    # gives the exact entropy production (see ledger.sigma_series)
-    if track_phi:
-        s = _squeeze_matrix(gen.r, gen.dim.cutoff)
-        # vdot(K^T, k) = Tr[k K]; K is real, so the conjugation is a no-op
-        k_frame_t = np.ascontiguousarray(
-            ((s * np.arange(gen.dim.cutoff)) @ s.T).T, dtype=rho.dtype
-        )
-
-    def flow_rates(m: np.ndarray, k: np.ndarray, t: float) -> tuple:
-        """(E_d, W, Phi) rates at a stage: Tr[k H], Tr[m dH/dt], omega Tr[k K]."""
-        work = sched.trace_with(m, t, derivative=True) if track_work else 0.0
-        phi = 0.0
-        if track_phi:
-            phi = sched.frequency(t) * float(np.vdot(k_frame_t, k).real)
-        return sched.trace_with(k, t), work, phi
-
-    flows = (0.0, 0.0, 0.0)
-    step = 0
+def _rk4(deriv: Callable, flow_rates: Callable, y, dt: float, marks: list,
+         scrub: Callable = lambda y: y):
+    """Fixed-step classical RK4 of dy/dt = deriv(y, t); yields (step, y,
+    flows) at each step in marks, the flows integrated from
+    flow_rates(y, dy/dt, t) at the same stages. scrub maps y after a step."""
+    flows, step = (0.0, 0.0, 0.0), 0
     for mark in marks:
         for step in range(step + 1, mark + 1):
             t0 = (step - 1) * dt
             for c, weight in _RK4_TABLEAU:
                 t = t0 + c * dt
-                m = rho if c == 0.0 else rho + (c * dt) * k
-                k = apply(gen, m, t, hermitian=True)
+                m = y if c == 0.0 else y + (c * dt) * k
+                k = deriv(m, t)
                 f = flow_rates(m, k, t)
                 if c == 0.0:
                     dk, df = k, f
                 else:
                     dk = dk + weight * k
                     df = [a + weight * b for a, b in zip(df, f)]
-            rho = rho + (dt / 6.0) * dk
-            rho = 0.5 * (rho + rho.conj().T)  # scrub roundoff asymmetry
+            y = scrub(y + (dt / 6.0) * dk)
             flows = [a + (dt / 6.0) * b for a, b in zip(flows, df)]
-        yield mark, rho, flows
+        yield mark, y, flows
+
+
+def _rk4_run(gen: Generator, rho0: DensityMatrix, dt: float, marks: list):
+    """RK4 of a custom generator on the complex density matrix; yields
+    (step, rho, (E_d, W, 0)) at each step in marks: Tr[k H], Tr[m dH/dt]."""
+    sched = gen.hamiltonian
+
+    def flow_rates(m: np.ndarray, k: np.ndarray, t: float) -> tuple:
+        work = 0.0 if sched.is_constant else sched.trace_with(m, t, derivative=True)
+        return sched.trace_with(k, t), work, 0.0
+
+    return _rk4(lambda m, t: apply(gen, m, t, hermitian=True), flow_rates,
+                rho0.matrix, dt, marks, lambda m: 0.5 * (m + m.conj().T))
 
 
 def _band_index(n: int) -> tuple:
@@ -704,19 +648,29 @@ def _band_index(n: int) -> tuple:
     return np.nonzero(np.arange(n)[None, :] < n - np.arange(n)[:, None])
 
 
-def _band_channel(gen: Generator, interval: float) -> tuple:
+def _band_terms(n: int) -> tuple:
+    """(loss_down, loss_up, rung) in _band_index order: damping of a at
+    rates down (jump a) and up (a^dag) keeps each band x_k[i] = rho~[i, i+k]
+    to itself, a tridiagonal block,
+
+        dx_k[i]/dt = -(down loss_down + up loss_up)[k, i] x_k[i]
+                     + down rung[k, i+1] x_k[i+1] + up rung[k, i] x_k[i-1],
+
+    rung[k, i] = 2 sqrt(i (i+k)) (zero at each band's start); loss_up reads
+    the truncated a a^dag, whose top level is 0."""
+    k, i = _band_index(n)
+    c = np.arange(1.0, n + 1.0)
+    c[-1] = 0.0  # the diagonal of the truncated a a^dag
+    return 2 * i + k, c[i] + c[i + k], 2.0 * np.sqrt(i * (i + k))
+
+
+def _band_channel(gen: Generator, s: np.ndarray, interval: float) -> tuple:
     """Exact propagator of a constant-rate tagged bath over one interval.
 
-    In the frame rho~ = S^T rho S, with S = fock._squeeze_matrix(r) (the
-    identity at r = 0, and b = S a S^T up to truncation), the bath is
-    thermal damping of a at rates down = kappa (N+1) and up = kappa N. Its
-    truncated generator maps each band x_k[i] = rho~[i, i+k] onto itself
-    through a tridiagonal block T_k, the same one RK4 integrates at r = 0
-    (Caruso, Giovannetti & Holevo, NJP 8, 310 (2006)). One batched expm of
-    the blocks T_k^T t, each bordered by the column T_k^T h_k t (h_k the
-    band-k entries of S^T H S), gives exp(T_k t) and weights f_k whose dot
-    with x_k(0) is band k's share of the bath flow, the integral of
-    Tr[L(rho) H] over the interval.
+    One batched expm of the blocks T_k^T t of _band_terms, each bordered by
+    the column T_k^T h_k t (h_k the band-k entries of S^T H S, S = s), gives
+    exp(T_k t) and weights f_k whose dot with x_k(0) is band k's share of
+    the bath flow, the integral of Tr[L(rho) H] over the interval.
 
     Band 0 keeps the trace, so its block has the stationary populations p
     (geometric, ratio N/(N+1)) with 1^T T_0 = 0. Squaring in expm doubles
@@ -731,20 +685,17 @@ def _band_channel(gen: Generator, interval: float) -> tuple:
     """
     n = gen.dim.cutoff
     k, i = _band_index(n)
+    loss_down, loss_up, rung = _band_terms(n)
     down = gen.kappa * (gen.nbar + 1.0)
     up = gen.kappa * gen.nbar
-    c = np.arange(1.0, n + 1.0)
-    c[-1] = 0.0  # the diagonal of the truncated a a^dag
-    rates = down * (2 * i + k) + up * (c[i] + c[i + k])
+    rates = down * loss_down + up * loss_up
     t = min(interval, 1e20 / rates.max())
     blocks = np.zeros((n, n + 1, n + 1))
     blocks[k, i, i] = -rates * t
     inner = i > 0  # x_k[i-1] and x_k[i] are both in band k
-    kk, ii = k[inner], i[inner]
-    rung = 2.0 * t * np.sqrt(ii * (ii + kk))
-    blocks[kk, ii, ii - 1] = down * rung  # T[i-1, i]: x_k[i] decays into x_k[i-1]
-    blocks[kk, ii - 1, ii] = up * rung  # T[i, i-1]: x_k[i-1] excites into x_k[i]
-    s = _squeeze_matrix(gen.r, n)
+    kk, ii, rung_t = k[inner], i[inner], t * rung[inner]
+    blocks[kk, ii, ii - 1] = down * rung_t  # T[i-1, i]: x_k[i] decays into x_k[i-1]
+    blocks[kk, ii - 1, ii] = up * rung_t  # T[i, i-1]: x_k[i-1] excites into x_k[i]
     h = (s.T * gen.hamiltonian.diagonal(0.0)) @ s
     h_bands = np.zeros((n, n))
     h_bands[k, i] = h[i + k, i]
@@ -761,44 +712,85 @@ def _band_channel(gen: Generator, interval: float) -> tuple:
     return prop, weights
 
 
-def _channel_run(gen: Generator, rho0: DensityMatrix, dt: float, marks: list):
-    """The exact channel of a constant-rate tagged bath from rho0; yields
-    (step, rho, (E_d, 0, 0)) at each step in marks. One propagator per
-    distinct interval length: every stride, and a shorter final one.
-
-    The bands are carried as real and imaginary columns, the imaginary one
-    only for a complex rho0 (the channel and S are real), so a real run
-    yields float matrices as RK4 does.
-    """
+def _channel_steps(gen: Generator, x: np.ndarray, s: np.ndarray, dt: float, marks: list):
+    """_band_channel from the bands x; yields (step, x, (E_d, 0, 0)) at each
+    step in marks, with one propagator per distinct interval length. The
+    propagators are real: a complex x is carried as (re, im) columns."""
     n = gen.dim.cutoff
     k, i = _band_index(n)
-    band, upper, lower = k * n + i, i * n + i + k, (i + k) * n + i
-    s = _squeeze_matrix(gen.r, n)
-    frame = (s.T @ rho0.matrix @ s).ravel()[upper]
-    frame[k == 0] = frame[k == 0].real  # the diagonal is real
-    parts = (frame.real, frame.imag) if np.any(frame.imag) else (frame.real,)
-    z = np.zeros((n * n, len(parts)))
-    z[band] = np.stack(parts, axis=1)
-    z = z.reshape(n, n, len(parts))
-    tables = {}
-    e_d, step = 0.0, 0
+    z = np.zeros((n, n, 2 if np.iscomplexobj(x) else 1))
+    z[k, i] = x.view(float).reshape(len(x), -1)
+    tables, e_d, step = {}, 0.0, 0
     for mark in marks:
         if mark - step not in tables:
-            tables[mark - step] = _band_channel(gen, (mark - step) * dt)
+            tables[mark - step] = _band_channel(gen, s, (mark - step) * dt)
         prop, weights = tables[mark - step]
         e_d += float(np.vdot(weights, z[..., 0]))
         z = prop @ z
         step = mark
-        cols = z.reshape(n * n, -1)[band]
-        vals = cols[:, 0] if cols.shape[1] == 1 else cols[:, 0] + 1j * cols[:, 1]
-        rho = np.zeros(n * n, dtype=vals.dtype)
-        rho[lower] = vals.conj()
-        rho[upper] = vals
-        rho = rho.reshape(n, n)
+        yield mark, z[k, i].view(x.dtype).ravel(), (e_d, 0.0, 0.0)
+
+
+def _band_rk4(gen: Generator, x: np.ndarray, s: np.ndarray, dt: float, marks: list):
+    """RK4 of a swept tagged bath on the bands x, reading N(t) once per
+    stage; yields (step, x, (E_d, W, Phi)) at each step in marks.
+
+    With H = omega(t) diag(levels) and h~ = S^T diag(levels) S, the flows
+    are E_d = omega Tr[k~ h~], W = omega_dot Tr[m~ h~] and the
+    squeezed-mode heat Phi = omega Tr[k~ S^T (S n S^T) S] = omega Tr[k~ n].
+    """
+    n = gen.dim.cutoff
+    k, i = _band_index(n)
+    sched = gen.hamiltonian
+    loss_down, loss_up, rung = _band_terms(n)
+    rung = rung[1:]  # zero at each band's start: the shifts stay in band
+    h = ((s.T * sched.levels) @ s)[i + k, i]
+    h[k > 0] *= 2.0  # band -k adds the complex conjugate of band k
+    number = np.arange(n, dtype=float)
+
+    def deriv(x: np.ndarray, t: float) -> np.ndarray:
+        occ = gen.occupation_at(t)
+        down, up = gen.kappa * (occ + 1.0), gen.kappa * occ
+        out = -(down * loss_down + up * loss_up) * x
+        out[:-1] += (down * rung) * x[1:]
+        out[1:] += (up * rung) * x[:-1]
+        return out
+
+    def flow_rates(m: np.ndarray, dx: np.ndarray, t: float) -> tuple:
+        w = sched.frequency(t)  # Phi reads band 0, the first n entries
+        return (w * np.vdot(h, dx).real, sched.frequency_dot(t) * np.vdot(h, m).real,
+                w * np.vdot(number, dx[:n]).real)
+
+    return _rk4(deriv, flow_rates, x, dt, marks)
+
+
+def _frame_run(gen: Generator, rho0: DensityMatrix, dt: float, marks: list):
+    """A tagged bath in its frame rho~ = S^T rho S from rho0; yields
+    (step, rho, (E_d, W, Phi)) at each step in marks.
+
+    S = fock._squeeze_matrix(r) is the identity at r = 0 and b = S a S^T up
+    to truncation, so in the frame the bath damps a at down = kappa (N+1)
+    and up = kappa N, band by band (_band_terms; Caruso, Giovannetti &
+    Holevo, NJP 8, 310 (2006)). The bands are one vector, real for a real
+    rho0. Constant rates and H take the exact channel, anything swept RK4.
+    """
+    n = gen.dim.cutoff
+    k, i = _band_index(n)
+    s = _squeeze_matrix(gen.r, n)
+    x = (s.T @ rho0.matrix @ s)[i, i + k]
+    x[k == 0] = x[k == 0].real  # the diagonal is real
+    if not np.any(x.imag):
+        x = x.real.copy()
+    exact = gen.occupation_fn is None and gen.hamiltonian.is_constant
+    run = (_channel_steps if exact else _band_rk4)(gen, x, s, dt, marks)
+    for mark, x, flows in run:
+        rho = np.zeros((n, n), dtype=x.dtype)
+        rho[i + k, i] = x.conj()
+        rho[i, i + k] = x
         if gen.r:
             rho = s @ rho @ s.T
             rho = 0.5 * (rho + rho.conj().T)  # scrub roundoff asymmetry
-        yield mark, rho, (e_d, 0.0, 0.0)
+        yield mark, rho, flows
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
+import argparse
 import math
 
 import pytest
 
-from squeezedbath import SlowDriveViolation
+from squeezedbath import ConfigError, SlowDriveViolation
 from squeezedbath import cli
 from squeezedbath import engine as eng
 from squeezedbath.cli import _STROKE_FIELDS, CYCLE_COLUMNS, TRAJECTORY_COLUMNS, main
@@ -124,6 +125,43 @@ class TestConfigValidation:
         assert run("decay", cfg, out, f"--dt={dt}") == 2
         assert not out.exists()
         assert "--dt: expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keys, flags", [
+        ({"dt": -1}, ()),
+        ({"dt": 0}, ()),
+        ({}, ("--dt", "-1")),
+        ({"cutoff": 1}, ()),
+        ({"cutoff": 0}, ()),  # decay has no automatic size
+        ({}, ("--cutoff", "1")),
+    ])
+    def test_out_of_range_dt_or_cutoff_is_a_config_error(self, tmp_path, capsys,
+                                                          keys, flags):
+        cfg = write_config(tmp_path, "decay", alpha=1.0, t_final=1.0, **keys)
+        out = tmp_path / "out.csv"
+        assert run("decay", cfg, out, *flags) == 2
+        assert not out.exists()
+        key = "cutoff" if "cutoff" in keys or "--cutoff" in flags else "dt"
+        assert f"[decay] {key} or --{key}: expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, keys", [
+        ("otto-sweep", dict(temp_hot=3.0, temp_cold=1.0, omega_hot=0.3,
+                            x_values="0.5", r_values="0.5")),
+        ("cycle", dict(temp_cold=1.0, temp_hot=3.0, omega_hot=0.3)),
+        ("multibath", dict(temp_cold=1.0, temp_hot=3.0, mid_temperatures="",
+                           omega_cold=0.15, omega_hot=0.3)),
+    ])
+    def test_zero_cutoff_sizes_automatically_where_it_is_the_default(
+        self, tmp_path, scenario, keys
+    ):
+        for given, flag in ((0, None), (5, 0)):
+            cfg = write_config(tmp_path, scenario, cutoff=given, **keys)
+            args = argparse.Namespace(dt=None, cutoff=flag)
+            assert cli._load_config(scenario, str(cfg), args)["cutoff"] == 0
+        for given, flag in ((1, None), (5, 1), (-3, None)):
+            cfg = write_config(tmp_path, scenario, cutoff=given, **keys)
+            args = argparse.Namespace(dt=None, cutoff=flag)
+            with pytest.raises(ConfigError, match="cutoff or --cutoff"):
+                cli._load_config(scenario, str(cfg), args)
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run("decay", tmp_path / "absent.ini", tmp_path / "out.csv") == 2

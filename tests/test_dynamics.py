@@ -269,16 +269,18 @@ class TestApply:
         np.testing.assert_allclose(apply(gen, rho, hermitian=True),
                                    apply(gen, rho), atol=1e-13)
 
-    def test_real_input_stays_real_only_under_real_interaction_generator(self):
+    def test_real_input_gives_the_complex_result(self):
         gen = squeezed_generator(1.0, 1.0, 0.3, 0.25, dim=30)
         rho = squeezed_thermal_state(0.3, 0.1, 30).matrix
         out = apply(gen, rho.real)
-        assert not np.iscomplexobj(out)
+        assert np.iscomplexobj(out)
         np.testing.assert_allclose(out, apply(gen, rho), atol=1e-14)
-        assert np.iscomplexobj(apply(gen, rho))
         closed = Generator(HilbertDim(30), constant_hamiltonian(
             harmonic_hamiltonian(1.0, 30)), jumps=())
         assert np.iscomplexobj(apply(closed, rho.real))
+        empty = Generator(HilbertDim(30), constant_hamiltonian(
+            harmonic_hamiltonian(1.0, 30)), jumps=(), picture="interaction")
+        assert np.iscomplexobj(apply(empty, rho.real))
 
 
 class TestRateReader:
@@ -401,23 +403,27 @@ class TestEvolve:
 
 
 class TestChannelRoute:
-    """A tagged bath with constant rates and H runs as an exact channel."""
+    """A tagged bath runs in its own frame; with constant rates and H it
+    is an exact channel."""
 
-    def test_constant_tagged_baths_never_call_apply(self, monkeypatch):
+    def test_tagged_baths_never_call_apply(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("apply called")
 
         monkeypatch.setattr(dynamics, "apply", refuse)
-        thermal = thermal_generator(2.0, 1.0, nbar=0.3, dim=12)
-        squeezed = squeezed_generator(2.0, 1.0, 0.3, 0.2, dim=12)
-        for gen in (thermal, squeezed):
-            evolve(gen, coherent_state(0.5, 12), 1.0)
-        swept = thermal_generator(
-            linear_ramp_schedule(2.0, 1.99, 1.0, dim=12), 1.0, dim=12, temperature=1.0
+        ramp = linear_ramp_schedule(2.0, 1.99, 1.0, dim=12)
+        baths = (
+            thermal_generator(2.0, 1.0, nbar=0.3, dim=12),
+            squeezed_generator(2.0, 1.0, 0.3, 0.2, dim=12),
+            thermal_generator(ramp, 1.0, dim=12, temperature=1.0),  # swept N
+            squeezed_generator(ramp, 1.0, 0.3, 0.2, dim=12),  # swept H, fixed N
+            squeezed_generator(ramp, 1.0, None, 0.2, dim=12, temperature=0.0),
         )
-        for gen in (custom_clone(thermal), custom_clone(squeezed), swept):
+        for gen in baths:
+            evolve(gen, coherent_state(0.5, 12), 1.0)
+        for gen in baths:
             with pytest.raises(AssertionError, match="apply called"):
-                evolve(gen, coherent_state(0.5, 12), 1.0)
+                evolve(custom_clone(gen), coherent_state(0.5, 12), 1.0)
 
     def test_random_start_matches_expm_of_the_truncated_generator(self):
         n = 20
@@ -477,55 +483,49 @@ class TestChannelRoute:
             assert state.min_eig >= 0.0
 
 
-class TestRepresentationOracle:
-    """The real-matrix integrator against the complex one.
+class TestFrameOracle:
+    """A swept tagged bath on its frame bands against its custom clone,
+    which runs RK4 on the lab matrix over the same step grid.
 
-    Conjugating by U = diag(exp(i phi n)) multiplies every band-k jump
-    element by exp(i phi k), so the rotated generator has complex jumps
-    and runs on the complex matrix, while diagonal states and the ladder
-    H(t) are left unchanged. The two runs must then agree to roundoff:
-    rho(t) = U rho_tilde(t) U^dag with the same E_d and W.
+    The frame truncates S a S^T where the lab truncates b; at cutoff 40
+    the two agree far below the tolerance, so the states, E_d and W must
+    match at every snapshot.
     """
 
-    PHASE = 0.7
-
     def _compare(self, gen, rho0, t_final):
-        phases = np.exp(1j * self.PHASE * np.arange(gen.dim.cutoff))
-        u = Operator(gen.dim, np.diag(phases))
-        rotated_gen = conjugate_generator(gen, u)
-        # evolve runs on the float matrix exactly when apply keeps it real
-        assert apply(gen, rho0.matrix.real).dtype == float
-        assert not rotated_gen._real_jumps
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SlowDriveViolation)
-            direct = evolve(gen, rho0, t_final)
-        rotated = evolve(rotated_gen, rho0, t_final)
-        np.testing.assert_array_equal(direct.times, rotated.times)
-        np.testing.assert_allclose(direct.dissipated_cum, rotated.dissipated_cum,
+            frame = evolve(gen, rho0, t_final)
+            lab = evolve(custom_clone(gen), rho0, t_final)
+        np.testing.assert_array_equal(frame.times, lab.times)
+        np.testing.assert_allclose(frame.dissipated_cum, lab.dissipated_cum,
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(direct.work_cum, rotated.work_cum,
-                                   rtol=0, atol=1e-12)
-        um = u.matrix
-        for a, b in zip(direct.states, rotated.states):
-            np.testing.assert_allclose(a.matrix, um @ b.matrix @ um.conj().T,
-                                       rtol=0, atol=1e-12)
-        return direct
+        np.testing.assert_allclose(frame.work_cum, lab.work_cum, rtol=0, atol=1e-12)
+        for a, b in zip(frame.states, lab.states):
+            np.testing.assert_allclose(a.matrix, b.matrix, rtol=0, atol=1e-12)
+        assert abs(frame.dissipated_cum[-1]) > 1e-3
+        return frame
 
-    def test_squeezed_ramp_real_matrix_path(self):
+    @staticmethod
+    def squeezed_ramp():
         sched = linear_ramp_schedule(25.0, 20.0, 2.0, dim=40)
-        gen = squeezed_generator(sched, 1.0, None, 0.2, dim=40, temperature=5.0)
-        rho0 = thermal_state(bose_occupation(25.0, 5.0), 40)
-        traj = self._compare(gen, rho0, 2.0)
-        assert abs(traj.dissipated_cum[-1]) > 1e-3
+        return squeezed_generator(sched, 1.0, None, 0.2, dim=40, temperature=5.0)
 
-    def test_thermal_ramp_population_path(self):
+    def test_squeezed_ramp(self):
+        rho0 = thermal_state(bose_occupation(25.0, 5.0), 40)
+        self._compare(self.squeezed_ramp(), rho0, 2.0)
+
+    def test_thermal_ramp_from_a_non_thermal_diagonal_start(self):
         sched = linear_ramp_schedule(2.0, 1.5, 2.0, dim=40)
         gen = thermal_generator(sched, 1.0, dim=40, temperature=1.0)
         p = thermal_populations(0.2, 40) + 0.5 * thermal_populations(1.0, 40)
         rho0 = DensityMatrix(Operator(HilbertDim(40), np.diag(p / p.sum())))
         traj = self._compare(gen, rho0, 2.0)
-        assert abs(traj.dissipated_cum[-1]) > 1e-3
         assert abs(traj.work_cum[-1]) > 1e-3
+
+    def test_complex_coherent_start_under_the_squeezed_ramp(self):
+        traj = self._compare(self.squeezed_ramp(), coherent_state(0.5 + 0.7j, 40), 2.0)
+        assert np.abs(traj.final_state.matrix.imag).max() > 1e-2
 
 
 class TestSteadyState:

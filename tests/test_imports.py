@@ -1,5 +1,6 @@
 """Every name a library module imports is used in that module, and every
-private module-level name is referenced outside its own definition.
+private module-level name or class member (method, property or
+cached_property) is referenced outside its own definition.
 
 No linter ships with the test dependencies, so these AST checks stand in
 for one. The package __init__ is skipped by the import check: its imports
@@ -78,14 +79,19 @@ def _private_definitions(tree):
                 yield name, node
 
 
-def _references(node):
-    for sub in ast.walk(node):
+def _names(nodes):
+    """The names that Name, Attribute and import alias nodes refer to."""
+    for sub in nodes:
         if isinstance(sub, ast.Name):
             yield sub.id
         elif isinstance(sub, ast.Attribute):
             yield sub.attr
         elif isinstance(sub, ast.alias):
             yield sub.name
+
+
+def _references(node):
+    return _names(ast.walk(node))
 
 
 def unreferenced_privates(sources: dict) -> list:
@@ -125,4 +131,64 @@ def test_check_sees_dead_private_names():
         ("a.py", "_unused"),
         ("a.py", "_helper"),
         ("a.py", "_Dead"),
+    ]
+
+
+
+def _private_members(tree):
+    """(Class._name, node) per private method, property or cached_property
+    of a module-level class."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if (
+                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")
+                ):
+                    yield f"{cls.name}.{node.name}", node
+
+
+def unreferenced_private_members(sources: dict) -> list:
+    """(module, Class._name) per private class member that nothing in the
+    package's modules (sources: module -> text) names outside the member's
+    own definition."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    dead = []
+    for module, tree in trees.items():
+        for qualname, node in _private_members(tree):
+            inside = {id(sub) for sub in ast.walk(node)}
+            if not any(
+                node.name in _names(sub for sub in ast.walk(other) if id(sub) not in inside)
+                for other in trees.values()
+            ):
+                dead.append((module, qualname))
+    return dead
+
+
+def test_no_unreferenced_private_members():
+    package = Path(squeezedbath.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert unreferenced_private_members(sources) == []
+
+
+def test_check_sees_dead_private_members():
+    sources = {
+        "a.py": (
+            "import functools\n"
+            "class A:\n"
+            "    def __init__(self):\n        self._slot = 0\n"
+            "    def _used(self):\n        return 1\n"
+            "    def _recursive(self):\n        return self._recursive()\n"
+            "    @property\n    def _prop(self):\n        return 2\n"
+            "    @functools.cached_property\n    def _cached(self):\n        return 3\n"
+            "    @functools.cached_property\n    def _gone(self):\n        return 4\n"
+            "    def public(self):\n        return self._used()\n"
+        ),
+        "b.py": "def f(a):\n    return a._cached\n",
+    }
+    assert unreferenced_private_members(sources) == [
+        ("a.py", "A._recursive"),
+        ("a.py", "A._prop"),
+        ("a.py", "A._gone"),
     ]
