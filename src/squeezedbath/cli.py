@@ -239,7 +239,7 @@ def _run_carnot_stroke(cfg: dict):
         )
         nb0 = bose_occupation(cfg["omega_start"], temp)
         traj = evolve(gen, thermal_state(nb0, dim), tau, dt=cfg["dt"])
-        rep = entropy_bound_report(traj, gen, dt=cfg["dt"])
+        rep = entropy_bound_report(traj, gen)
         row = {column: getattr(rep, field) for column, field in _STROKE_FIELDS}
         rows.append({"duration": tau, **row})
     return ["duration"] + [column for column, _ in _STROKE_FIELDS], rows

@@ -204,7 +204,8 @@ class Generator:
 
     kind tags which analytic structure applies ("thermal", "squeezed",
     "custom"); invariant states and entropy routes key off it, and evolve
-    runs a tagged bath in its own frame (custom ones on the lab matrix).
+    runs a tagged bath, whose ladder schedule carries omega(t), in its own
+    frame (custom ones on the lab matrix).
     kappa/nbar/r/temperature are bookkeeping metadata mirroring the
     construction parameters: a tagged bath carries its squeezing r (0.0
     for a thermal one), and nbar is None when the occupation varies in
@@ -231,6 +232,9 @@ class Generator:
             raise ValueError("a squeezed generator needs a nonzero r")
         if self.kind == "thermal" and self.r:
             raise ValueError("a thermal generator has r = 0")
+        sched = self.hamiltonian
+        if self.kind != "custom" and None in (sched.frequency, sched.frequency_dot):
+            raise ValueError(f"a {self.kind} bath's schedule needs frequency metadata")
         if self.picture not in ("interaction", "schroedinger"):
             raise ValueError(f"unknown picture {self.picture!r}")
         if self.hamiltonian.dim != self.dim:
@@ -319,10 +323,6 @@ def _bath_generator(
 
     if isinstance(omega, HamiltonianSchedule):
         schedule = omega
-        if schedule.dim != d:
-            raise ValueError("schedule dimension mismatch")
-        if schedule.frequency is None:
-            raise ValueError("schedule must carry frequency metadata")
     else:
         w = float(omega)
         schedule = HamiltonianSchedule(
@@ -332,11 +332,13 @@ def _bath_generator(
             frequency_dot=lambda t: 0.0,
             levels=np.arange(d.cutoff, dtype=float),
         )
-
-    occupation_fn = None
-    if nbar is not None or schedule.is_constant or temperature == 0:
         if nbar is None:
-            nbar = bose_occupation(schedule.frequency(0.0), temperature)
+            nbar = bose_occupation(w, temperature)
+
+    if temperature == 0:
+        nbar = 0.0  # zero occupation at every frequency
+    occupation_fn = None
+    if nbar is not None:
         nbar = float(nbar)
         down: RateLike = kappa * (nbar + 1.0)
         up: RateLike = kappa * nbar
@@ -946,9 +948,10 @@ def relax_populations(
 def _thermal_contact(gen: Generator, n0: float, t_final: float) -> tuple:
     """Mean occupation, heat and work of a thermal contact on a swept ladder.
 
-    gen is a thermal bath generator; its occupation N(t) may follow
-    omega(t). Such a contact is one phase-insensitive channel, so its mean
-    obeys dn/dt = -2 kappa (n - N(t)) on its own. Fixed-step RK4
+    gen is a tagged bath generator, a squeezed one giving the contact of
+    its passive frame: only kappa, N(t) (which may follow omega(t)) and
+    omega(t) enter. Such a contact is one phase-insensitive channel, so its
+    mean obeys dn/dt = -2 kappa (n - N(t)) on its own. Fixed-step RK4
     integrates n from n0 together with the heat (the integral of omega dn)
     and the work (the integral of omega_dot n dt) from the same stage
     values, and warns like evolve when the sweep is too fast. The step

@@ -39,7 +39,8 @@ from .dynamics import (
     thermal_generator,
 )
 from .errors import LedgerInconsistent, SlowDriveViolation
-from .fock import DensityMatrix, Operator, _check_unitary, squeezed_thermal_state
+from .fock import DensityMatrix, Operator, _check_unitary
+from .fock import squeezed_thermal_state, thermal_state
 from .passivity import (
     EIG_FLOOR,
     passive_decompose,
@@ -328,18 +329,16 @@ def entropy_bound_report(
     traj: Trajectory,
     gen: Generator,
     bath_temperature: float | None = None,
-    *,
-    dt: float | None = None,
 ) -> EntropyReport:
     """Entropy balance of a finished stroke against its bath.
 
-    The bath temperature defaults to the generator's; the comparison path
-    starts from the passive state and runs under the passive-frame
-    generator derived from the bath tag (a custom generator is its own
-    passive frame). For a squeezed bath that frame is a thermal contact,
-    one phase-insensitive channel whose mean, and so whose flow, closes on
-    itself: dynamics._thermal_contact integrates it. Thermal and custom
-    baths run it through alt_path_energy, with step dt. Both dissipated
+    The bath temperature defaults to the generator's. The comparison path
+    starts from the passive state under H(0) and runs in the bath's
+    passive frame. For a tagged bath (thermal or squeezed) that frame is a
+    thermal contact, one phase-insensitive channel whose mean, and so whose
+    flow, closes on itself: dynamics._thermal_contact integrates it on gen,
+    and its invariant is the thermal state at N(0). A custom generator is
+    its own passive frame, evolved by alt_path_energy. Both dissipated
     fluxes are divided by the temperature; the slacks delta_S - bound
     quantify how far the stroke is from saturating each inequality.
     """
@@ -349,33 +348,32 @@ def entropy_bound_report(
         raise ValueError("entropy bounds need a positive bath temperature")
     t_bath = float(bath_temperature)
 
-    alt_gen = passive_frame_generator(gen)
-
     s0 = von_neumann_entropy(traj.states[0])
     s1 = von_neumann_entropy(traj.states[-1])
     delta_s = s1 - s0
     e_d = float(traj.dissipated_cum[-1])
 
     t_final = float(traj.times[-1] - traj.times[0])
+    h0 = Operator(gen.dim, gen.hamiltonian.evaluate(0.0))
+    pi0 = passive_decompose(traj.states[0], h0).passive_state
     # the comparison path replays the stroke's schedule over the same span,
     # so a too-fast sweep was already reported when the stroke was evolved
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SlowDriveViolation)
-        if gen.kind == "squeezed":
-            h0 = Operator(gen.dim, alt_gen.hamiltonian.evaluate(0.0))
-            pi0 = passive_decompose(traj.states[0], h0).passive_state
-            n0 = float(np.diagonal(pi0.matrix).real @ np.arange(gen.dim.cutoff))
-            _, e_alt, _ = _thermal_contact(alt_gen, n0, t_final)
+        if gen.kind == "custom":
+            e_alt, _ = alt_path_energy(gen, traj.states[0], t_final)
+            invariant = bath_invariant_state(gen, t=0.0)
         else:
-            e_alt, alt_traj = alt_path_energy(alt_gen, traj.states[0], t_final, dt=dt)
-            pi0 = alt_traj.states[0]
+            n0 = float(np.diagonal(pi0.matrix).real @ np.arange(gen.dim.cutoff))
+            _, e_alt, _ = _thermal_contact(gen, n0, t_final)
+            invariant = thermal_state(gen.occupation_at(0.0), gen.dim)
 
     sigma = float(sigma_series(traj, gen)[-1])
-    rel = relative_entropy(pi0, bath_invariant_state(alt_gen, t=0.0))
+    rel = relative_entropy(pi0, invariant)
 
     bound_total = e_d / t_bath
     bound_alt = e_alt / t_bath
-    if alt_gen is gen and _is_time_independent(gen):
+    if gen.kind != "squeezed" and _is_time_independent(gen):
         # direct thermal relaxation: the alt path can only dissipate at
         # least as much, so its bound is the tighter (larger) one
         tol = TOL_FIRSTLAW_SCALE * max(1.0, abs(bound_total), abs(bound_alt))

@@ -114,26 +114,24 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """S(rho || sigma) = Tr[rho (ln rho - ln sigma)].
 
-    Infinite when rho puts weight where sigma has none. Small negative
-    rounding residue is clamped to zero.
+    Infinite when rho puts weight where sigma has none: below EIG_FLOOR,
+    or exactly zero for a diagonal sigma, whose eigenvalues are exact.
+    Small negative rounding residue is clamped to zero.
     """
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
-    s_vals, s_vecs = np.linalg.eigh(sigma.matrix)
-    null = s_vals <= EIG_FLOOR
-    if null.any():
-        proj = s_vecs[:, null]
-        weight = float(
-            np.einsum("ij,jk,ki->", proj.conj().T, rho.matrix, proj).real
-        )
-        if weight > SUPPORT_TOL:
-            return math.inf
+    s_vals, s_vecs = _hamiltonian_eigensystem(sigma)
+    diagonal = not np.any(sigma.matrix - np.diag(np.diagonal(sigma.matrix)))
+    null = s_vals <= (0.0 if diagonal else EIG_FLOOR)
     r_vals, r_vecs = np.linalg.eigh(rho.matrix)
-    r_pos = np.clip(r_vals, 0.0, None)
+    overlap = np.abs(s_vecs.conj().T @ r_vecs) ** 2  # |<s_i|r_j>|^2
+    if overlap[null].sum(axis=0) @ np.clip(r_vals, 0.0, None) > SUPPORT_TOL:
+        return math.inf
+    # as in rho's entropy, its weight below EIG_FLOOR counts as zero
+    r_pos = np.where(r_vals > EIG_FLOOR, r_vals, 0.0)
     term_rho = -_population_entropy(r_pos)
     # Tr[rho ln sigma] via sigma's eigenbasis; null directions carry no rho weight
-    overlap = np.abs(s_vecs.conj().T @ r_vecs) ** 2  # |<s_i|r_j>|^2
-    log_s = np.where(null, 0.0, np.log(np.clip(s_vals, EIG_FLOOR, None)))
+    log_s = np.log(np.where(null, 1.0, s_vals))
     term_cross = float(log_s @ overlap @ r_pos)
     return max(term_rho - term_cross, 0.0)
 

@@ -362,14 +362,15 @@ class TestCarnotStrokeScenario:
         for row, rep in zip(rows, reports, strict=True):
             assert_columns_hold_fields(header, row, rep, fields)
 
-    def test_columns_match_the_gaussian_oracle(self, tmp_path):
-        cfg = write_config(tmp_path, "carnot-stroke", durations="2, 4")
+    @pytest.mark.parametrize("r", [0.2, 0.0])
+    def test_columns_match_the_gaussian_oracle(self, tmp_path, r):
+        cfg = write_config(tmp_path, "carnot-stroke", durations="2, 4", r=r)
         out = tmp_path / "stroke.csv"
         assert run("carnot-stroke", cfg, out) == 0
         header, rows = read_table(out)
         for row in rows:
             tau = float(row[header.index("duration")])
-            oracle, _ = gaussian_stroke(25.0, 20.0, tau, 5.0, 0.2)
+            oracle, _ = gaussian_stroke(25.0, 20.0, tau, 5.0, r)
             for name, field in _STROKE_FIELDS:
                 value = float(row[header.index(name)])
                 assert value == pytest.approx(oracle[field], rel=0, abs=1e-10), name

@@ -166,11 +166,20 @@ class TestBathValidation:
 
     def test_thermal_tag_means_zero_squeezing(self):
         # the thermal kind is the r = 0 member of the squeezed family
-        h = constant_hamiltonian(harmonic_hamiltonian(1.0, 6))
+        h = linear_ramp_schedule(1.0, 1.0, 1.0, dim=6)
         jumps = (JumpTerm(annihilation(6), 1.0),)
         assert Generator(HilbertDim(6), h, jumps, kind="thermal", nbar=0.2).r == 0.0
         with pytest.raises(ValueError, match="a thermal generator has r = 0"):
             Generator(HilbertDim(6), h, jumps, kind="thermal", nbar=0.2, r=0.3)
+
+    @pytest.mark.parametrize("kind, r", [("thermal", 0.0), ("squeezed", 0.3)])
+    def test_tagged_schedule_must_carry_frequency(self, kind, r):
+        # the tagged routes read omega(t); a bare schedule fails at construction
+        h = constant_hamiltonian(harmonic_hamiltonian(1.0, 6))
+        jumps = (JumpTerm(annihilation(6), lambda t: 1.0 + 0.1 * t),)
+        with pytest.raises(ValueError, match="frequency metadata"):
+            Generator(HilbertDim(6), h, jumps, kind=kind, r=r,
+                      occupation_fn=lambda t: 0.1 * t)
 
     def test_static_frequency_is_a_constant_ladder(self):
         gen = squeezed_generator(2.0, 1.0, None, 0.3, dim=6, temperature=1.5)

@@ -72,18 +72,20 @@ def gaussian_stroke(omega_start, omega_end, tau, temperature, r, kappa=1.0):
 
 
 class TestDrivenSqueezedStrokeOracle:
-    """The 25 -> 20 sweep at T = 5, r = 0.2, cutoff 40 against the moments."""
+    """The 25 -> 20 sweep at T = 5, cutoff 40 against the moments, squeezed
+    (r = 0.2) and thermal (r = 0)."""
 
+    @pytest.mark.parametrize("r", [0.2, 0.0])
     @pytest.mark.parametrize("tau", [2.0, 4.0, 10.0])
-    def test_entropy_report_matches_gaussian_moments(self, tau):
+    def test_entropy_report_matches_gaussian_moments(self, tau, r):
         sched = linear_ramp_schedule(25.0, 20.0, tau, dim=40)
-        gen = squeezed_generator(sched, 1.0, None, 0.2, dim=40, temperature=5.0)
+        gen = squeezed_generator(sched, 1.0, None, r, dim=40, temperature=5.0)
         rho0 = thermal_state(bose_occupation(25.0, 5.0), 40)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             traj = evolve(gen, rho0, tau)
             rep = entropy_bound_report(traj, gen)
-        fields, work = gaussian_stroke(25.0, 20.0, tau, 5.0, 0.2)
+        fields, work = gaussian_stroke(25.0, 20.0, tau, 5.0, r)
         for field, value in fields.items():
             assert getattr(rep, field) == pytest.approx(value, rel=0, abs=1e-10), field
         assert traj.work_cum[-1] == pytest.approx(work, rel=0, abs=1e-10)

@@ -371,13 +371,21 @@ class TestAltPath:
 
 class TestEntropyBoundReport:
     @pytest.mark.parametrize(
-        "tau, alpha", [(2.0, None), (4.0, None), (10.0, None), (2.0, 1.0)]
+        "r, tau, alpha",
+        [
+            (0.2, 2.0, None),
+            (0.2, 4.0, None),
+            (0.2, 10.0, None),
+            (0.2, 2.0, 1.0),
+            (0.0, 2.0, None),
+            (0.0, 2.0, 1.0),
+        ],
     )
-    def test_squeezed_comparison_path_matches_alt_path_energy(self, tau, alpha):
+    def test_comparison_path_matches_alt_path_energy(self, r, tau, alpha):
         # the report runs the passive-frame path as a thermal channel;
         # alt_path_energy integrates the same path on the density matrix
         sched = linear_ramp_schedule(25.0, 20.0, tau, dim=40)
-        gen = squeezed_generator(sched, 1.0, None, 0.2, dim=40, temperature=5.0)
+        gen = squeezed_generator(sched, 1.0, None, r, dim=40, temperature=5.0)
         if alpha is None:
             rho0 = thermal_state(bose_occupation(25.0, 5.0), 40)
         else:  # a start that is not its own passive state
@@ -388,6 +396,34 @@ class TestEntropyBoundReport:
             rep = entropy_bound_report(traj, gen)
             e_alt, _ = alt_path_energy(passive_frame_generator(gen), rho0, tau)
         assert rep.alt_energy == pytest.approx(e_alt, rel=0, abs=1e-12)
+
+    def test_constant_thermal_relaxation_matches_alt_path_energy(self):
+        gen = thermal_generator(1.0, 1.0, dim=30, temperature=T_HALF)
+        rho0 = coherent_state(1.2, 30)
+        rep = entropy_bound_report(evolve(gen, rho0, 4.0), gen)
+        e_alt, _ = alt_path_energy(gen, rho0, 4.0)
+        assert rep.alt_energy == pytest.approx(e_alt, rel=0, abs=1e-12)
+
+    def test_only_a_custom_bath_evolves_its_comparison_path(self, monkeypatch):
+        calls = []
+        for name in ("evolve", "alt_path_energy"):
+            inner = getattr(ledger, name)
+            monkeypatch.setattr(
+                ledger, name,
+                lambda *a, _f=inner, _n=name, **k: calls.append(_n) or _f(*a, **k),
+            )
+        sched = linear_ramp_schedule(25.0, 20.0, 1.0, dim=16)
+        rho0 = coherent_state(0.5, 16)
+        for r in (0.2, 0.0):
+            gen = squeezed_generator(sched, 1.0, None, r, dim=16, temperature=5.0)
+            clone = _custom_clone(gen)
+            for bath, expected in ((gen, []), (clone, ["alt_path_energy", "evolve"])):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", SlowDriveViolation)
+                    traj = evolve(bath, rho0, 1.0)
+                    calls.clear()
+                    entropy_bound_report(traj, bath)
+                assert calls == expected, (r, bath.kind)
 
     def test_relaxation_bounds_are_ordered_and_obeyed(self):
         gen = thermal_generator(1.0, 1.0, dim=30, temperature=T_HALF)
@@ -408,11 +444,23 @@ class TestEntropyBoundReport:
         assert rep.slack_alt_path == pytest.approx(rep.passive_rel_entropy, abs=1e-6)
 
     def test_passive_start_collapses_both_bounds(self):
+        # both paths relax the same thermal start: each flow is the channel's
+        # mean law omega (eta n0 + (1 - eta) N - n0), with N = 0.5 at T_HALF
         gen = thermal_generator(1.0, 1.0, dim=30, temperature=T_HALF)
-        traj = evolve(gen, thermal_state(0.8, 30), 3.0)
+        rho0 = thermal_state(0.8, 30)
+        traj = evolve(gen, rho0, 3.0)
         rep = entropy_bound_report(traj, gen)
-        assert rep.bound_alt_path == rep.bound_total_heat
-        assert rep.slack_alt_path == rep.slack_total_heat
+        p = np.diagonal(rho0.matrix).real
+        n0 = float(p @ np.arange(30))
+        eta = math.exp(-6.0)
+        mean_law = eta * n0 + (1.0 - eta) * 0.5 - n0
+        assert rep.dissipated == pytest.approx(mean_law, rel=0, abs=1e-12)
+        assert rep.alt_energy == pytest.approx(mean_law, rel=0, abs=1e-12)
+        q = np.diagonal(thermal_state(0.5, 30).matrix).real
+        assert math.isfinite(rep.passive_rel_entropy)
+        assert rep.passive_rel_entropy == pytest.approx(
+            float(np.sum(p * np.log(p / q))), rel=0, abs=1e-12
+        )
 
     def test_requires_a_temperature(self):
         gen = thermal_generator(1.0, 1.0, nbar=0.5, dim=20)

@@ -175,6 +175,14 @@ class TestRelativeEntropy:
     def test_support_mismatch_is_infinite(self):
         assert relative_entropy(number_state(0, 5), number_state(1, 5)) == math.inf
 
+    @pytest.mark.parametrize("n", [30, 40])
+    def test_hotter_start_against_a_full_rank_thermal_state(self, n):
+        # the reference's tail falls below EIG_FLOOR but is still support
+        rho, sig = thermal_state(0.8, n), thermal_state(0.5, n)
+        p, q = np.diagonal(rho.matrix).real, np.diagonal(sig.matrix).real
+        oracle = float(np.sum(p * np.log(p / q)))
+        assert relative_entropy(rho, sig) == pytest.approx(oracle, rel=0, abs=1e-12)
+
     def test_geometric_law_oracle(self):
         val = relative_entropy(thermal_state(0.5, 40), thermal_state(1.0, 40))
         p = np.array([(0.5 / 1.5) ** n / 1.5 for n in range(200)])
