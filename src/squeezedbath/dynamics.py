@@ -233,8 +233,9 @@ class Generator:
         if self.kind == "thermal" and self.r:
             raise ValueError("a thermal generator has r = 0")
         sched = self.hamiltonian
-        if self.kind != "custom" and None in (sched.frequency, sched.frequency_dot):
-            raise ValueError(f"a {self.kind} bath's schedule needs frequency metadata")
+        ladder = (sched.levels, sched.frequency, sched.frequency_dot)
+        if self.kind != "custom" and any(part is None for part in ladder):
+            raise ValueError(f"a {self.kind} bath needs levels and frequency metadata")
         if self.picture not in ("interaction", "schroedinger"):
             raise ValueError(f"unknown picture {self.picture!r}")
         if self.hamiltonian.dim != self.dim:
@@ -549,11 +550,11 @@ def evolve(
     The bath energy current Tr[L(rho)H] and drive power Tr[rho dH/dt] are
     integrated with the state (never taken as a difference of energies).
     Each snapshot is validated: a trace off by more than 1e-8 raises
-    TraceDrift and an eigenvalue below -1e-9 raises PositivityLoss. Each
-    keeps its unclipped spectrum, so min_eig shows the margin to that gate.
-    Snapshots are complex DensityMatrix objects on both routes. A tagged
-    bath with a swept occupation also fills squeezed_heat_cum, which
-    ledger.sigma_series reads.
+    TraceDrift, an eigenvalue below -1e-9 or a non-finite one PositivityLoss.
+    It keeps that gate's unclipped spectrum, so min_eig shows the margin to
+    the gate, and is not validated again: snapshots are complex
+    DensityMatrix objects on both routes. A tagged bath with a swept
+    occupation also fills squeezed_heat_cum, which ledger.sigma_series reads.
     """
     if rho0.dim != gen.dim:
         raise ValueError("state dimension mismatch")
@@ -586,14 +587,17 @@ def evolve(
         if not err <= 1e-8:  # NaN fails too
             raise TraceDrift(f"integrator trace drifted to {tr:.12f} at t={t:g}")
         x = rho / tr  # exactly Hermitian: each route scrubs its state
-        eigs = np.linalg.eigvalsh(x)
-        if eigs[0] < -1e-9:
+        try:
+            eigs = np.linalg.eigvalsh(x)
+        except np.linalg.LinAlgError:  # a non-finite entry off the diagonal
+            eigs = np.full(1, math.nan)
+        if not (eigs[0] >= -1e-9 and np.isfinite(eigs).all()):  # NaN fails too
             raise PositivityLoss(
-                f"negative eigenvalue {eigs[0]:.3e} at t={t:g}; "
+                f"negative or non-finite eigenvalue {eigs[0]:.3e} at t={t:g}; "
                 "shrink dt or raise the cutoff"
             )
         times.append(t)
-        states.append(DensityMatrix(Operator(gen.dim, x), _spectrum=eigs))
+        states.append(DensityMatrix._gated(gen.dim, x, eigs))
         cum.append(flows)
         terr.append(err)
 

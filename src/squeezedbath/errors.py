@@ -6,7 +6,7 @@ class CutoffLeak(ValueError):
 
 
 class PositivityLoss(RuntimeError):
-    """Time evolution produced a state with a significantly negative eigenvalue."""
+    """Time evolution produced a state with a negative or non-finite eigenvalue."""
 
 
 class NonUniqueSteadyState(RuntimeError):

@@ -89,12 +89,12 @@ class Operator:
 class DensityMatrix:
     """Validated state: Hermitian, unit trace and positive within tolerance.
 
-    Validation happens once at construction; instances are immutable.
-    The sorted eigenvalues are cached because most downstream quantities
-    (entropy, passive energy, trace distances) are spectral.
+    Validated once, at construction or in evolve's gate (_gated); instances
+    are immutable. The sorted eigenvalues are cached because most downstream
+    quantities (entropy, passive energy, trace distances) are spectral.
     """
 
-    __slots__ = ("op", "_eigs")
+    __slots__ = ("dim", "matrix", "_eigs")
 
     def __init__(self, op, *, _spectrum=None):
         if isinstance(op, np.ndarray):
@@ -113,16 +113,20 @@ class DensityMatrix:
             eigs = np.sort(np.asarray(_spectrum, dtype=float))
         if eigs[0] < -TOL_PSD:
             raise ValueError(f"negative eigenvalue {eigs[0]:.3e}")
-        self.op = op
-        self._eigs = eigs
+        self.dim, self.matrix, self._eigs = op.dim, op.matrix, eigs
+
+    @classmethod
+    def _gated(cls, dim: HilbertDim, matrix: np.ndarray, eigs: np.ndarray):
+        """A state evolve has already gated: one read-only complex copy of
+        matrix, with eigs (ascending) as its spectrum; nothing is re-checked."""
+        state = object.__new__(cls)
+        state.dim, state.matrix, state._eigs = dim, np.array(matrix, dtype=complex), eigs
+        state.matrix.setflags(write=False)
+        return state
 
     @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
-
-    @property
-    def dim(self) -> HilbertDim:
-        return self.op.dim
+    def op(self) -> Operator:
+        return Operator(self.dim, self.matrix)
 
     @property
     def eigenvalues(self) -> np.ndarray:

@@ -43,12 +43,13 @@ from .fock import DensityMatrix, Operator, _check_unitary
 from .fock import squeezed_thermal_state, thermal_state
 from .passivity import (
     EIG_FLOOR,
+    _hamiltonian_eigensystem,
     passive_decompose,
     relative_entropy,
-    von_neumann_entropy,
 )
 
 TOL_FIRSTLAW_SCALE = 1e-6
+_BLOCK = 32  # snapshots stacked at once, which bounds the ledger's temporaries
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,21 +102,19 @@ def _log_state(rho: DensityMatrix) -> np.ndarray:
     return (vecs * logs) @ vecs.conj().T
 
 
-def _sigma_against_invariant(
-    traj: Trajectory, invariant: DensityMatrix
-) -> np.ndarray:
-    """Cumulative entropy production against a fixed invariant state."""
-    log_inv = _log_state(invariant)
-    rho0 = traj.states[0]
-    s0 = von_neumann_entropy(rho0)
-    ref = float(np.einsum("ij,ji->", rho0.matrix, log_inv).real)
-    out = np.empty(len(traj.states))
-    for i, state in enumerate(traj.states):
-        s_i = von_neumann_entropy(state)
-        cross = float(np.einsum("ij,ji->", state.matrix, log_inv).real)
-        out[i] = (s_i - s0) + (cross - ref)
-    out[0] = 0.0
-    return out
+def _entropies(states: tuple) -> np.ndarray:
+    """von_neumann_entropy of each state to the bit, _BLOCK spectra at a time:
+    an ascending spectrum's entries above EIG_FLOOR are a suffix, and rows
+    whose suffixes share a length are summed together in that form's order."""
+    out = np.empty(len(states))
+    for i in range(0, len(states), _BLOCK):
+        spectra = np.array([s.eigenvalues for s in states[i:i + _BLOCK]])
+        kept, block = (spectra > EIG_FLOOR).sum(axis=1), out[i:i + _BLOCK]
+        p = np.where(spectra > EIG_FLOOR, spectra, 1.0)
+        terms = p * np.log(p)
+        for size in np.unique(kept):
+            block[kept == size] = -terms[kept == size, p.shape[1] - size:].sum(axis=1)
+    return np.where(out > 0.0, out, 0.0)
 
 
 def _is_time_independent(gen: Generator) -> bool:
@@ -139,8 +138,18 @@ def sigma_series(traj: Trajectory, gen: Generator) -> np.ndarray:
     of the production rate with the frozen-time invariant recomputed per
     snapshot.
     """
+    return _sigma(traj, gen, _entropies(traj.states))
+
+
+def _sigma(traj: Trajectory, gen: Generator, entropy: np.ndarray) -> np.ndarray:
+    """sigma_series with the snapshots' entropies already computed."""
     if _is_time_independent(gen):
-        return _sigma_against_invariant(traj, bath_invariant_state(gen, t=0.0))
+        # Tr[rho ln rho_inv] against the fixed invariant, a block at a time
+        log_inv, states = _log_state(bath_invariant_state(gen, t=0.0)), traj.states
+        cross = np.concatenate([np.einsum(
+            "kij,ji->k", np.array([s.matrix for s in states[i:i + _BLOCK]]), log_inv
+        ) for i in range(0, len(states), _BLOCK)]).real
+        return (entropy - entropy[0]) + (cross - cross[0])
     if gen.kind == "custom":
         return _sigma_by_quadrature(traj, gen)
     heat = traj.squeezed_heat_cum
@@ -152,9 +161,7 @@ def sigma_series(traj: Trajectory, gen: Generator) -> np.ndarray:
     # the invariant must fit under the cutoff at every snapshot; its
     # top-level population grows with the occupation, so check the peak
     squeezed_thermal_state(max(map(gen.occupation_at, traj.times)), gen.r, gen.dim)
-    s0 = von_neumann_entropy(traj.states[0])
-    ds = np.array([von_neumann_entropy(s) - s0 for s in traj.states])
-    return ds - heat / gen.temperature
+    return (entropy - entropy[0]) - heat / gen.temperature
 
 
 def _sigma_by_quadrature(traj: Trajectory, gen: Generator) -> np.ndarray:
@@ -190,27 +197,44 @@ def sigma_nonthermal(
     return relative_entropy(rotated, pi_ss)
 
 
-def _h_levels(gen: Generator, t: float) -> np.ndarray:
-    """Ascending energy levels of H(t)."""
-    sched = gen.hamiltonian
-    if sched.levels is not None:
-        return np.sort(sched.diagonal(t))
-    return np.linalg.eigvalsh(sched.evaluate(t))
-
-
 def _reference_frequency(gen: Generator) -> float:
     sched = gen.hamiltonian
     if sched.frequency is not None:
         w = abs(sched.frequency(0.0))
         if w > 0:
             return w
-    levels = _h_levels(gen, 0.0)
-    gaps = np.diff(levels)
+    gaps = np.diff(_hamiltonian_eigensystem(Operator(gen.dim, sched.evaluate(0.0)))[0])
     return float(gaps.max()) if len(gaps) and gaps.max() > 0 else 1.0
 
 
 def firstlaw_tolerance(delta_e: float, omega_ref: float) -> float:
     return TOL_FIRSTLAW_SCALE * max(abs(delta_e), abs(omega_ref))
+
+
+def _ledger_rows(gen: Generator, states: tuple, times: np.ndarray) -> tuple:
+    """Ledger columns of consecutive snapshots, each to the bit of its
+    per-state form: per snapshot the energy, passive energy and min_eig;
+    per interval the increments of Tr[rho H] and Tr[pi H] at its midpoint."""
+    sched, m = gen.hamiltonian, len(states)
+    ts = times.tolist() + (0.5 * (times[:-1] + times[1:])).tolist()  # + midpoints
+    spectra = np.array([state.eigenvalues for state in states])
+    # descending populations pair with ascending levels in the passive state
+    p_desc = np.clip(spectra[:, ::-1], 0.0, None)
+    if sched.levels is None:  # a general H: per-time traces and eigensystems
+        energy = [sched.trace_with(s.matrix, t) for s, t in zip(states, ts)]
+        de = [sched.trace_with(b.matrix - a.matrix, t)
+              for a, b, t in zip(states, states[1:], ts[m:])]
+        levels = np.array([_hamiltonian_eigensystem(  # as passive_energy reads them
+            Operator(gen.dim, sched.evaluate(t)))[0] for t in ts])
+    else:  # a ladder reads the diagonals alone
+        diag = np.array([s.matrix.diagonal().real for s in states])
+        h = np.array([sched.diagonal(t) for t in ts])
+        energy = (diag * h[:m]).sum(axis=1)
+        de = (np.diff(diag, axis=0) * h[m:]).sum(axis=1)
+        levels = np.sort(h, axis=1)
+    pas = (p_desc[:, None, :] @ levels[:m, :, None])[:, 0, 0]
+    dpas = (np.diff(p_desc, axis=0)[:, None, :] @ levels[m:, :, None])[:, 0, 0]
+    return np.array([energy, pas, spectra[:, 0]]), np.array([de, dpas])
 
 
 def accumulate_ledger(traj: Trajectory, gen: Generator) -> FirstLawLedger:
@@ -224,34 +248,23 @@ def accumulate_ledger(traj: Trajectory, gen: Generator) -> FirstLawLedger:
     quadrature error scales with the snapshot spacing, so keep snapshots
     dense when H is driven.
     """
-    n = len(traj.states)
-    times = traj.times
-    sched = gen.hamiltonian
-    energy = np.empty(n)
-    entropy = np.empty(n)
-    pas = np.empty(n)
-    min_eigs = np.empty(n)
-    spectra_desc = []
-    for i, state in enumerate(traj.states):
-        levels = _h_levels(gen, float(times[i]))
-        p_desc = np.clip(state.eigenvalues[::-1], 0.0, None)
-        spectra_desc.append(p_desc)
-        energy[i] = sched.trace_with(state.matrix, float(times[i]))
-        pas[i] = float(p_desc @ levels)
-        entropy[i] = von_neumann_entropy(state)
-        min_eigs[i] = state.min_eig
+    times, n = traj.times, len(traj.times)
+    rows, intervals = [], []
+    # _BLOCK intervals at a time bound the stacked rows; a block's last
+    # snapshot opens the next block, so only the final block keeps it
+    for i in range(0, max(n - 1, 1), _BLOCK):
+        j = min(i + _BLOCK, n - 1) + 1
+        row, interval = _ledger_rows(gen, traj.states[i:j], times[i:j])
+        rows.append(row if j == n else row[:, :-1])
+        intervals.append(interval)
+    energy, pas, min_eigs = np.concatenate(rows, axis=1)
+    de, dpas = np.concatenate(intervals, axis=1)
     ergo = np.clip(energy - pas, 0.0, None)
-
-    pas_d = np.zeros(n)
-    cross = np.zeros(n)
-    for k in range(n - 1):
-        t_mid = 0.5 * (float(times[k]) + float(times[k + 1]))
-        levels_mid = _h_levels(gen, t_mid)
-        # descending populations pair with ascending levels in the passive state
-        dp = spectra_desc[k + 1] - spectra_desc[k]
-        pas_d[k + 1] = pas_d[k] + float(dp @ levels_mid)
-        de = sched.trace_with(traj.states[k + 1].matrix - traj.states[k].matrix, t_mid)
-        cross[k + 1] = cross[k] + de - (pas_d[k + 1] - pas_d[k])
+    entropy = _entropies(traj.states)
+    pas_d = np.cumsum(np.concatenate(([0.0], dpas)))  # increments in order
+    # the midpoint route: cross_{k+1} = cross_k + de_k - (pas_d_{k+1} - pas_d_k)
+    steps = np.stack((de, -np.diff(pas_d)), axis=1).ravel()
+    cross = np.cumsum(np.concatenate(([0.0], steps)))
 
     ergo_d = traj.dissipated_cum - pas_d
 
@@ -275,7 +288,7 @@ def accumulate_ledger(traj: Trajectory, gen: Generator) -> FirstLawLedger:
         work_cum=traj.work_cum.copy(),
         passive_dissipated_cum=pas_d,
         ergotropy_dissipated_cum=ergo_d,
-        sigma_cum=sigma_series(traj, gen),
+        sigma_cum=_sigma(traj, gen, entropy),
         trace_errors=traj.trace_errors.copy(),
         min_eigs=min_eigs,
     )
@@ -348,9 +361,8 @@ def entropy_bound_report(
         raise ValueError("entropy bounds need a positive bath temperature")
     t_bath = float(bath_temperature)
 
-    s0 = von_neumann_entropy(traj.states[0])
-    s1 = von_neumann_entropy(traj.states[-1])
-    delta_s = s1 - s0
+    entropy = _entropies(traj.states)
+    delta_s = float(entropy[-1] - entropy[0])
     e_d = float(traj.dissipated_cum[-1])
 
     t_final = float(traj.times[-1] - traj.times[0])
@@ -368,7 +380,7 @@ def entropy_bound_report(
             _, e_alt, _ = _thermal_contact(gen, n0, t_final)
             invariant = thermal_state(gen.occupation_at(0.0), gen.dim)
 
-    sigma = float(sigma_series(traj, gen)[-1])
+    sigma = float(_sigma(traj, gen, entropy)[-1])
     rel = relative_entropy(pi0, invariant)
 
     bound_total = e_d / t_bath

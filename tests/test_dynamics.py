@@ -11,6 +11,7 @@ from squeezedbath import (
     CutoffLeak,
     DensityMatrix,
     Generator,
+    HamiltonianSchedule,
     HilbertDim,
     JumpTerm,
     NonUniqueSteadyState,
@@ -181,6 +182,35 @@ class TestBathValidation:
             Generator(HilbertDim(6), h, jumps, kind=kind, r=r,
                       occupation_fn=lambda t: 0.1 * t)
 
+    @staticmethod
+    def general_ramp():
+        """linear_ramp_schedule's callables without its levels: a general
+        schedule that still carries omega(t)."""
+        ramp = linear_ramp_schedule(25.0, 20.0, 2.0, dim=20)
+        return ramp, HamiltonianSchedule(
+            dim=ramp.dim, evaluate_fn=ramp.evaluate, derivative_fn=ramp.derivative,
+            frequency=ramp.frequency, frequency_dot=ramp.frequency_dot,
+        )
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_tagged_bath_needs_a_ladder_schedule(self, build):
+        # it fails at construction, not inside evolve
+        _, general = self.general_ramp()
+        with pytest.raises(ValueError, match="levels and frequency metadata"):
+            build(general, 1.0, None, 20, temperature=5.0)
+
+    def test_custom_generator_on_a_general_schedule_still_evolves(self):
+        # and matches the same jumps on the ladder form of the ramp
+        ramp, general = self.general_ramp()
+        jumps = thermal_generator(ramp, 1.0, dim=20, temperature=5.0).jumps
+        rho0 = thermal_state(bose_occupation(25.0, 5.0), 20)
+        runs = [evolve(Generator(ramp.dim, sched, jumps), rho0, 0.25)
+                for sched in (general, ramp)]
+        np.testing.assert_allclose(runs[0].final_state.matrix,
+                                   runs[1].final_state.matrix, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(runs[0].dissipated_cum, runs[1].dissipated_cum,
+                                   rtol=0, atol=1e-12)
+
     def test_static_frequency_is_a_constant_ladder(self):
         gen = squeezed_generator(2.0, 1.0, None, 0.3, dim=6, temperature=1.5)
         sched = gen.hamiltonian
@@ -347,24 +377,43 @@ class TestEvolve:
 
     # the three gate tests run a custom clone of a constant thermal bath:
     # the tagged original takes the exact channel, which these steps cannot
-    # break (TestChannelRoute checks it on the same inputs)
+    # break (TestChannelRoute checks it on the same inputs). Each message
+    # names the time of the first snapshot that fails.
 
     def test_trace_drift_raised_for_runaway_step(self):
         # dt far past the RK4 edge grows the stiff modes until roundoff
         # alone moves the trace past the 1e-8 gate, before positivity is read
         gen = custom_clone(thermal_generator(1.0, 1.0, nbar=0.5, dim=10))
-        with pytest.raises(TraceDrift):
+        with pytest.raises(TraceDrift, match=r"drifted to \S+ at t=1000$"):
             evolve(gen, coherent_state(0.5, 10), 2e4, dt=1e3, snapshot_stride=1)
 
     def test_non_finite_state_fails_the_trace_gate(self):
         gen = custom_clone(thermal_generator(1.0, 1.0, nbar=0.5, dim=10))
-        with np.errstate(all="ignore"), pytest.raises(TraceDrift):
+        with np.errstate(all="ignore"), pytest.raises(
+            TraceDrift, match=r"drifted to nan at t=1e\+80$"
+        ):
             evolve(gen, coherent_state(0.5, 10), 2e80, dt=1e80, snapshot_stride=1)
 
     def test_positivity_loss_raised_for_oversized_step(self):
         gen = custom_clone(thermal_generator(1.0, 1.0, nbar=0.5, dim=12))
-        with pytest.raises(PositivityLoss):
+        with pytest.raises(PositivityLoss, match=r"eigenvalue -\S+ at t=1\.5;"):
             evolve(gen, number_state(0, 12), 3.0, dt=1.5)
+
+    @pytest.mark.parametrize("route, custom", [("_frame_run", False), ("_rk4_run", True)])
+    def test_non_finite_coherence_fails_a_gate(self, monkeypatch, route, custom):
+        # a NaN off the diagonal leaves the trace finite, and numpy's
+        # eigvalsh raises LinAlgError on it: the gate must still answer with
+        # the library's own error, on either route
+        def nan_coherence(gen, rho0, dt, marks):
+            m = np.array(rho0.matrix)
+            m[0, 1] = m[1, 0] = np.nan
+            yield marks[0], m, (0.0, 0.0, 0.0)
+
+        monkeypatch.setattr(dynamics, route, nan_coherence)
+        gen = thermal_generator(1.0, 1.0, nbar=0.5, dim=10)
+        gen = custom_clone(gen) if custom else gen
+        with pytest.raises((TraceDrift, PositivityLoss), match=r"at t=0\.00694444;"):
+            evolve(gen, coherent_state(0.5, 10), 1.0)
 
     def test_spohn_monotonicity_constant_hamiltonian(self):
         gen = thermal_generator(1.0, 1.0, nbar=0.3, dim=40)

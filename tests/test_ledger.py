@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -15,6 +16,7 @@ from squeezedbath import (
     NotUnitary,
     Operator,
     SlowDriveViolation,
+    Trajectory,
     accumulate_ledger,
     alt_path_energy,
     bath_invariant_state,
@@ -27,6 +29,7 @@ from squeezedbath import (
     linear_ramp_schedule,
     number_operator,
     number_state,
+    passive_energy,
     passive_frame_generator,
     relative_entropy,
     sigma_nonthermal,
@@ -80,6 +83,21 @@ def _driven_squeezed_stroke(evolve_as_custom=False, r=0.2, dim=20):
         warnings.simplefilter("ignore")
         traj = evolve(_custom_clone(gen) if evolve_as_custom else gen, rho0, 2.0)
     return gen, traj
+
+
+def _schroedinger_generator(n=12):
+    """A custom generator whose H is not diagonal, so evolve keeps the
+    commutator and the ledger takes the matrix branch of Tr[m H(t)]."""
+    a = annihilation(n).matrix
+    h = Operator(HilbertDim(n), 1.5 * a.conj().T @ a + 0.4 * (a + a.conj().T))
+    gen = Generator(
+        dim=HilbertDim(n),
+        hamiltonian=constant_hamiltonian(h),
+        jumps=(JumpTerm(annihilation(n), 1.2),
+               JumpTerm(annihilation(n).dagger(), 0.3)),
+    )
+    assert gen.hamiltonian.levels is None and gen.picture == "schroedinger"
+    return gen, h
 
 
 class TestSigmaSeries:
@@ -263,19 +281,63 @@ class TestAccumulateLedger:
         assert led.min_eigs.min() < 0.0
         assert led.min_eigs.min() > -1e-9
 
+    @pytest.mark.parametrize("case", ["constant", "swept", "schroedinger"])
+    def test_columns_match_a_per_snapshot_reference_to_the_bit(self, case):
+        # the columns are computed over blocks of snapshots at once; each
+        # must equal the public per-state call, snapshot by snapshot
+        if case == "constant":
+            gen = squeezed_generator(10.0, 1.0, 0.2, 0.3, dim=30)
+            traj = evolve(gen, coherent_state(0.6 + 0.5j, 30), 3.0)
+        elif case == "swept":
+            gen, traj = _driven_squeezed_stroke()
+        else:
+            gen, _ = _schroedinger_generator()
+            traj = evolve(gen, coherent_state(0.8, 12), 1.5)
+        assert len(traj.times) > 3 * ledger._BLOCK  # several blocks and seams
+        led = accumulate_ledger(traj, gen)
+        sched = gen.hamiltonian
+        ref = {"energy": [], "passive_energy": [], "entropy": [], "min_eigs": []}
+        for t, state in zip(traj.times.tolist(), traj.states):
+            ref["energy"].append(sched.trace_with(state.matrix, t))
+            h = Operator(gen.dim, sched.evaluate(t))
+            ref["passive_energy"].append(passive_energy(state, h))
+            ref["entropy"].append(von_neumann_entropy(state))
+            ref["min_eigs"].append(state.min_eig)
+        for name, column in ref.items():
+            np.testing.assert_array_equal(getattr(led, name), column, err_msg=name)
+        assert led.entropy.max() > 0.01 and led.min_eigs.min() < 0.0
+        # sigma_cum from the same entropies: delta_S - Phi/T on the swept
+        # bath, else telescoped with one trace per snapshot against ln rho_inv
+        s = np.array(ref["entropy"])
+        if case == "swept":
+            sigma = (s - s[0]) - traj.squeezed_heat_cum / gen.temperature
+        else:
+            log_inv = ledger._log_state(bath_invariant_state(gen))
+            cross = np.array([np.einsum("ij,ji->", state.matrix, log_inv).real
+                              for state in traj.states])
+            sigma = (s - s[0]) + (cross - cross[0])
+        np.testing.assert_array_equal(led.sigma_cum, sigma)
+
+    def test_block_seams_drop_or_repeat_no_snapshot(self):
+        # prefixes ending around block boundaries give the full run's
+        # columns, down to the single snapshot of a run with no interval
+        gen, traj = _driven_squeezed_stroke()
+        full = accumulate_ledger(traj, gen)
+        b = ledger._BLOCK
+        for m in (1, 2, b, b + 1, b + 2, 2 * b + 1):
+            part = Trajectory(**{f.name: getattr(traj, f.name)[:m]
+                                 for f in dataclasses.fields(traj)})
+            led = accumulate_ledger(part, gen)
+            for name in ("energy", "passive_energy", "entropy", "min_eigs",
+                         "passive_dissipated_cum", "sigma_cum"):
+                np.testing.assert_array_equal(getattr(led, name),
+                                              getattr(full, name)[:m], err_msg=name)
+
     def test_schroedinger_custom_generator_matches_expm(self):
         # a non-diagonal H takes the commutator into evolve's stability
         # step and the matrix branch of Tr[m H(t)] in evolve and the ledger
-        n = 12
-        a = annihilation(n).matrix
-        h = Operator(HilbertDim(n), 1.5 * a.conj().T @ a + 0.4 * (a + a.conj().T))
-        gen = Generator(
-            dim=HilbertDim(n),
-            hamiltonian=constant_hamiltonian(h),
-            jumps=(JumpTerm(annihilation(n), 1.2),
-                   JumpTerm(annihilation(n).dagger(), 0.3)),
-        )
-        assert gen.hamiltonian.levels is None and gen.picture == "schroedinger"
+        gen, h = _schroedinger_generator()
+        n = gen.dim.cutoff
         rho0 = coherent_state(0.8, n)
         traj = evolve(gen, rho0, 1.5)
         prop = scipy.linalg.expm(superoperator(gen).toarray() * 1.5)
