@@ -195,7 +195,9 @@ def _load_config(scenario: str, path: str, args) -> dict:
     if args.cutoff is not None:
         out["cutoff"] = args.cutoff
     if "workers" in args:  # registered on the subcommands that fan out only
-        out["workers"] = max(1, args.workers)
+        if args.workers < 1:
+            raise ConfigError(f"--workers: expected at least 1, got {args.workers}")
+        out["workers"] = args.workers
     if out.get("dt") is not None and not out["dt"] > 0:
         raise ConfigError(f"[{scenario}] dt or --dt: expected a positive step")
     # cutoff 0 sizes the space automatically where that is the default

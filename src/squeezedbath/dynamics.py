@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import warnings
 from typing import Callable, Optional, Union
@@ -61,6 +62,7 @@ SLOW_DRIVE_FRAC = 0.01
 _CONTACT_STEP = 0.005
 # classical RK4 as (node c, weight 6 b) per stage
 _RK4_TABLEAU = ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
+_BLOCK = 32  # snapshots stacked at once, which bounds the temporaries
 
 
 def bose_occupation(omega: float, temperature: float) -> float:
@@ -549,9 +551,10 @@ def evolve(
 
     The bath energy current Tr[L(rho)H] and drive power Tr[rho dH/dt] are
     integrated with the state (never taken as a difference of energies).
-    Each snapshot is validated: a trace off by more than 1e-8 raises
-    TraceDrift, an eigenvalue below -1e-9 or a non-finite one PositivityLoss.
-    It keeps that gate's unclipped spectrum, so min_eig shows the margin to
+    Each snapshot is validated, the first failure in time order raising: a
+    trace off by more than 1e-8 TraceDrift, an eigenvalue below -1e-9 or a
+    non-finite one PositivityLoss (read _BLOCK snapshots at a time). It
+    keeps that gate's unclipped spectrum, so min_eig shows the margin to
     the gate, and is not validated again: snapshots are complex
     DensityMatrix objects on both routes. A tagged bath with a swept
     occupation also fills squeezed_heat_cum, which ledger.sigma_series reads.
@@ -564,9 +567,9 @@ def evolve(
         dt = _stability_dt(gen, t_final)
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
+    if t_final / dt - 1e-12 > 20_000_000:  # as a float: a tiny dt is a huge integer
+        raise ValueError(f"step count {t_final / dt:.3g} is unreasonable; enlarge dt")
     n_steps = max(1, math.ceil(t_final / dt - 1e-12))
-    if n_steps > 20_000_000:
-        raise ValueError(f"step count {n_steps} is unreasonable; enlarge dt")
     dt = t_final / n_steps
     if snapshot_stride is None:
         snapshot_stride = max(1, n_steps // 400)
@@ -580,26 +583,28 @@ def evolve(
     run = (_frame_run if tagged else _rk4_run)(gen, rho0, dt, marks)
 
     times, states, cum, terr = [0.0], [rho0], [(0.0, 0.0, 0.0)], [rho0.trace_error]
+    stack = None  # the snapshots past states over their traces, reused per block
+
+    def flush():
+        if len(times) > (done := len(states)):
+            states.extend(_gate_block(gen.dim, stack[:len(times) - done], times[done:]))
+
     for step, rho, flows in run:
         t = step * dt
         tr = float(rho.trace().real)
         err = abs(tr - 1.0)
         if not err <= 1e-8:  # NaN fails too
+            flush()  # an earlier positivity failure wins
             raise TraceDrift(f"integrator trace drifted to {tr:.12f} at t={t:g}")
-        x = rho / tr  # exactly Hermitian: each route scrubs its state
-        try:
-            eigs = np.linalg.eigvalsh(x)
-        except np.linalg.LinAlgError:  # a non-finite entry off the diagonal
-            eigs = np.full(1, math.nan)
-        if not (eigs[0] >= -1e-9 and np.isfinite(eigs).all()):  # NaN fails too
-            raise PositivityLoss(
-                f"negative or non-finite eigenvalue {eigs[0]:.3e} at t={t:g}; "
-                "shrink dt or raise the cutoff"
-            )
+        if stack is None:
+            stack = np.empty((_BLOCK,) + rho.shape, dtype=rho.dtype)
+        np.divide(rho, tr, out=stack[len(times) - len(states)])
         times.append(t)
-        states.append(DensityMatrix._gated(gen.dim, x, eigs))
         cum.append(flows)
         terr.append(err)
+        if len(times) - len(states) == _BLOCK:
+            flush()
+    flush()
 
     diss, work, phi = np.array(cum).T.copy()
     return Trajectory(
@@ -612,20 +617,41 @@ def evolve(
     )
 
 
-def _rk4(deriv: Callable, flow_rates: Callable, y, dt: float, marks: list,
-         scrub: Callable = lambda y: y):
-    """Fixed-step classical RK4 of dy/dt = deriv(y, t); yields (step, y,
+def _gate_block(dim: HilbertDim, x: np.ndarray, times: list) -> list:
+    """Normalised Hermitian snapshots x as DensityMatrix objects: eigvalsh per
+    sector (the even and odd levels if every entry between them is 0.0), and
+    PositivityLoss names the first that fails evolve's gate."""
+    finite = np.isfinite(x).all(axis=(1, 2))
+    ok = int(np.append(finite, False).argmin())  # the first non-finite, else all
+    split = not (x[:ok, 0::2, 1::2].any() or x[:ok, 1::2, 0::2].any())
+    sectors = (slice(0, None, 2), slice(1, None, 2)) if split else (slice(None),)
+    eigs = np.sort(np.hstack([np.linalg.eigvalsh(x[:ok, q, q]) for q in sectors]))
+    good = (eigs[:, 0] >= -1e-9) & np.isfinite(eigs).all(axis=1)  # NaN fails too
+    j = int(np.append(good, False).argmin())  # first failure, else ok
+    if j < len(x):  # past ok the matrix itself is not finite
+        raise PositivityLoss(f"negative or non-finite eigenvalue "
+                             f"{eigs[j, 0] if j < ok else math.nan:.3e} at "
+                             f"t={times[j]:g}; shrink dt or raise the cutoff")
+    return [DensityMatrix._gated(dim, m, e) for m, e in zip(x, eigs)]
+
+
+def _rk4(at: Callable, deriv: Callable, flow_rates: Callable, y, dt: float,
+         marks: list, scrub: Callable = lambda y: y):
+    """Fixed-step classical RK4 of dy/dt = deriv(y, at(t)); yields (step, y,
     flows) at each step in marks, the flows integrated from
-    flow_rates(y, dy/dt, t) at the same stages. scrub maps y after a step."""
-    flows, step = (0.0, 0.0, 0.0), 0
+    flow_rates(y, dy/dt, at(t)) at the same stages, at(t) once per distinct
+    stage time. scrub maps y after a step."""
+    flows, step, t_at = (0.0, 0.0, 0.0), 0, None
     for mark in marks:
         for step in range(step + 1, mark + 1):
             t0 = (step - 1) * dt
             for c, weight in _RK4_TABLEAU:
                 t = t0 + c * dt
+                if t != t_at:
+                    coef, t_at = at(t), t
                 m = y if c == 0.0 else y + (c * dt) * k
-                k = deriv(m, t)
-                f = flow_rates(m, k, t)
+                k = deriv(m, coef)
+                f = flow_rates(m, k, coef)
                 if c == 0.0:
                     dk, df = k, f
                 else:
@@ -645,8 +671,8 @@ def _rk4_run(gen: Generator, rho0: DensityMatrix, dt: float, marks: list):
         work = 0.0 if sched.is_constant else sched.trace_with(m, t, derivative=True)
         return sched.trace_with(k, t), work, 0.0
 
-    return _rk4(lambda m, t: apply(gen, m, t, hermitian=True), flow_rates,
-                rho0.matrix, dt, marks, lambda m: 0.5 * (m + m.conj().T))
+    return _rk4(lambda t: t, lambda m, t: apply(gen, m, t, hermitian=True),
+                flow_rates, rho0.matrix, dt, marks, lambda m: 0.5 * (m + m.conj().T))
 
 
 def _band_index(n: int) -> tuple:
@@ -654,23 +680,23 @@ def _band_index(n: int) -> tuple:
     return np.nonzero(np.arange(n)[None, :] < n - np.arange(n)[:, None])
 
 
-def _band_terms(n: int) -> tuple:
-    """(loss_down, loss_up, rung) in _band_index order: damping of a at
-    rates down (jump a) and up (a^dag) keeps each band x_k[i] = rho~[i, i+k]
-    to itself, a tridiagonal block,
+def _band_terms(k: np.ndarray, i: np.ndarray, n: int) -> tuple:
+    """(loss_down, loss_up, rung) at entries (k, i) of _band_index(n):
+    damping of a at rates down (jump a) and up (a^dag) keeps each band
+    x_k[i] = rho~[i, i+k] to itself, a tridiagonal block,
 
         dx_k[i]/dt = -(down loss_down + up loss_up)[k, i] x_k[i]
                      + down rung[k, i+1] x_k[i+1] + up rung[k, i] x_k[i-1],
 
     rung[k, i] = 2 sqrt(i (i+k)) (zero at each band's start); loss_up reads
     the truncated a a^dag, whose top level is 0."""
-    k, i = _band_index(n)
     c = np.arange(1.0, n + 1.0)
     c[-1] = 0.0  # the diagonal of the truncated a a^dag
     return 2 * i + k, c[i] + c[i + k], 2.0 * np.sqrt(i * (i + k))
 
 
-def _band_channel(gen: Generator, s: np.ndarray, interval: float) -> tuple:
+def _band_channel(gen: Generator, s: np.ndarray, interval: float,
+                  bands: np.ndarray) -> tuple:
     """Exact propagator of a constant-rate tagged bath over one interval.
 
     One batched expm of the blocks T_k^T t of _band_terms, each bordered by
@@ -686,12 +712,12 @@ def _band_channel(gen: Generator, s: np.ndarray, interval: float) -> tuple:
     every decaying mode has underflowed, so longer intervals are capped
     there; expm's norm estimates would overflow near 1e77.
 
-    Returns the propagators and weights as (n, n, n) and (n, n) arrays
-    indexed by band; rows past a band's length are padding.
+    Returns the propagators and weights of the given bands as (b, n, n)
+    and (b, n) arrays; rows past a band's length are padding.
     """
     n = gen.dim.cutoff
     k, i = _band_index(n)
-    loss_down, loss_up, rung = _band_terms(n)
+    loss_down, loss_up, rung = _band_terms(k, i, n)
     down = gen.kappa * (gen.nbar + 1.0)
     up = gen.kappa * gen.nbar
     rates = down * loss_down + up * loss_up
@@ -715,59 +741,65 @@ def _band_channel(gen: Generator, s: np.ndarray, interval: float) -> tuple:
     prop[0] += -math.expm1(-sigma_t) * p[:, None]
     weights = e[:, :n, n].copy()
     weights[1:] *= 2.0  # band -k adds the complex conjugate of band k
-    return prop, weights
+    return prop[bands], weights[bands]
 
 
-def _channel_steps(gen: Generator, x: np.ndarray, s: np.ndarray, dt: float, marks: list):
-    """_band_channel from the bands x; yields (step, x, (E_d, 0, 0)) at each
-    step in marks, with one propagator per distinct interval length. The
-    propagators are real: a complex x is carried as (re, im) columns."""
+def _channel_steps(gen: Generator, x: np.ndarray, k: np.ndarray, i: np.ndarray,
+                   s: np.ndarray, dt: float, marks: list):
+    """_band_channel from the entries x at (k, i) of _band_index (whole
+    bands); yields (step, x, (E_d, 0, 0)) at each step in marks, with one
+    real propagator per interval length (x as (re, im) columns)."""
     n = gen.dim.cutoff
-    k, i = _band_index(n)
-    z = np.zeros((n, n, 2 if np.iscomplexobj(x) else 1))
-    z[k, i] = x.view(float).reshape(len(x), -1)
+    bands = np.unique(k)
+    rows = np.searchsorted(bands, k) * n + i  # x's rows in z, band by band
+    z = np.zeros((len(bands) * n, 2 if np.iscomplexobj(x) else 1))
+    z[rows] = x.view(float).reshape(len(x), -1)
     tables, e_d, step = {}, 0.0, 0
     for mark in marks:
         if mark - step not in tables:
-            tables[mark - step] = _band_channel(gen, s, (mark - step) * dt)
+            tables[mark - step] = _band_channel(gen, s, (mark - step) * dt, bands)
         prop, weights = tables[mark - step]
-        e_d += float(np.vdot(weights, z[..., 0]))
-        z = prop @ z
+        e_d += float(np.vdot(weights, z[:, 0]))
+        z = (prop @ z.reshape(len(bands), n, -1)).reshape(z.shape)
         step = mark
-        yield mark, z[k, i].view(x.dtype).ravel(), (e_d, 0.0, 0.0)
+        yield mark, z[rows].view(x.dtype).ravel(), (e_d, 0.0, 0.0)
 
 
-def _band_rk4(gen: Generator, x: np.ndarray, s: np.ndarray, dt: float, marks: list):
-    """RK4 of a swept tagged bath on the bands x, reading N(t) once per
-    stage; yields (step, x, (E_d, W, Phi)) at each step in marks.
+def _band_rk4(gen: Generator, x: np.ndarray, k: np.ndarray, i: np.ndarray,
+              s: np.ndarray, dt: float, marks: list):
+    """RK4 of a swept tagged bath on the entries x at (k, i) of _band_index
+    (whole bands, band 0 first); yields (step, x, (E_d, W, Phi)) at marks.
 
     With H = omega(t) diag(levels) and h~ = S^T diag(levels) S, the flows
     are E_d = omega Tr[k~ h~], W = omega_dot Tr[m~ h~] and the
     squeezed-mode heat Phi = omega Tr[k~ S^T (S n S^T) S] = omega Tr[k~ n].
     """
     n = gen.dim.cutoff
-    k, i = _band_index(n)
     sched = gen.hamiltonian
-    loss_down, loss_up, rung = _band_terms(n)
+    loss_down, loss_up, rung = _band_terms(k, i, n)
     rung = rung[1:]  # zero at each band's start: the shifts stay in band
     h = ((s.T * sched.levels) @ s)[i + k, i]
     h[k > 0] *= 2.0  # band -k adds the complex conjugate of band k
     number = np.arange(n, dtype=float)
 
-    def deriv(x: np.ndarray, t: float) -> np.ndarray:
+    def at(t: float) -> tuple:
         occ = gen.occupation_at(t)
         down, up = gen.kappa * (occ + 1.0), gen.kappa * occ
-        out = -(down * loss_down + up * loss_up) * x
-        out[:-1] += (down * rung) * x[1:]
-        out[1:] += (up * rung) * x[:-1]
+        return (-(down * loss_down + up * loss_up), down * rung, up * rung,
+                sched.frequency(t), sched.frequency_dot(t))
+
+    def deriv(x: np.ndarray, coef: tuple) -> np.ndarray:
+        out = coef[0] * x
+        out[:-1] += coef[1] * x[1:]
+        out[1:] += coef[2] * x[:-1]
         return out
 
-    def flow_rates(m: np.ndarray, dx: np.ndarray, t: float) -> tuple:
-        w = sched.frequency(t)  # Phi reads band 0, the first n entries
-        return (w * np.vdot(h, dx).real, sched.frequency_dot(t) * np.vdot(h, m).real,
+    def flow_rates(m: np.ndarray, dx: np.ndarray, coef: tuple) -> tuple:
+        w = coef[3]  # Phi reads band 0, the first n entries
+        return (w * np.vdot(h, dx).real, coef[4] * np.vdot(h, m).real,
                 w * np.vdot(number, dx[:n]).real)
 
-    return _rk4(deriv, flow_rates, x, dt, marks)
+    return _rk4(at, deriv, flow_rates, x, dt, marks)
 
 
 def _frame_run(gen: Generator, rho0: DensityMatrix, dt: float, marks: list):
@@ -778,7 +810,10 @@ def _frame_run(gen: Generator, rho0: DensityMatrix, dt: float, marks: list):
     to truncation, so in the frame the bath damps a at down = kappa (N+1)
     and up = kappa N, band by band (_band_terms; Caruso, Giovannetti &
     Holevo, NJP 8, 310 (2006)). The bands are one vector, real for a real
-    rho0. Constant rates and H take the exact channel, anything swept RK4.
+    rho0, less those exactly zero at the start (they stay zero). Constant
+    rates and H take the exact channel, anything swept RK4. Lab matrices
+    are built _BLOCK at a time (per parity sector if no band is odd) in one
+    buffer: each is overwritten when the next block is built.
     """
     n = gen.dim.cutoff
     k, i = _band_index(n)
@@ -787,16 +822,29 @@ def _frame_run(gen: Generator, rho0: DensityMatrix, dt: float, marks: list):
     x[k == 0] = x[k == 0].real  # the diagonal is real
     if not np.any(x.imag):
         x = x.real.copy()
+    live = np.isin(k, k[x != 0])
+    k, i, x = k[live], i[live], x[live]
     exact = gen.occupation_fn is None and gen.hamiltonian.is_constant
-    run = (_channel_steps if exact else _band_rk4)(gen, x, s, dt, marks)
-    for mark, x, flows in run:
-        rho = np.zeros((n, n), dtype=x.dtype)
-        rho[i + k, i] = x.conj()
-        rho[i, i + k] = x
-        if gen.r:
-            rho = s @ rho @ s.T
-            rho = 0.5 * (rho + rho.conj().T)  # scrub roundoff asymmetry
-        yield mark, rho, flows
+    run = (_channel_steps if exact else _band_rk4)(gen, x, k, i, s, dt, marks)
+    upper, lower = i * n + i + k, (i + k) * n + i  # flat places in a lab matrix
+    parity = (slice(None),) if np.any(k % 2) else (slice(0, None, 2), slice(1, None, 2))
+    sectors = [(q, s[q, q].copy()) for q in parity] if gen.r else []  # S = 1 at r = 0
+    buf = np.empty((_BLOCK, n, n), dtype=x.dtype)
+
+    def lab(block: list) -> np.ndarray:  # its temporaries die before the yields
+        xs, rho = np.array([x for _, x, _ in block]), buf[:len(block)]
+        flat = rho.reshape(len(block), -1)
+        flat[:] = 0.0
+        flat[:, lower] = xs.conj()
+        flat[:, upper] = xs
+        for q, sq in sectors:
+            f = sq @ np.ascontiguousarray(rho[:, q, q]) @ sq.T
+            rho[:, q, q] = 0.5 * (f + f.conj().swapaxes(1, 2))  # scrub asymmetry
+        return rho
+
+    while block := list(itertools.islice(run, _BLOCK)):
+        for (mark, _, flows), m in zip(block, lab(block)):
+            yield mark, m, flows
 
 
 # ---------------------------------------------------------------------------

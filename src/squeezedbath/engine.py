@@ -564,6 +564,16 @@ def matched_carnot_spec(
 
 @dataclasses.dataclass(frozen=True)
 class CarnotReport:
+    """One run_carnot_like cycle. heat_hot, heat_cold: the isotherms' bath
+    flows E_d in, ramp and settle; work_out: the work the medium does; eta,
+    regime: eta_actual of the two heats and the medium's energy release from
+    the last jump to the start; eta_carnot: 1 - Tc/Th; sigma_total: both
+    isotherms' delta S - heat/T; delta_S_hot: the hot one's delta S; closure:
+    trace distance of the end populations from the start (OpenCycle above
+    CLOSURE_TOL); entropy_closure: their entropy change; firstlaw_residual:
+    |work_out - heat_hot - heat_cold|, integration error on a closed cycle,
+    the medium's energy change on an open one; strokes: the StrokeLedgers."""
+
     heat_hot: float
     heat_cold: float
     work_out: float

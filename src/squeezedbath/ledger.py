@@ -30,6 +30,7 @@ import warnings
 import numpy as np
 
 from .dynamics import (
+    _BLOCK,
     Generator,
     _thermal_contact,
     Trajectory,
@@ -49,7 +50,6 @@ from .passivity import (
 )
 
 TOL_FIRSTLAW_SCALE = 1e-6
-_BLOCK = 32  # snapshots stacked at once, which bounds the ledger's temporaries
 
 
 @dataclasses.dataclass(frozen=True)

@@ -303,6 +303,12 @@ class TestDecayScenario:
         assert exc.value.code == 2
         assert not out.exists()
 
+    def test_a_vanishing_dt_names_its_step_count_briefly(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "decay", alpha=1.0, t_final=4.0, cutoff=25)
+        assert run("decay", cfg, tmp_path / "out.csv", "--dt", "1e-300") == 1
+        err = capsys.readouterr().err
+        assert "step count 4e+300 is unreasonable; enlarge dt" in err
+
     def test_dt_override_is_honoured(self, tmp_path):
         cfg = write_config(tmp_path, "decay", alpha=1.0, t_final=0.5, cutoff=25)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -489,6 +495,21 @@ class TestOttoSweepScenario:
         assert run("otto-sweep", cfg, a) == 0
         assert run("otto-sweep", cfg, b, "--workers", "2") == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_is_refused(self, tmp_path, capsys, monkeypatch,
+                                               workers):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", refuse)
+        cfg = write_config(tmp_path, "otto-sweep", temp_hot=3.0, temp_cold=1.0,
+                           omega_hot=0.3, x_values="0.5", r_values="0.5")
+        out = tmp_path / "sweep.csv"
+        assert run("otto-sweep", cfg, out, "--workers", workers) == 2
+        err = capsys.readouterr().err
+        assert f"--workers: expected at least 1, got {workers}" in err
+        assert not out.exists()
 
 
 class TestMultibathScenario:

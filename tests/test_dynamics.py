@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -451,6 +452,13 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(gen, number_state(0, 10), 1.0, dt=-0.1)
 
+    @pytest.mark.parametrize("dt, count", [(1e-300, "4e+300"), (1e-320, "inf"),
+                                           (1e-7, "4e+07")])
+    def test_step_guard_names_the_count_as_a_float(self, dt, count):
+        gen = thermal_generator(1.0, 1.0, nbar=0.0, dim=10)
+        with pytest.raises(ValueError, match=rf"^step count {re.escape(count)} is "):
+            evolve(gen, number_state(0, 10), 4.0, dt=dt)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_time_or_step_is_named(self, bad):
         gen = thermal_generator(1.0, 1.0, nbar=0.0, dim=10)
@@ -458,6 +466,123 @@ class TestEvolve:
             evolve(gen, number_state(0, 10), bad)
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             evolve(gen, number_state(0, 10), 1.0, dt=bad)
+
+
+class TestBlockGate:
+    """evolve gates its snapshots dynamics._BLOCK at a time: the trace check
+    runs per snapshot as it arrives, positivity on each flushed block, and
+    the first snapshot in time order that fails names the error."""
+
+    @staticmethod
+    def planted_run(plant, advanced):
+        """A fake route over the marks yielding plant(j, m) for the j-th
+        (from 0), m a valid thermal state; advanced records each yield."""
+        good = thermal_state(0.1, 10).matrix
+
+        def run(gen, rho0, dt, marks):
+            for j, mark in enumerate(marks):
+                advanced.append(j)
+                yield mark, plant(j, good), (0.0, 0.0, 0.0)
+
+        return run
+
+    @staticmethod
+    def negative(m):
+        m = m.copy()
+        m[0, 0] += 0.1
+        m[9, 9] -= 0.1  # below zero, trace unchanged
+        return m
+
+    @pytest.mark.parametrize("j", [0, 31, 32, 33, 64])
+    def test_positivity_at_j_beats_a_trace_drift_at_j_plus_1(self, monkeypatch, j):
+        advanced = []
+        plant = {j: self.negative, j + 1: lambda m: 1.001 * m}
+        run = self.planted_run(lambda i, m: plant.get(i, np.array)(m), advanced)
+        monkeypatch.setattr(dynamics, "_rk4_run", run)
+        gen = custom_clone(thermal_generator(1.0, 1.0, nbar=0.1, dim=10))
+        t = f"{(j + 1) * 0.1:g}"
+        with pytest.raises(PositivityLoss, match=rf"eigenvalue -\S+ at t={t};"):
+            evolve(gen, thermal_state(0.1, 10), 7.0, dt=0.1, snapshot_stride=1)
+
+    @pytest.mark.parametrize("j", [0, 31, 32, 33, 64])
+    def test_trace_drift_at_j_beats_positivity_at_j_plus_1(self, monkeypatch, j):
+        advanced = []
+        plant = {j: lambda m: 1.001 * m, j + 1: self.negative}
+        run = self.planted_run(lambda i, m: plant.get(i, np.array)(m), advanced)
+        monkeypatch.setattr(dynamics, "_rk4_run", run)
+        gen = custom_clone(thermal_generator(1.0, 1.0, nbar=0.1, dim=10))
+        t = f"{(j + 1) * 0.1:g}"
+        with pytest.raises(TraceDrift, match=rf"drifted to \S+ at t={t}$"):
+            evolve(gen, thermal_state(0.1, 10), 7.0, dt=0.1, snapshot_stride=1)
+        assert len(advanced) == j + 1
+
+    def test_the_earliest_of_two_positivity_failures_is_named(self, monkeypatch):
+        plant = {3: self.negative, 5: self.negative}
+        monkeypatch.setattr(dynamics, "_rk4_run", self.planted_run(
+            lambda i, m: plant.get(i, np.array)(m), []))
+        gen = custom_clone(thermal_generator(1.0, 1.0, nbar=0.1, dim=10))
+        with pytest.raises(PositivityLoss, match=r"at t=0\.4;"):
+            evolve(gen, thermal_state(0.1, 10), 7.0, dt=0.1, snapshot_stride=1)
+
+    def test_the_fake_route_passes_when_nothing_is_planted(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_rk4_run", self.planted_run(
+            lambda i, m: m, []))
+        gen = custom_clone(thermal_generator(1.0, 1.0, nbar=0.1, dim=10))
+        traj = evolve(gen, thermal_state(0.1, 10), 7.0, dt=0.1, snapshot_stride=1)
+        assert len(traj.states) == 71
+
+    @pytest.mark.parametrize("n", [40, 31])
+    @pytest.mark.parametrize("swept", [False, True])
+    def test_a_squeezed_bath_on_a_thermal_start_keeps_parity(self, n, swept):
+        if swept:
+            sched = linear_ramp_schedule(25.0, 20.0, 2.0, dim=n)
+            gen = squeezed_generator(sched, 1.0, None, 0.2, dim=n, temperature=5.0)
+            rho0 = thermal_state(bose_occupation(25.0, 5.0), n)
+        else:
+            gen = squeezed_generator(10.0, 1.0, 0.0, 0.4, dim=n)
+            rho0 = thermal_state(0.0, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowDriveViolation)
+            traj = evolve(gen, rho0, 2.0)
+        assert len(traj.states) > 2 * dynamics._BLOCK
+        for state in traj.states:
+            m = state.matrix
+            assert not m[0::2, 1::2].any() and not m[1::2, 0::2].any()
+            np.testing.assert_allclose(state.eigenvalues, np.linalg.eigvalsh(m),
+                                       rtol=0, atol=1e-14)
+
+    def test_a_coherent_start_is_gated_whole(self):
+        sched = linear_ramp_schedule(25.0, 20.0, 1.0, dim=30)
+        gen = squeezed_generator(sched, 1.0, None, 0.2, dim=30, temperature=5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowDriveViolation)
+            traj = evolve(gen, coherent_state(0.5 + 0.7j, 30), 1.0)
+        assert np.abs(traj.final_state.matrix[0::2, 1::2]).max() > 1e-3
+        for state in traj.states[1:]:
+            np.testing.assert_array_equal(state.eigenvalues,
+                                          np.linalg.eigvalsh(state.matrix))
+
+    @pytest.mark.parametrize("coupling, sizes", [(0.0, [(3, 5, 5), (3, 5, 5)]),
+                                                 (1e-12, [(3, 10, 10)])])
+    def test_only_exact_zeros_split_a_stack(self, monkeypatch, coupling, sizes):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a):
+            shapes.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        a = np.random.default_rng(3).standard_normal((10, 10))
+        a[0::2, 1::2] = a[1::2, 0::2] = 0.0  # so a a^T has exact parity zeros
+        m = a @ a.T / np.trace(a @ a.T)
+        m[2, 5] = m[5, 2] = coupling
+        states = dynamics._gate_block(HilbertDim(10), np.array([m] * 3), [1, 2, 3])
+        assert shapes == sizes
+        full = eigvalsh(m)
+        for state in states:
+            np.testing.assert_allclose(state.eigenvalues, full, rtol=0, atol=1e-14)
+            assert not state.matrix.flags.writeable
 
 
 class TestChannelRoute:
