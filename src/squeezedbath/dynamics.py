@@ -466,6 +466,8 @@ def conjugate_generator(gen: Generator, unitary: Operator) -> Generator:
 class Trajectory:
     """Snapshots of an evolve() run plus co-integrated energy currents.
 
+    states[0] is the caller's rho0; the later snapshots are float64 for a
+    real rho0 under a tagged bath, else complex128 (see evolve).
     dissipated_cum[i] = integral of Tr[L(rho) H] up to times[i] (energy in
     through the bath coupling); work_cum[i] = integral of Tr[rho dH/dt].
     squeezed_heat_cum[i] = integral of omega(t) Tr[L(rho) S n S^dag], the
@@ -509,16 +511,13 @@ def _stability_dt(gen: Generator, t_final: float) -> float:
     return min(0.5 / scale, t_final / 50.0)
 
 
-def _warn_if_drive_fast(gen: Generator, dt: float, n_steps: int) -> None:
-    """Warn at the first step time k*dt where |d(omega)/dt|/omega exceeds
-    SLOW_DRIVE_FRAC * kappa."""
+def _warn_if_drive_fast(gen: Generator, samples) -> None:
+    """Warn at the first (t, omega, d(omega)/dt) of samples, read in order,
+    where |d(omega)/dt|/omega exceeds SLOW_DRIVE_FRAC * kappa."""
     sched = gen.hamiltonian
     if sched.is_constant or None in (sched.frequency, sched.frequency_dot, gen.kappa):
         return
-    for k in range(n_steps + 1):
-        t = k * dt
-        w = sched.frequency(t)
-        wdot = sched.frequency_dot(t)
+    for t, w, wdot in samples:
         if w > 0 and abs(wdot) / w > SLOW_DRIVE_FRAC * gen.kappa:
             warnings.warn(
                 f"frequency sweep rate |d(omega)/dt|/omega = {abs(wdot) / w:.3e} "
@@ -555,9 +554,11 @@ def evolve(
     trace off by more than 1e-8 TraceDrift, an eigenvalue below -1e-9 or a
     non-finite one PositivityLoss (read _BLOCK snapshots at a time). It
     keeps that gate's unclipped spectrum, so min_eig shows the margin to
-    the gate, and is not validated again: snapshots are complex
-    DensityMatrix objects on both routes. A tagged bath with a swept
-    occupation also fills squeezed_heat_cum, which ledger.sigma_series reads.
+    the gate, and is not validated again. Snapshots past states[0] (rho0
+    itself) keep their route's dtype: float64 for a real rho0 on the frame
+    route, complex128 for a complex one or on the RK4 route. A tagged bath
+    with a swept occupation also fills squeezed_heat_cum, which
+    ledger.sigma_series reads.
     """
     if rho0.dim != gen.dim:
         raise ValueError("state dimension mismatch")
@@ -576,7 +577,9 @@ def evolve(
     if snapshot_stride < 1:
         raise ValueError("snapshot_stride must be >= 1")
 
-    _warn_if_drive_fast(gen, dt, n_steps)
+    sched = gen.hamiltonian  # step times k*dt, read lazily up to the first warning
+    _warn_if_drive_fast(gen, ((t, sched.frequency(t), sched.frequency_dot(t))
+                              for t in (k * dt for k in range(n_steps + 1))))
 
     tagged = gen.kind != "custom"
     marks = [*range(snapshot_stride, n_steps, snapshot_stride), n_steps]
@@ -1018,11 +1021,12 @@ def _thermal_contact(gen: Generator, n0: float, t_final: float) -> tuple:
         sweep = abs(sched.frequency_dot(t)) / sched.frequency(t)
         n_steps = max(n_steps, math.ceil(sweep * t_final / _CONTACT_STEP))
     h = t_final / n_steps
-    _warn_if_drive_fast(gen, h, n_steps)
     grid = [0.5 * h * j for j in range(2 * n_steps + 1)]
     occ = [gen.occupation_at(t) for t in grid]
     w = [sched.frequency(t) for t in grid]
     wdot = [sched.frequency_dot(t) for t in grid]
+    # the step times k*h are the even points: (0.5 h) 2k rounds to k h
+    _warn_if_drive_fast(gen, zip(grid[::2], w[::2], wdot[::2]))
     n, heat, work = float(n0), 0.0, 0.0
     for a in range(0, 2 * n_steps, 2):
         b, c = a + 1, a + 2

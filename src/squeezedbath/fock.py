@@ -1,6 +1,8 @@
 """Truncated Fock space: operators and canonical oscillator states.
 
-Everything lives on the levels 0..cutoff-1 as dense complex matrices.
+Everything lives on the levels 0..cutoff-1 as dense matrices: operators
+are complex, and a state keeps the dtype it was built or evolved in (a
+real state evolved on a tagged bath's frame route stays float64).
 Units: hbar = k_B = 1. Frequencies and decay rates share one time unit,
 so energies come out in units of hbar*kappa when time is measured in
 1/kappa.
@@ -90,8 +92,10 @@ class DensityMatrix:
     """Validated state: Hermitian, unit trace and positive within tolerance.
 
     Validated once, at construction or in evolve's gate (_gated); instances
-    are immutable. The sorted eigenvalues are cached because most downstream
-    quantities (entropy, passive energy, trace distances) are spectral.
+    are immutable. A constructed state's matrix is complex; a gated one
+    keeps its route's dtype, float64 for a real state. The sorted
+    eigenvalues are cached because most downstream quantities (entropy,
+    passive energy, trace distances) are spectral.
     """
 
     __slots__ = ("dim", "matrix", "_eigs")
@@ -117,10 +121,11 @@ class DensityMatrix:
 
     @classmethod
     def _gated(cls, dim: HilbertDim, matrix: np.ndarray, eigs: np.ndarray):
-        """A state evolve has already gated: one read-only complex copy of
-        matrix, with eigs (ascending) as its spectrum; nothing is re-checked."""
+        """A state evolve has already gated: one read-only copy of matrix in
+        its own dtype (evolve reuses the buffer), with eigs (ascending) as
+        its spectrum; nothing is re-checked."""
         state = object.__new__(cls)
-        state.dim, state.matrix, state._eigs = dim, np.array(matrix, dtype=complex), eigs
+        state.dim, state.matrix, state._eigs = dim, np.array(matrix), eigs
         state.matrix.setflags(write=False)
         return state
 

@@ -102,19 +102,22 @@ def _log_state(rho: DensityMatrix) -> np.ndarray:
     return (vecs * logs) @ vecs.conj().T
 
 
-def _entropies(states: tuple) -> np.ndarray:
-    """von_neumann_entropy of each state to the bit, _BLOCK spectra at a time:
-    an ascending spectrum's entries above EIG_FLOOR are a suffix, and rows
-    whose suffixes share a length are summed together in that form's order."""
-    out = np.empty(len(states))
-    for i in range(0, len(states), _BLOCK):
-        spectra = np.array([s.eigenvalues for s in states[i:i + _BLOCK]])
-        kept, block = (spectra > EIG_FLOOR).sum(axis=1), out[i:i + _BLOCK]
-        p = np.where(spectra > EIG_FLOOR, spectra, 1.0)
-        terms = p * np.log(p)
-        for size in np.unique(kept):
-            block[kept == size] = -terms[kept == size, p.shape[1] - size:].sum(axis=1)
+def _spectral_entropies(spectra: np.ndarray) -> np.ndarray:
+    """von_neumann_entropy of each stacked spectrum to the bit: an ascending
+    spectrum's entries above EIG_FLOOR are a suffix, and rows whose suffixes
+    share a length are summed together in that form's order."""
+    out, kept = np.empty(len(spectra)), (spectra > EIG_FLOOR).sum(axis=1)
+    p = np.where(spectra > EIG_FLOOR, spectra, 1.0)
+    terms = p * np.log(p)
+    for size in np.unique(kept):
+        out[kept == size] = -terms[kept == size, p.shape[1] - size:].sum(axis=1)
     return np.where(out > 0.0, out, 0.0)
+
+
+def _entropies(states: tuple) -> np.ndarray:
+    """_spectral_entropies of the states, _BLOCK spectra at a time."""
+    return np.concatenate([_spectral_entropies(np.array(
+        [s._eigs for s in states[i:i + _BLOCK]])) for i in range(0, len(states), _BLOCK)])
 
 
 def _is_time_independent(gen: Generator) -> bool:
@@ -213,11 +216,12 @@ def firstlaw_tolerance(delta_e: float, omega_ref: float) -> float:
 
 def _ledger_rows(gen: Generator, states: tuple, times: np.ndarray) -> tuple:
     """Ledger columns of consecutive snapshots, each to the bit of its
-    per-state form: per snapshot the energy, passive energy and min_eig;
-    per interval the increments of Tr[rho H] and Tr[pi H] at its midpoint."""
+    per-state form: per snapshot the energy, passive energy, min_eig and
+    entropy; per interval the increments of Tr[rho H] and Tr[pi H] at its
+    midpoint."""
     sched, m = gen.hamiltonian, len(states)
     ts = times.tolist() + (0.5 * (times[:-1] + times[1:])).tolist()  # + midpoints
-    spectra = np.array([state.eigenvalues for state in states])
+    spectra = np.array([state._eigs for state in states])
     # descending populations pair with ascending levels in the passive state
     p_desc = np.clip(spectra[:, ::-1], 0.0, None)
     if sched.levels is None:  # a general H: per-time traces and eigensystems
@@ -228,13 +232,16 @@ def _ledger_rows(gen: Generator, states: tuple, times: np.ndarray) -> tuple:
             Operator(gen.dim, sched.evaluate(t)))[0] for t in ts])
     else:  # a ladder reads the diagonals alone
         diag = np.array([s.matrix.diagonal().real for s in states])
-        h = np.array([sched.diagonal(t) for t in ts])
+        # sched.diagonal(t) at every t: the same product per entry
+        w = np.ones(len(ts)) if sched.frequency is None else list(map(sched.frequency, ts))
+        h = np.multiply.outer(w, sched.levels)
         energy = (diag * h[:m]).sum(axis=1)
         de = (np.diff(diag, axis=0) * h[m:]).sum(axis=1)
         levels = np.sort(h, axis=1)
     pas = (p_desc[:, None, :] @ levels[:m, :, None])[:, 0, 0]
     dpas = (np.diff(p_desc, axis=0)[:, None, :] @ levels[m:, :, None])[:, 0, 0]
-    return np.array([energy, pas, spectra[:, 0]]), np.array([de, dpas])
+    rows = [energy, pas, spectra[:, 0], _spectral_entropies(spectra)]
+    return np.array(rows), np.array([de, dpas])
 
 
 def accumulate_ledger(traj: Trajectory, gen: Generator) -> FirstLawLedger:
@@ -257,10 +264,9 @@ def accumulate_ledger(traj: Trajectory, gen: Generator) -> FirstLawLedger:
         row, interval = _ledger_rows(gen, traj.states[i:j], times[i:j])
         rows.append(row if j == n else row[:, :-1])
         intervals.append(interval)
-    energy, pas, min_eigs = np.concatenate(rows, axis=1)
+    energy, pas, min_eigs, entropy = np.concatenate(rows, axis=1)
     de, dpas = np.concatenate(intervals, axis=1)
     ergo = np.clip(energy - pas, 0.0, None)
-    entropy = _entropies(traj.states)
     pas_d = np.cumsum(np.concatenate(([0.0], dpas)))  # increments in order
     # the midpoint route: cross_{k+1} = cross_k + de_k - (pas_d_{k+1} - pas_d_k)
     steps = np.stack((de, -np.diff(pas_d)), axis=1).ravel()

@@ -585,6 +585,85 @@ class TestBlockGate:
             assert not state.matrix.flags.writeable
 
 
+class TestSnapshotDtype:
+    """A gated snapshot keeps the dtype its route computed: float64 for a
+    real start under a tagged bath, complex128 for a complex start or a
+    custom generator. states[0] is the caller's rho0 either way."""
+
+    @staticmethod
+    def run(gen, rho0, t_final=1.0, **kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowDriveViolation)
+            return evolve(gen, rho0, t_final, **kwargs)
+
+    @staticmethod
+    def squeezed_ramp(n=20):
+        sched = linear_ramp_schedule(25.0, 20.0, 1.0, dim=n)
+        return squeezed_generator(sched, 1.0, None, 0.2, dim=n, temperature=5.0)
+
+    @pytest.mark.parametrize("case", ["thermal, constant", "thermal, swept", "vacuum",
+                                      "coherent, constant", "coherent, swept"])
+    def test_a_real_start_under_a_tagged_bath_stores_float64(self, case):
+        constant = squeezed_generator(10.0, 1.0, 0.2, 0.4, dim=20)
+        gen, rho0 = {
+            "thermal, constant": (constant, thermal_state(0.3, 20)),
+            "thermal, swept": (self.squeezed_ramp(), thermal_state(0.0067, 20)),
+            "vacuum": (constant, number_state(0, 20)),
+            "coherent, constant": (constant, coherent_state(0.8, 20)),
+            "coherent, swept": (self.squeezed_ramp(), coherent_state(0.8, 20)),
+        }[case]
+        traj = self.run(gen, rho0)
+        assert traj.states[0] is rho0
+        assert len(traj.states) > 2
+        for state in traj.states[1:]:
+            assert state.matrix.dtype == np.float64
+            assert not state.matrix.flags.writeable
+
+    @pytest.mark.parametrize("custom", [False, True])
+    def test_a_complex_start_or_a_custom_generator_stores_complex128(self, custom):
+        gen = self.squeezed_ramp()
+        rho0 = thermal_state(0.0067, 20) if custom else coherent_state(0.5 + 0.7j, 20)
+        traj = self.run(custom_clone(gen) if custom else gen, rho0)
+        assert traj.states[0] is rho0
+        for state in traj.states[1:]:
+            assert state.matrix.dtype == np.complex128
+            assert not state.matrix.flags.writeable
+
+    @pytest.mark.parametrize("custom", [False, True])
+    def test_chaining_from_a_float_final_state(self, custom):
+        # the lab RK4 casts the float start into its first complex stage, so
+        # it matches to the bit; the frame route projects it with real
+        # products (S^T rho S) where the complex copy takes complex ones, so
+        # the two agree to roundoff. trace_errors[0] is the start's own.
+        gen = self.squeezed_ramp()
+        mid = self.run(gen, coherent_state(0.8, 20), 0.5).final_state
+        assert mid.matrix.dtype == np.float64
+        rebuilt = DensityMatrix(Operator(gen.dim, mid.matrix))
+        assert rebuilt.matrix.dtype == np.complex128
+        gen, tol = (custom_clone(gen), 0.0) if custom else (gen, 1e-14)
+        a, b = self.run(gen, mid, 0.5), self.run(gen, rebuilt, 0.5)
+        assert len(a.states) == len(b.states) > 2
+        np.testing.assert_array_equal(a.times, b.times)
+        for x, y in zip(a.states[1:], b.states[1:]):
+            assert x.matrix.dtype == y.matrix.dtype
+            np.testing.assert_allclose(x.matrix, y.matrix, rtol=0, atol=tol)
+            np.testing.assert_allclose(x.eigenvalues, y.eigenvalues, rtol=0, atol=tol)
+        flows = ("dissipated_cum", "work_cum") + (() if custom else ("squeezed_heat_cum",))
+        for name in flows:
+            np.testing.assert_allclose(getattr(a, name), getattr(b, name), rtol=0, atol=tol)
+        np.testing.assert_allclose(a.trace_errors[1:], b.trace_errors[1:],
+                                   rtol=0, atol=tol)
+
+    def test_a_real_trajectory_stores_eight_bytes_an_entry(self):
+        # memory guard: squeezed-relax at stride 1 holds one float64 matrix
+        # per snapshot, half the bytes of a complex one
+        gen = squeezed_generator(10.0, 1.0, 0.0, 0.4, dim=40)
+        traj = evolve(gen, thermal_state(0.0, 40), 1.0, snapshot_stride=1)
+        assert len(traj.states) > 500
+        assert (sum(s.matrix.nbytes for s in traj.states[1:])
+                == (len(traj.states) - 1) * 40 * 40 * 8)
+
+
 class TestChannelRoute:
     """A tagged bath runs in its own frame; with constant rates and H it
     is an exact channel."""

@@ -8,6 +8,7 @@ import scipy.linalg
 
 from squeezedbath import (
     CutoffLeak,
+    DensityMatrix,
     Generator,
     HilbertDim,
     JumpTerm,
@@ -29,6 +30,7 @@ from squeezedbath import (
     linear_ramp_schedule,
     number_operator,
     number_state,
+    passive_decompose,
     passive_energy,
     passive_frame_generator,
     relative_entropy,
@@ -387,6 +389,81 @@ class TestAccumulateLedger:
     def test_tolerance_scales_with_energy_and_frequency(self):
         assert firstlaw_tolerance(2.0, 10.0) == pytest.approx(1e-5)
         assert firstlaw_tolerance(-30.0, 10.0) == pytest.approx(3e-5)
+
+
+class TestRealSnapshots:
+    """A real start under a tagged bath gives float64 snapshots; every
+    consumer reads them like the same snapshots re-wrapped as complex with
+    the same spectra. The ledger, the delta_S - Phi/T route and the report
+    agree to the bit. The telescoped cross term Tr[rho ln rho_inv] is one
+    einsum, which numpy sums in another order for float64 x complex128
+    than for complex128 x complex128, so that route agrees to roundoff, as
+    do the passivity functions, which run a real eigensolver on a real
+    snapshot."""
+
+    @staticmethod
+    def pair(gen, rho0, t_final):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowDriveViolation)
+            traj = evolve(gen, rho0, t_final)
+        assert all(s.matrix.dtype == np.float64 for s in traj.states[1:])
+        states = tuple(DensityMatrix._gated(s.dim, s.matrix.astype(complex), s.eigenvalues)
+                       for s in traj.states)
+        return traj, dataclasses.replace(traj, states=states)
+
+    CASES = {  # (generator, start, duration, bath temperature for the report)
+        "decay": lambda: (thermal_generator(10.0, 1.0, nbar=0.0, dim=20),
+                          coherent_state(1.0, 20), 2.0, None),
+        "squeezed relax": lambda: (squeezed_generator(10.0, 1.0, 0.0, 0.4, dim=20),
+                                   thermal_state(0.0, 20), 2.0, None),
+        "squeezed contact": lambda: (squeezed_generator(10.0, 1.0, 0.1, 0.2, dim=20),
+                                     coherent_state(0.8, 20), 2.0, 10.0 / math.log(11.0)),
+        "squeezed stroke": lambda: (
+            squeezed_generator(linear_ramp_schedule(25.0, 20.0, 2.0, dim=20), 1.0,
+                               None, 0.2, dim=20, temperature=5.0),
+            thermal_state(bose_occupation(25.0, 5.0), 20), 2.0, 5.0),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_ledger_sigma_and_report_agree(self, case):
+        gen, rho0, t_final, temperature = self.CASES[case]()
+        real, cplx = self.pair(gen, rho0, t_final)
+        telescoped = 0.0 if gen.occupation_fn is not None else 1e-14
+        a, b = accumulate_ledger(real, gen), accumulate_ledger(cplx, gen)
+        for field in dataclasses.fields(a):
+            tol = telescoped if field.name == "sigma_cum" else 0.0
+            np.testing.assert_allclose(getattr(a, field.name), getattr(b, field.name),
+                                       rtol=0, atol=tol, err_msg=field.name)
+        np.testing.assert_allclose(sigma_series(real, gen), sigma_series(cplx, gen),
+                                   rtol=0, atol=telescoped)
+        if temperature is not None:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SlowDriveViolation)
+                x = entropy_bound_report(real, gen, temperature)
+                y = entropy_bound_report(cplx, gen, temperature)
+            assert x.sigma_spohn == pytest.approx(y.sigma_spohn, rel=0, abs=telescoped)
+            assert dataclasses.replace(x, sigma_spohn=0.0) == dataclasses.replace(
+                y, sigma_spohn=0.0)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_passivity_functions_agree_to_roundoff(self, case):
+        gen, rho0, t_final, _ = self.CASES[case]()
+        real, cplx = self.pair(gen, rho0, t_final)
+        h = Operator(gen.dim, gen.hamiltonian.evaluate(0.0))
+        reference = thermal_state(0.5, 20)
+        middle = len(real.states) // 2
+        for i in (1, middle, -1):
+            x, y = real.states[i], cplx.states[i]
+            px, py = passive_decompose(x, h), passive_decompose(y, h)
+            assert px.ergotropy == pytest.approx(py.ergotropy, rel=0, abs=1e-14)
+            assert px.passive_energy == pytest.approx(py.passive_energy, rel=0, abs=1e-14)
+            np.testing.assert_allclose(px.passive_state.matrix, py.passive_state.matrix,
+                                       rtol=0, atol=1e-14)
+            assert math.isfinite(relative_entropy(x, reference))
+            assert relative_entropy(x, reference) == pytest.approx(
+                relative_entropy(y, reference), rel=0, abs=1e-14)
+            assert trace_distance(x, real.states[middle]) == pytest.approx(
+                trace_distance(y, cplx.states[middle]), rel=0, abs=1e-14)
 
 
 class TestPassiveFrame:
