@@ -550,15 +550,17 @@ def evolve(
 
     The bath energy current Tr[L(rho)H] and drive power Tr[rho dH/dt] are
     integrated with the state (never taken as a difference of energies).
-    Each snapshot is validated, the first failure in time order raising: a
-    trace off by more than 1e-8 TraceDrift, an eigenvalue below -1e-9 or a
-    non-finite one PositivityLoss (read _BLOCK snapshots at a time). It
-    keeps that gate's unclipped spectrum, so min_eig shows the margin to
-    the gate, and is not validated again. Snapshots past states[0] (rho0
-    itself) keep their route's dtype: float64 for a real rho0 on the frame
-    route, complex128 for a complex one or on the RK4 route. A tagged bath
-    with a swept occupation also fills squeezed_heat_cum, which
-    ledger.sigma_series reads.
+    A route hands over blocks of snapshots (up to _BLOCK on the frame
+    route, one on the RK4 route). Each snapshot is validated, the first
+    failure in time order raising: a trace off by more than 1e-8
+    TraceDrift, an eigenvalue below -1e-9 or a non-finite one
+    PositivityLoss. A block over its traces is its snapshots' storage:
+    each is a read-only view that keeps its gate's unclipped spectrum, so
+    min_eig shows the margin to the gate, and is not validated again.
+    Snapshots past states[0] (rho0 itself) keep their route's dtype:
+    float64 for a real rho0 on the frame route, complex128 for a complex
+    one or on the RK4 route. A tagged bath with a swept occupation also
+    fills squeezed_heat_cum, which ledger.sigma_series reads.
     """
     if rho0.dim != gen.dim:
         raise ValueError("state dimension mismatch")
@@ -586,28 +588,18 @@ def evolve(
     run = (_frame_run if tagged else _rk4_run)(gen, rho0, dt, marks)
 
     times, states, cum, terr = [0.0], [rho0], [(0.0, 0.0, 0.0)], [rho0.trace_error]
-    stack = None  # the snapshots past states over their traces, reused per block
-
-    def flush():
-        if len(times) > (done := len(states)):
-            states.extend(_gate_block(gen.dim, stack[:len(times) - done], times[done:]))
-
-    for step, rho, flows in run:
-        t = step * dt
-        tr = float(rho.trace().real)
-        err = abs(tr - 1.0)
-        if not err <= 1e-8:  # NaN fails too
-            flush()  # an earlier positivity failure wins
-            raise TraceDrift(f"integrator trace drifted to {tr:.12f} at t={t:g}")
-        if stack is None:
-            stack = np.empty((_BLOCK,) + rho.shape, dtype=rho.dtype)
-        np.divide(rho, tr, out=stack[len(times) - len(states)])
-        times.append(t)
-        cum.append(flows)
-        terr.append(err)
-        if len(times) - len(states) == _BLOCK:
-            flush()
-    flush()
+    for steps, rhos, flows in run:
+        tr = np.trace(rhos, axis1=1, axis2=2).real
+        err = np.abs(tr - 1.0)
+        ok = int(np.append(err <= 1e-8, False).argmin())  # NaN fails too
+        t = [step * dt for step in steps]
+        # the prefix first, so an earlier positivity failure wins
+        states.extend(_gate_block(gen.dim, rhos[:ok] / tr[:ok, None, None], t[:ok]))
+        if ok < len(t):
+            raise TraceDrift(f"integrator trace drifted to {tr[ok]:.12f} at t={t[ok]:g}")
+        times.extend(t)
+        cum.extend(flows)
+        terr.extend(err)
 
     diss, work, phi = np.array(cum).T.copy()
     return Trajectory(
@@ -621,9 +613,10 @@ def evolve(
 
 
 def _gate_block(dim: HilbertDim, x: np.ndarray, times: list) -> list:
-    """Normalised Hermitian snapshots x as DensityMatrix objects: eigvalsh per
-    sector (the even and odd levels if every entry between them is 0.0), and
-    PositivityLoss names the first that fails evolve's gate."""
+    """Normalised Hermitian snapshots x as DensityMatrix objects, read-only
+    views of x, which is set read-only: eigvalsh per sector (the even and
+    odd levels if every entry between them is 0.0), and PositivityLoss
+    names the first that fails evolve's gate."""
     finite = np.isfinite(x).all(axis=(1, 2))
     ok = int(np.append(finite, False).argmin())  # the first non-finite, else all
     split = not (x[:ok, 0::2, 1::2].any() or x[:ok, 1::2, 0::2].any())
@@ -635,6 +628,7 @@ def _gate_block(dim: HilbertDim, x: np.ndarray, times: list) -> list:
         raise PositivityLoss(f"negative or non-finite eigenvalue "
                              f"{eigs[j, 0] if j < ok else math.nan:.3e} at "
                              f"t={times[j]:g}; shrink dt or raise the cutoff")
+    x.setflags(write=False)
     return [DensityMatrix._gated(dim, m, e) for m, e in zip(x, eigs)]
 
 
@@ -667,15 +661,18 @@ def _rk4(at: Callable, deriv: Callable, flow_rates: Callable, y, dt: float,
 
 def _rk4_run(gen: Generator, rho0: DensityMatrix, dt: float, marks: list):
     """RK4 of a custom generator on the complex density matrix; yields
-    (step, rho, (E_d, W, 0)) at each step in marks: Tr[k H], Tr[m dH/dt]."""
+    blocks of one, ([step], rho[None], [(E_d, W, 0)]), at each step in
+    marks, so evolve's trace gate stops the run at the failing step:
+    E_d = Tr[k H], W = Tr[m dH/dt]."""
     sched = gen.hamiltonian
 
     def flow_rates(m: np.ndarray, k: np.ndarray, t: float) -> tuple:
         work = 0.0 if sched.is_constant else sched.trace_with(m, t, derivative=True)
         return sched.trace_with(k, t), work, 0.0
 
-    return _rk4(lambda t: t, lambda m, t: apply(gen, m, t, hermitian=True),
-                flow_rates, rho0.matrix, dt, marks, lambda m: 0.5 * (m + m.conj().T))
+    run = _rk4(lambda t: t, lambda m, t: apply(gen, m, t, hermitian=True),
+               flow_rates, rho0.matrix, dt, marks, lambda m: 0.5 * (m + m.conj().T))
+    return (([mark], rho[None], [flows]) for mark, rho, flows in run)
 
 
 def _band_index(n: int) -> tuple:
@@ -806,17 +803,18 @@ def _band_rk4(gen: Generator, x: np.ndarray, k: np.ndarray, i: np.ndarray,
 
 
 def _frame_run(gen: Generator, rho0: DensityMatrix, dt: float, marks: list):
-    """A tagged bath in its frame rho~ = S^T rho S from rho0; yields
-    (step, rho, (E_d, W, Phi)) at each step in marks.
+    """A tagged bath in its frame rho~ = S^T rho S from rho0; yields the
+    steps in marks _BLOCK at a time as (steps, rhos, flows), with rhos the
+    stacked lab matrices and flows one (E_d, W, Phi) per step.
 
     S = fock._squeeze_matrix(r) is the identity at r = 0 and b = S a S^T up
     to truncation, so in the frame the bath damps a at down = kappa (N+1)
     and up = kappa N, band by band (_band_terms; Caruso, Giovannetti &
     Holevo, NJP 8, 310 (2006)). The bands are one vector, real for a real
     rho0, less those exactly zero at the start (they stay zero). Constant
-    rates and H take the exact channel, anything swept RK4. Lab matrices
-    are built _BLOCK at a time (per parity sector if no band is odd) in one
-    buffer: each is overwritten when the next block is built.
+    rates and H take the exact channel, anything swept RK4. Each block's
+    lab matrices are built (per parity sector if no band is odd) in one
+    buffer, which the next block overwrites.
     """
     n = gen.dim.cutoff
     k, i = _band_index(n)
@@ -834,9 +832,9 @@ def _frame_run(gen: Generator, rho0: DensityMatrix, dt: float, marks: list):
     sectors = [(q, s[q, q].copy()) for q in parity] if gen.r else []  # S = 1 at r = 0
     buf = np.empty((_BLOCK, n, n), dtype=x.dtype)
 
-    def lab(block: list) -> np.ndarray:  # its temporaries die before the yields
-        xs, rho = np.array([x for _, x, _ in block]), buf[:len(block)]
-        flat = rho.reshape(len(block), -1)
+    def lab(xs: tuple) -> np.ndarray:  # its temporaries die before the yields
+        xs, rho = np.array(xs), buf[:len(xs)]
+        flat = rho.reshape(len(xs), -1)
         flat[:] = 0.0
         flat[:, lower] = xs.conj()
         flat[:, upper] = xs
@@ -846,8 +844,8 @@ def _frame_run(gen: Generator, rho0: DensityMatrix, dt: float, marks: list):
         return rho
 
     while block := list(itertools.islice(run, _BLOCK)):
-        for (mark, _, flows), m in zip(block, lab(block)):
-            yield mark, m, flows
+        steps, xs, flows = zip(*block)
+        yield steps, lab(xs), flows
 
 
 # ---------------------------------------------------------------------------

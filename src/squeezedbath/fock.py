@@ -92,7 +92,8 @@ class DensityMatrix:
     """Validated state: Hermitian, unit trace and positive within tolerance.
 
     Validated once, at construction or in evolve's gate (_gated); instances
-    are immutable. A constructed state's matrix is complex; a gated one
+    are immutable. A constructed state's matrix is complex and its own; a
+    gated one is a read-only view of the block evolve stored it in and
     keeps its route's dtype, float64 for a real state. The sorted
     eigenvalues are cached because most downstream quantities (entropy,
     passive energy, trace distances) are spectral.
@@ -121,17 +122,12 @@ class DensityMatrix:
 
     @classmethod
     def _gated(cls, dim: HilbertDim, matrix: np.ndarray, eigs: np.ndarray):
-        """A state evolve has already gated: one read-only copy of matrix in
-        its own dtype (evolve reuses the buffer), with eigs (ascending) as
-        its spectrum; nothing is re-checked."""
+        """A state evolve has already gated: matrix itself, which the caller
+        has made read-only (a view of its block, not copied), with eigs
+        (ascending) as its spectrum; nothing is re-checked."""
         state = object.__new__(cls)
-        state.dim, state.matrix, state._eigs = dim, np.array(matrix), eigs
-        state.matrix.setflags(write=False)
+        state.dim, state.matrix, state._eigs = dim, matrix, eigs
         return state
-
-    @property
-    def op(self) -> Operator:
-        return Operator(self.dim, self.matrix)
 
     @property
     def eigenvalues(self) -> np.ndarray:

@@ -115,9 +115,8 @@ def _spectral_entropies(spectra: np.ndarray) -> np.ndarray:
 
 
 def _entropies(states: tuple) -> np.ndarray:
-    """_spectral_entropies of the states, _BLOCK spectra at a time."""
-    return np.concatenate([_spectral_entropies(np.array(
-        [s._eigs for s in states[i:i + _BLOCK]])) for i in range(0, len(states), _BLOCK)])
+    """_spectral_entropies of the states' stacked spectra."""
+    return _spectral_entropies(np.array([s._eigs for s in states]))
 
 
 def _is_time_independent(gen: Generator) -> bool:
@@ -147,11 +146,10 @@ def sigma_series(traj: Trajectory, gen: Generator) -> np.ndarray:
 def _sigma(traj: Trajectory, gen: Generator, entropy: np.ndarray) -> np.ndarray:
     """sigma_series with the snapshots' entropies already computed."""
     if _is_time_independent(gen):
-        # Tr[rho ln rho_inv] against the fixed invariant, a block at a time
-        log_inv, states = _log_state(bath_invariant_state(gen, t=0.0)), traj.states
-        cross = np.concatenate([np.einsum(
-            "kij,ji->k", np.array([s.matrix for s in states[i:i + _BLOCK]]), log_inv
-        ) for i in range(0, len(states), _BLOCK)]).real
+        # Tr[rho ln rho_inv] against the fixed invariant, one dot per state
+        # where it is stored; a float64 state is cast to complex exactly
+        log_inv = _log_state(bath_invariant_state(gen, t=0.0)).T.ravel()
+        cross = np.array([np.dot(s.matrix.ravel(), log_inv) for s in traj.states]).real
         return (entropy - entropy[0]) + (cross - cross[0])
     if gen.kind == "custom":
         return _sigma_by_quadrature(traj, gen)
@@ -324,14 +322,14 @@ def alt_path_energy(
     gen_thermal: Generator,
     rho0: DensityMatrix,
     t_final: float,
-    dt: float | None = None,
 ) -> tuple[float, Trajectory]:
     """Bath flow along the comparison path started from the passive state.
 
     The initial state is replaced by its passive rearrangement under H(0)
-    and evolved under gen_thermal for the same duration. For a squeezed
-    stroke pass the passive-frame generator, not the squeezed one.
-    Returns the final cumulative bath flow and the comparison trajectory.
+    and evolved under gen_thermal for the same duration, at evolve's own
+    step. For a squeezed stroke pass the passive-frame generator, not the
+    squeezed one. Returns the final cumulative bath flow and the
+    comparison trajectory.
     """
     if gen_thermal.kind == "squeezed":
         raise ValueError(
@@ -340,7 +338,7 @@ def alt_path_energy(
         )
     h0 = Operator(gen_thermal.dim, gen_thermal.hamiltonian.evaluate(0.0))
     pi0 = passive_decompose(rho0, h0).passive_state
-    traj = evolve(gen_thermal, pi0, t_final, dt=dt)
+    traj = evolve(gen_thermal, pi0, t_final)
     return float(traj.dissipated_cum[-1]), traj
 
 

@@ -383,6 +383,14 @@ class TestCarnotStrokeScenario:
 
 
 class TestCycleScenario:
+    def test_a_leaky_otto_cutoff_fails_without_output(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cycle", temp_cold=1.0, temp_hot=3.0,
+                           omega_cold=0.15, omega_hot=0.3, r=0.5)
+        out = tmp_path / "cycle.csv"
+        assert run("cycle", cfg, out, "--cutoff", "100") == 1
+        assert not out.exists()
+        assert "CutoffLeak" in capsys.readouterr().err
+
     def test_otto_report_row(self, tmp_path, monkeypatch):
         reports = keep_reports(monkeypatch, eng, "run_otto")
         cfg = write_config(

@@ -408,7 +408,7 @@ class TestEvolve:
         def nan_coherence(gen, rho0, dt, marks):
             m = np.array(rho0.matrix)
             m[0, 1] = m[1, 0] = np.nan
-            yield marks[0], m, (0.0, 0.0, 0.0)
+            yield [marks[0]], m[None], [(0.0, 0.0, 0.0)]
 
         monkeypatch.setattr(dynamics, route, nan_coherence)
         gen = thermal_generator(1.0, 1.0, nbar=0.5, dim=10)
@@ -469,20 +469,26 @@ class TestEvolve:
 
 
 class TestBlockGate:
-    """evolve gates its snapshots dynamics._BLOCK at a time: the trace check
-    runs per snapshot as it arrives, positivity on each flushed block, and
-    the first snapshot in time order that fails names the error."""
+    """A route hands evolve its snapshots a block at a time: the lab RK4
+    in blocks of one, the frame route dynamics._BLOCK at a time. evolve
+    checks a block's traces, gates positivity on the snapshots before the
+    first drifted trace, and the first snapshot in time order that fails
+    names the error; no block past it is pulled."""
 
     @staticmethod
-    def planted_run(plant, advanced):
-        """A fake route over the marks yielding plant(j, m) for the j-th
-        (from 0), m a valid thermal state; advanced records each yield."""
+    def planted_run(plant, advanced, size=1):
+        """A fake route over the marks yielding blocks of size snapshots,
+        plant(j, m) for the j-th (from 0), m a valid thermal state;
+        advanced records each snapshot yielded."""
         good = thermal_state(0.1, 10).matrix
 
         def run(gen, rho0, dt, marks):
-            for j, mark in enumerate(marks):
-                advanced.append(j)
-                yield mark, plant(j, good), (0.0, 0.0, 0.0)
+            for start in range(0, len(marks), size):
+                steps = marks[start:start + size]
+                js = range(start, start + len(steps))
+                advanced.extend(js)
+                rhos = np.array([plant(j, good) for j in js])
+                yield steps, rhos, [(0.0, 0.0, 0.0)] * len(steps)
 
         return run
 
@@ -515,6 +521,40 @@ class TestBlockGate:
         with pytest.raises(TraceDrift, match=rf"drifted to \S+ at t={t}$"):
             evolve(gen, thermal_state(0.1, 10), 7.0, dt=0.1, snapshot_stride=1)
         assert len(advanced) == j + 1
+
+    @pytest.mark.parametrize("j", [0, 31, 32, 33, 64])
+    @pytest.mark.parametrize("first", ["positivity", "trace"])
+    def test_frame_blocks_name_the_same_failure(self, monkeypatch, first, j):
+        # the plants above, on a fake frame route that yields _BLOCK
+        # snapshots at once: the same error at the same t, and the run stops
+        # at the block that holds it
+        drift = lambda m: 1.001 * m  # noqa: E731
+        plant = ({j: self.negative, j + 1: drift} if first == "positivity"
+                 else {j: drift, j + 1: self.negative})
+        advanced, size = [], dynamics._BLOCK
+        monkeypatch.setattr(dynamics, "_frame_run", self.planted_run(
+            lambda i, m: plant.get(i, np.array)(m), advanced, size))
+        gen = thermal_generator(1.0, 1.0, nbar=0.1, dim=10)
+        t = f"{(j + 1) * 0.1:g}"
+        error, message = ((PositivityLoss, rf"eigenvalue -\S+ at t={t};")
+                          if first == "positivity" else
+                          (TraceDrift, rf"drifted to \S+ at t={t}$"))
+        with pytest.raises(error, match=message):
+            evolve(gen, thermal_state(0.1, 10), 7.0, dt=0.1, snapshot_stride=1)
+        assert len(advanced) == min((j // size + 1) * size, 70)
+
+    @pytest.mark.parametrize("custom", [False, True])
+    def test_a_snapshot_is_a_read_only_view_of_its_block(self, custom):
+        gen = thermal_generator(1.0, 1.0, nbar=0.1, dim=10)
+        gen = custom_clone(gen) if custom else gen
+        traj = evolve(gen, coherent_state(0.5, 10), 7.0, dt=0.1, snapshot_stride=1)
+        assert len(traj.states) == 71
+        for state in traj.states[1:]:
+            assert not state.matrix.flags.writeable
+            assert not state.matrix.base.flags.writeable
+        # the lab RK4 hands over blocks of one, the frame route of _BLOCK
+        blocks = {id(state.matrix.base) for state in traj.states[1:]}
+        assert len(blocks) == (70 if custom else 3)
 
     def test_the_earliest_of_two_positivity_failures_is_named(self, monkeypatch):
         plant = {3: self.negative, 5: self.negative}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 from squeezedbath import (
     BathStage,
     CarnotSpec,
+    CutoffLeak,
     CycleSpec,
     NotSteady,
     OpenCycle,
@@ -23,6 +25,7 @@ from squeezedbath import (
     linear_ramp_schedule,
     matched_carnot_spec,
     multibath_bound,
+    required_cutoff,
     run_carnot_like,
     run_otto,
     squeezed_excess,
@@ -216,6 +219,21 @@ class TestRunOtto:
             assert rep.E_dc == pytest.approx(c.E_dc, rel=1e-9)
             assert rep.E_dh == pytest.approx(c.E_dh, rel=1e-9)
             assert rep.closure < 1e-9
+
+    def test_an_explicit_cutoff_at_the_automatic_size_changes_nothing(self, otto_squeezed):
+        auto = max(required_cutoff(bose_occupation(0.15, 1.0), 0.0),
+                   required_cutoff(bose_occupation(0.3, 3.0), 0.5))
+        assert auto == 639
+        rep = run_otto(CycleSpec(r=0.5, cutoff=auto, **POINT))
+        assert rep.spec.cutoff == auto
+        for field in dataclasses.fields(rep):
+            if field.name != "spec":
+                assert getattr(rep, field.name) == getattr(otto_squeezed, field.name), \
+                    field.name
+
+    def test_an_explicit_cutoff_too_small_for_the_hot_bath_leaks(self):
+        with pytest.raises(CutoffLeak, match=r"tail mass 3\.059e-07 beyond cutoff 100$"):
+            run_otto(CycleSpec(r=0.5, cutoff=100, **POINT))
 
     def test_steady_gate_rejects_a_nan_residual(self):
         target = np.array([0.75, 0.25])
