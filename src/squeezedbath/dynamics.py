@@ -25,9 +25,6 @@ import warnings
 from typing import Callable, Optional, Union
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import (
     CutoffLeak,
@@ -45,6 +42,7 @@ from .fock import (
     HilbertDim,
     Operator,
     _check_unitary,
+    _scipy,
     _squeeze_matrix,
     as_dim,
     squeezed_thermal_state,
@@ -550,11 +548,10 @@ def evolve(
 
     The bath energy current Tr[L(rho)H] and drive power Tr[rho dH/dt] are
     integrated with the state (never taken as a difference of energies).
-    A route hands over blocks of snapshots (up to _BLOCK on the frame
-    route, one on the RK4 route). Each snapshot is validated, the first
-    failure in time order raising: a trace off by more than 1e-8
-    TraceDrift, an eigenvalue below -1e-9 or a non-finite one
-    PositivityLoss. A block over its traces is its snapshots' storage:
+    A route hands over blocks of up to _BLOCK snapshots. Each snapshot is
+    validated, the first failure in time order raising: a trace off by
+    more than 1e-8 TraceDrift, an eigenvalue below -1e-9 or a non-finite
+    one PositivityLoss. A block over its traces is its snapshots' storage:
     each is a read-only view that keeps its gate's unclipped spectrum, so
     min_eig shows the margin to the gate, and is not validated again.
     Snapshots past states[0] (rho0 itself) keep their route's dtype:
@@ -660,10 +657,9 @@ def _rk4(at: Callable, deriv: Callable, flow_rates: Callable, y, dt: float,
 
 
 def _rk4_run(gen: Generator, rho0: DensityMatrix, dt: float, marks: list):
-    """RK4 of a custom generator on the complex density matrix; yields
-    blocks of one, ([step], rho[None], [(E_d, W, 0)]), at each step in
-    marks, so evolve's trace gate stops the run at the failing step:
-    E_d = Tr[k H], W = Tr[m dH/dt]."""
+    """RK4 of a custom generator on the complex rho in blocks (steps, rhos,
+    (Tr[k H], Tr[m dH/dt], 0) per step) that end at _BLOCK steps or at a
+    trace off by more than 1e-8 (or NaN), where evolve's gate stops the run."""
     sched = gen.hamiltonian
 
     def flow_rates(m: np.ndarray, k: np.ndarray, t: float) -> tuple:
@@ -672,7 +668,14 @@ def _rk4_run(gen: Generator, rho0: DensityMatrix, dt: float, marks: list):
 
     run = _rk4(lambda t: t, lambda m, t: apply(gen, m, t, hermitian=True),
                flow_rates, rho0.matrix, dt, marks, lambda m: 0.5 * (m + m.conj().T))
-    return (([mark], rho[None], [flows]) for mark, rho, flows in run)
+    block = []
+    for mark, rho, flows in run:
+        block.append((mark, rho, flows))
+        if (len(block) == _BLOCK or mark == marks[-1]
+                or not abs(np.trace(rho).real - 1.0) <= 1e-8):
+            steps, rhos, cums = zip(*block)
+            yield steps, np.array(rhos), cums
+            block = []
 
 
 def _band_index(n: int) -> tuple:
@@ -736,7 +739,7 @@ def _band_channel(gen: Generator, s: np.ndarray, interval: float,
     p /= p.sum()
     sigma_t = 2.0 * gen.kappa * t
     blocks[0, :n, :n] -= sigma_t * p  # (T_0 - sigma p 1^T)^T t
-    e = scipy.linalg.expm(blocks)
+    e = _scipy()[0].expm(blocks)
     prop = e[:, :n, :n].transpose(0, 2, 1).copy()
     prop[0] += -math.expm1(-sigma_t) * p[:, None]
     weights = e[:, :n, n].copy()
@@ -852,20 +855,20 @@ def _frame_run(gen: Generator, rho0: DensityMatrix, dt: float, marks: list):
 # steady states
 
 
-def superoperator(gen: Generator, t: float = 0.0) -> scipy.sparse.csr_matrix:
-    """CSR matrix of the generator on row-major vectorised states."""
-    n = gen.dim.cutoff
-    eye = scipy.sparse.identity(n, format="csr", dtype=complex)
-    kron = functools.partial(scipy.sparse.kron, format="csr")
-    total = scipy.sparse.csr_matrix((n * n, n * n), dtype=complex)
+def superoperator(gen: Generator, t: float = 0.0):
+    """scipy.sparse CSR matrix of the generator on row-major vec(rho)."""
+    n, sparse = gen.dim.cutoff, _scipy()[1]
+    eye = sparse.identity(n, format="csr", dtype=complex)
+    kron = functools.partial(sparse.kron, format="csr")
+    total = sparse.csr_matrix((n * n, n * n), dtype=complex)
     if gen.picture == "schroedinger":
-        h = scipy.sparse.csr_matrix(gen.hamiltonian.evaluate(t))
+        h = sparse.csr_matrix(gen.hamiltonian.evaluate(t))
         total = total - 1j * (kron(h, eye) - kron(eye, h.T))
     for j in gen.jumps:
         g = _rate_at(j.rate, t)
         if g == 0.0:
             continue
-        lm = scipy.sparse.csr_matrix(j.operator.matrix)
+        lm = sparse.csr_matrix(j.operator.matrix)
         ldl = lm.conj().T @ lm
         total = total + g * (
             2.0 * kron(lm, lm.conj()) - kron(ldl, eye) - kron(eye, ldl.T)
@@ -890,12 +893,13 @@ def steady_state(gen: Generator, *, t: float = 0.0) -> DensityMatrix:
     """
     n = gen.dim.cutoff
     size = n * n
+    _, sparse, splinalg = _scipy()
     lmat = superoperator(gen, t=t)
     y = np.eye(n, dtype=complex).reshape(-1) / math.sqrt(n)
-    y_col = scipy.sparse.csc_matrix(y[:, None])
-    bordered = scipy.sparse.bmat([[lmat, y_col], [y_col.conj().T, None]], "csc")
+    y_col = sparse.csc_matrix(y[:, None])
+    bordered = sparse.bmat([[lmat, y_col], [y_col.conj().T, None]], "csc")
     try:
-        lu = scipy.sparse.linalg.splu(bordered)
+        lu = splinalg.splu(bordered)
     except RuntimeError as exc:  # exactly singular factor
         raise NonUniqueSteadyState(f"degenerate or traceless kernel: {exc}") from exc
     vec = lu.solve(np.append(np.zeros(size, dtype=complex), 1.0))[:size]
@@ -911,7 +915,7 @@ def steady_state(gen: Generator, *, t: float = 0.0) -> DensityMatrix:
         w = lu.solve(v, trans=trans)[:size]
         return w - drop_out * np.vdot(drop_out, w)
 
-    pinv = scipy.sparse.linalg.LinearOperator(
+    pinv = splinalg.LinearOperator(
         (size, size),
         matvec=lambda v: solve(v, "N", y, vec),
         rmatvec=lambda v: solve(v, "H", vec, y),
@@ -923,7 +927,7 @@ def steady_state(gen: Generator, *, t: float = 0.0) -> DensityMatrix:
     v0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     # the gap only meets a threshold, so 1e-6 relative accuracy is ample;
     # a short Lanczos basis (ARPACK needs 1 < ncv < size) halves the solves
-    gap = 1.0 / scipy.sparse.linalg.svds(
+    gap = 1.0 / splinalg.svds(
         pinv, k=1, ncv=min(8, size - 1), tol=1e-6, v0=v0,
         return_singular_vectors=False,
     )[0]

@@ -20,7 +20,6 @@ import math
 from typing import Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CutoffLeak, NotUnitary
 
@@ -202,6 +201,14 @@ def squeeze_operator(r: float, dim: DimLike = DEFAULT_CUTOFF) -> Operator:
     return Operator(d, s)
 
 
+def _scipy() -> tuple:
+    """scipy.linalg, .sparse and .sparse.linalg, all loaded on first need."""
+    import scipy.linalg
+    import scipy.sparse
+    import scipy.sparse.linalg
+    return scipy.linalg, scipy.sparse, scipy.sparse.linalg
+
+
 @functools.lru_cache(maxsize=8)
 def _squeeze_matrix(r: float, n: int) -> np.ndarray:
     """Real matrix of the squeeze unitary at cutoff n (cached; treat as read-only).
@@ -225,9 +232,8 @@ def _squeeze_matrix(r: float, n: int) -> np.ndarray:
         size = len(range(parity, n, 2))
         m = np.arange(parity + 2, n, 2, dtype=float)
         b = 0.5 * r * np.sqrt(m * (m - 1.0))
-        lam, q = scipy.linalg.eigh_tridiagonal(
-            np.zeros(size), b, lapack_driver="stemr"
-        )
+        lam, q = _scipy()[0].eigh_tridiagonal(np.zeros(size), b,
+                                              lapack_driver="stemr")
         q[2::4] *= -1.0
         q[3::4] *= -1.0
         qe, qo = q[0::2], q[1::2]  # levels parity + 4a and parity + 2 + 4a

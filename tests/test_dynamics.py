@@ -469,11 +469,11 @@ class TestEvolve:
 
 
 class TestBlockGate:
-    """A route hands evolve its snapshots a block at a time: the lab RK4
-    in blocks of one, the frame route dynamics._BLOCK at a time. evolve
-    checks a block's traces, gates positivity on the snapshots before the
-    first drifted trace, and the first snapshot in time order that fails
-    names the error; no block past it is pulled."""
+    """A route hands evolve its snapshots up to dynamics._BLOCK at a time,
+    the lab RK4 ending a block early at a drifted trace. evolve checks a
+    block's traces, gates positivity on the snapshots before the first
+    drifted trace, and the first snapshot in time order that fails names
+    the error; no block past it is pulled."""
 
     @staticmethod
     def planted_run(plant, advanced, size=1):
@@ -489,6 +489,19 @@ class TestBlockGate:
                 advanced.extend(js)
                 rhos = np.array([plant(j, good) for j in js])
                 yield steps, rhos, [(0.0, 0.0, 0.0)] * len(steps)
+
+        return run
+
+    @staticmethod
+    def planted_rk4(plant, advanced):
+        """dynamics._rk4 with plant(j, y) in place of the j-th (from 0)
+        state it yields; advanced records each step integrated."""
+        rk4 = dynamics._rk4
+
+        def run(*args):
+            for j, (step, y, flows) in enumerate(rk4(*args)):
+                advanced.append(j)
+                yield step, plant(j, y), flows
 
         return run
 
@@ -543,6 +556,33 @@ class TestBlockGate:
             evolve(gen, thermal_state(0.1, 10), 7.0, dt=0.1, snapshot_stride=1)
         assert len(advanced) == min((j // size + 1) * size, 70)
 
+    # the real lab RK4 with a drift planted mid-block (steps 11 and 46) and
+    # either side of the seam between steps 32 and 33: its block ends there
+    @pytest.mark.parametrize("j", [10, 31, 32, 45])
+    def test_lab_rk4_stops_at_a_drifted_trace(self, monkeypatch, j):
+        advanced = []
+        plant = {j: lambda m: 1.001 * m}
+        monkeypatch.setattr(dynamics, "_rk4", self.planted_rk4(
+            lambda i, m: plant.get(i, np.array)(m), advanced))
+        gen = custom_clone(thermal_generator(1.0, 1.0, nbar=0.1, dim=10))
+        t = f"{(j + 1) * 0.1:g}"
+        with pytest.raises(TraceDrift, match=rf"drifted to 1\.001\d* at t={t}$"):
+            evolve(gen, thermal_state(0.1, 10), 7.0, dt=0.1, snapshot_stride=1)
+        assert advanced == list(range(j + 1))  # nothing integrated past it
+
+    @pytest.mark.parametrize("neg, j", [(5, 10), (0, 31), (32, 33), (40, 45)])
+    def test_lab_rk4_positivity_before_a_drift_in_its_block_wins(self, monkeypatch,
+                                                                 neg, j):
+        advanced = []
+        plant = {neg: self.negative, j: lambda m: 1.001 * m}
+        monkeypatch.setattr(dynamics, "_rk4", self.planted_rk4(
+            lambda i, m: plant.get(i, np.array)(m), advanced))
+        gen = custom_clone(thermal_generator(1.0, 1.0, nbar=0.1, dim=10))
+        t = f"{(neg + 1) * 0.1:g}"
+        with pytest.raises(PositivityLoss, match=rf"eigenvalue -\S+ at t={t};"):
+            evolve(gen, thermal_state(0.1, 10), 7.0, dt=0.1, snapshot_stride=1)
+        assert len(advanced) == j + 1  # the block ends at the drift
+
     @pytest.mark.parametrize("custom", [False, True])
     def test_a_snapshot_is_a_read_only_view_of_its_block(self, custom):
         gen = thermal_generator(1.0, 1.0, nbar=0.1, dim=10)
@@ -552,9 +592,9 @@ class TestBlockGate:
         for state in traj.states[1:]:
             assert not state.matrix.flags.writeable
             assert not state.matrix.base.flags.writeable
-        # the lab RK4 hands over blocks of one, the frame route of _BLOCK
+        # both routes hand over blocks of _BLOCK
         blocks = {id(state.matrix.base) for state in traj.states[1:]}
-        assert len(blocks) == (70 if custom else 3)
+        assert len(blocks) == 3
 
     def test_the_earliest_of_two_positivity_failures_is_named(self, monkeypatch):
         plant = {3: self.negative, 5: self.negative}

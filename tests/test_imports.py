@@ -5,9 +5,19 @@ cached_property) is referenced outside its own definition.
 No linter ships with the test dependencies, so these AST checks stand in
 for one. The package __init__ is skipped by the import check: its imports
 are re-exports.
+
+Two import-time contracts ride along: importing the package and its CLI
+loads no scipy, and every public function the package re-exports lives,
+under a unique name, in one of its six layer modules (the benchmark's
+perfbench/spans.library_api collects them from there).
 """
 
 import ast
+import importlib
+import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,8 +69,13 @@ def test_check_sees_dead_imports():
         "import math\nimport scipy.sparse\nimport scipy.linalg\n"
         "from .fock import a, b as c\n"
         "x = scipy.linalg.eigh(a)\n"
+        "def load():\n"  # imports in a function body are policed too
+        "    import json\n    import os.path\n    import xml.dom\n"
+        "    return os.path.join, xml\n"  # reading xml leaves xml.dom dead
     )
-    assert unused_imports(src) == [("math", 1), ("scipy.sparse", 2), ("c", 4)]
+    assert unused_imports(src) == [
+        ("math", 1), ("scipy.sparse", 2), ("c", 4), ("json", 7), ("xml.dom", 9)
+    ]
 
 
 def _private_definitions(tree):
@@ -192,3 +207,57 @@ def test_check_sees_dead_private_members():
         ("a.py", "A._prop"),
         ("a.py", "A._gone"),
     ]
+
+
+
+LAYERS = ("fock", "passivity", "dynamics", "ledger", "engine", "cli")
+
+
+def _public_functions(module):
+    """name -> function for the public functions defined in module."""
+    return {
+        name: fn for name, fn in vars(module).items()
+        if not name.startswith("_") and inspect.isfunction(fn)
+        and fn.__module__ == module.__name__
+    }
+
+
+def test_public_functions_live_in_the_layer_modules():
+    layers = [importlib.import_module(f"squeezedbath.{m}") for m in LAYERS]
+    exported = [
+        fn for name, fn in vars(squeezedbath).items()
+        if not name.startswith("_") and inspect.isfunction(fn)
+    ]
+    assert exported
+    assert {fn.__module__ for fn in exported} <= {m.__name__ for m in layers}
+    names = [name for m in layers for name in _public_functions(m)]
+    assert len(names) == len(set(names))  # library_api raises on a duplicate
+    assert squeezedbath.superoperator.__module__ == "squeezedbath.dynamics"
+    assert squeezedbath.steady_state.__module__ == "squeezedbath.dynamics"
+
+
+STARTUP = """
+import sys
+import squeezedbath, squeezedbath.cli
+
+def scipy_loaded():
+    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+
+assert not scipy_loaded(), "import"
+assert squeezedbath.cli.main(["cycle", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert not scipy_loaded(), "cycle"
+squeezedbath.squeeze_operator(0.3, 20)
+assert scipy_loaded(), "squeeze_operator"
+"""
+
+
+def test_scipy_loads_on_first_need(tmp_path):
+    # a fresh interpreter: this one has loaded scipy already
+    data = Path(__file__).parent / "data" / "readme"
+    src = Path(squeezedbath.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = tmp_path / "cycle.csv"
+    subprocess.run([sys.executable, "-c", STARTUP, str(data / "cycle.ini"), str(out)],
+                   env=env, check=True, timeout=120)
+    assert out.read_bytes() == (data / "cycle.csv").read_bytes()
