@@ -22,7 +22,7 @@ import functools
 import itertools
 import math
 import warnings
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -61,6 +61,8 @@ _CONTACT_STEP = 0.005
 # classical RK4 as (node c, weight 6 b) per stage
 _RK4_TABLEAU = ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
 _BLOCK = 32  # snapshots stacked at once, which bounds the temporaries
+# levels per chunk of relax_populations' channels: one Pascal table this size
+_PASCAL_CHUNK = 64
 
 
 def bose_occupation(omega: float, temperature: float) -> float:
@@ -855,25 +857,52 @@ def _frame_run(gen: Generator, rho0: DensityMatrix, dt: float, marks: list):
 # steady states
 
 
-def superoperator(gen: Generator, t: float = 0.0):
-    """scipy.sparse CSR matrix of the generator on row-major vec(rho)."""
-    n, sparse = gen.dim.cutoff, _scipy()[1]
-    eye = sparse.identity(n, format="csr", dtype=complex)
+def _jump_piece(jump: JumpTerm):
+    """2 L (x) conj(L) - L^dag L (x) 1 - 1 (x) (L^dag L)^T, the superoperator
+    of one jump at unit rate, as scipy.sparse CSR on row-major vec(rho)."""
+    sparse = _scipy()[1]
+    eye = sparse.identity(jump.operator.dim.cutoff, format="csr", dtype=complex)
     kron = functools.partial(sparse.kron, format="csr")
+    lm = sparse.csr_matrix(jump.operator.matrix)
+    ldl = lm.conj().T @ lm
+    return 2.0 * kron(lm, lm.conj()) - kron(ldl, eye) - kron(eye, ldl.T)
+
+
+def _fold(gen: Generator, t: float, piece: Callable):
+    """The superoperator at t as the rate-weighted sum of the jump pieces,
+    piece(k) giving jump k's. Each piece and its scaled copy die before
+    the next is asked for, which keeps a streamed fold's peak at one
+    piece."""
+    n, sparse = gen.dim.cutoff, _scipy()[1]
     total = sparse.csr_matrix((n * n, n * n), dtype=complex)
     if gen.picture == "schroedinger":
+        eye = sparse.identity(n, format="csr", dtype=complex)
+        kron = functools.partial(sparse.kron, format="csr")
         h = sparse.csr_matrix(gen.hamiltonian.evaluate(t))
         total = total - 1j * (kron(h, eye) - kron(eye, h.T))
-    for j in gen.jumps:
+    for k, j in enumerate(gen.jumps):
         g = _rate_at(j.rate, t)
-        if g == 0.0:
-            continue
-        lm = sparse.csr_matrix(j.operator.matrix)
-        ldl = lm.conj().T @ lm
-        total = total + g * (
-            2.0 * kron(lm, lm.conj()) - kron(ldl, eye) - kron(eye, ldl.T)
-        )
+        if g != 0.0:
+            total = total + g * piece(k)
     return total.tocsr()
+
+
+def superoperator(gen: Generator, t: float = 0.0):
+    """scipy.sparse CSR matrix of the generator on row-major vec(rho).
+
+    A fold over the jumps: each jump's piece (_jump_piece) is built, scaled
+    by its rate at t and added, one at a time; a jump with zero rate at t
+    builds none.
+    """
+    return _fold(gen, t, lambda k: _jump_piece(gen.jumps[k]))
+
+
+def _steady_states(gen: Generator, times) -> Iterator[DensityMatrix]:
+    """steady_state(gen, t=t) for each t, to the bit, with every jump's
+    piece built once for all of them (they live until the last is done)."""
+    pieces = [_jump_piece(j) for j in gen.jumps]
+    for t in times:
+        yield _kernel_state(gen, _fold(gen, t, pieces.__getitem__), t)
 
 
 def steady_state(gen: Generator, *, t: float = 0.0) -> DensityMatrix:
@@ -891,10 +920,14 @@ def steady_state(gen: Generator, *, t: float = 0.0) -> DensityMatrix:
     below 1e-8. SteadyStateResidual is raised when apply() leaves more
     than RESIDUAL_TOL on the normalised state.
     """
+    return _kernel_state(gen, superoperator(gen, t=t), t)
+
+
+def _kernel_state(gen: Generator, lmat, t: float) -> DensityMatrix:
+    """steady_state's solve and gates on lmat, the superoperator at t."""
     n = gen.dim.cutoff
     size = n * n
     _, sparse, splinalg = _scipy()
-    lmat = superoperator(gen, t=t)
     y = np.eye(n, dtype=complex).reshape(-1) / math.sqrt(n)
     y_col = sparse.csc_matrix(y[:, None])
     bordered = sparse.bmat([[lmat, y_col], [y_col.conj().T, None]], "csc")
@@ -967,6 +1000,53 @@ def _binomial_table(x: float, size: int) -> np.ndarray:
     return c
 
 
+def _thin(p: np.ndarray, x: float) -> np.ndarray:
+    """Binomial thinning B_x^T p: level k keeps each quantum with chance x.
+
+    At most _PASCAL_CHUNK levels this is the Pascal table product itself.
+    Above, Horner's rule runs over chunks of C = _PASCAL_CHUNK levels. With
+    w = 1 - x + x z the output's generating function is
+    sum_j w^(jC) P_j(w), P_j holding chunk j of p, so each step convolves
+    the accumulator with row C of the table (w^C) and adds the next chunk's
+    table product at the low end.
+    """
+    n, size = p.size, _PASCAL_CHUNK
+    if n <= size:
+        return _binomial_table(x, n).T @ p
+    c = _binomial_table(x, size + 1)
+    table, row = c[:size, :size].T, c[size]
+    start = (n - 1) // size * size
+    acc = table[: n - start, : n - start] @ p[start:]
+    for j in range(start - size, -1, -size):
+        acc = np.convolve(acc, row)
+        acc[:size] += table @ p[j : j + size]
+    return acc
+
+
+def _spread(q: np.ndarray, y: float) -> np.ndarray:
+    """Binomial transform B_y q: out[k] = sum_m C(k, m) y^m (1-y)^(k-m) q[m].
+
+    Chunked like _thin. By Vandermonde's identity level jC + a splits its
+    trials into the first jC and the last a: out[jC + a] is
+    sum_l table[a, l] q_j[l], where q_j[l] = sum_i b_j[i] q[l + i] and b_j,
+    row jC of the table, is row C convolved with itself j times. So
+    q_(j+1) is q_j correlated with row C, and chunk j of the output is the
+    C x C table product of q_j's first C entries.
+    """
+    n, size = q.size, _PASCAL_CHUNK
+    if n <= size:
+        return _binomial_table(y, n) @ q
+    c = _binomial_table(y, size + 1)
+    table, row = c[:size, :size], c[size]
+    out = np.empty(n)
+    for j in range(0, n, size):
+        if j:
+            q = np.correlate(q, row)  # "valid": one chunk shorter
+        m = min(size, n - j)
+        out[j : j + m] = table[:m, :m] @ q[:m]
+    return out
+
+
 def relax_populations(
     p0: np.ndarray, nbar: float, kappa: float, t: float
 ) -> np.ndarray:
@@ -980,19 +1060,23 @@ def relax_populations(
     the loss is binomial thinning, B_x[m, k] = C(k, m) x^m (1-x)^(k-m) at
     x = eta/G, and the amplifier is A_G = B_(1/G)^T / G. Both are
     nonnegative stochastic matrices, so the result needs no eigensolve and
-    no rescaling. Mass the amplifier maps past the cutoff is truncation
-    error: above fock.TOL_LEAK it raises CutoffLeak, below it the result is
-    renormalised.
+    no rescaling. Neither is formed: above _PASCAL_CHUNK levels both act
+    chunk by chunk through one small Pascal table (_thin, _spread), in
+    O(n C) memory; every term is nonnegative, so nothing cancels. Mass the
+    amplifier maps past the cutoff is truncation error: above
+    fock.TOL_LEAK it raises CutoffLeak, below it the result is
+    renormalised. p0 must be finite and nonnegative.
     """
     p0 = np.asarray(p0, dtype=float)
-    if not abs(p0.sum() - 1.0) <= 1e-8:  # a NaN sum fails too
+    if not (np.isfinite(p0).all() and (p0 >= 0.0).all()):
+        raise ValueError("populations must be finite and nonnegative")
+    if not abs(p0.sum() - 1.0) <= 1e-8:
         raise ValueError("populations must sum to 1")
     if not (nbar >= 0 and kappa >= 0 and t >= 0):
         raise ValueError("nbar, kappa and t must be nonnegative")
     eta = math.exp(-2.0 * kappa * t)
     gain = 1.0 + (1.0 - eta) * nbar
-    lost = _binomial_table(eta / gain, p0.size).T @ p0
-    out = _binomial_table(1.0 / gain, p0.size) @ lost / gain
+    out = _spread(_thin(p0, eta / gain), 1.0 / gain) / gain
     leak = 1.0 - out.sum()
     if leak > TOL_LEAK:
         raise CutoffLeak(

@@ -225,8 +225,13 @@ def _squeeze_matrix(r: float, n: int) -> np.ndarray:
     only C between block indices of equal parity (levels 4 apart) and S
     between opposite ones are formed; with j = 2a or 2a + 1 the sign is
     (-1)^(a - b), folded into the rows of Q. Entries between levels of
-    opposite parity are exactly zero.
+    opposite parity are exactly zero. At r = 0 it is the identity, built
+    without an eigensolve or scipy.
     """
+    if r == 0.0:
+        out = np.eye(n)
+        out.setflags(write=False)
+        return out
     out = np.zeros((n, n))
     for parity in (0, 1):
         size = len(range(parity, n, 2))

@@ -34,6 +34,7 @@ from .dynamics import (
     Generator,
     _thermal_contact,
     Trajectory,
+    _steady_states,
     apply,
     bath_invariant_state,
     evolve,
@@ -166,10 +167,16 @@ def _sigma(traj: Trajectory, gen: Generator, entropy: np.ndarray) -> np.ndarray:
 
 
 def _sigma_by_quadrature(traj: Trajectory, gen: Generator) -> np.ndarray:
-    """Trapezoid quadrature of the Spohn rate for a custom driven generator."""
+    """Trapezoid quadrature of the Spohn rate for a custom driven generator.
+
+    The frozen-time invariant at each snapshot is steady_state's, to the
+    bit; the jumps' superoperator pieces are built once per call and only
+    their rates change from one snapshot's solve to the next.
+    """
     rates = np.empty(len(traj.states))
-    for i, (t, state) in enumerate(zip(traj.times, traj.states)):
-        log_inv = _log_state(bath_invariant_state(gen, t=float(t)))
+    invariants = _steady_states(gen, map(float, traj.times))
+    for i, (t, state, inv) in enumerate(zip(traj.times, traj.states, invariants)):
+        log_inv = _log_state(inv)
         log_rho = _log_state(state)
         flow = apply(gen, state, float(t))
         rates[i] = -float(np.einsum("ij,ji->", flow, log_rho - log_inv).real)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -977,6 +978,37 @@ class TestSuperoperator:
             via = (sup @ basis.reshape(-1)).reshape(8, 8)
             np.testing.assert_allclose(via, direct, atol=1e-12)
 
+    def test_builds_one_piece_per_jump_with_a_nonzero_rate(self, monkeypatch):
+        a = annihilation(6)
+        gen = Generator(
+            HilbertDim(6),
+            constant_hamiltonian(harmonic_hamiltonian(1.0, 6)),
+            jumps=(JumpTerm(a, 1.0), JumpTerm(a.dagger(), lambda t: t)),
+        )
+        built = []
+        piece = dynamics._jump_piece
+        monkeypatch.setattr(dynamics, "_jump_piece", lambda j: built.append(j) or piece(j))
+        superoperator(gen, t=0.0)
+        assert built == [gen.jumps[0]]  # the a^dag rate is zero at t = 0
+        superoperator(gen, t=0.5)
+        assert built == [gen.jumps[0], *gen.jumps]
+
+    def test_peak_memory_holds_one_piece_at_a_time(self):
+        # at cutoff 40 the result is a 702,400-entry CSR (13.4 MB) and one
+        # piece's kron chain peaks at 56.3 MB; a fold that kept the last
+        # piece alive while building the next would reach about 70 MB
+        gen = conjugate_generator(
+            thermal_generator(1, 1, nbar=0.3, dim=40), squeeze_operator(-0.5, 40)
+        )
+        superoperator(gen)  # warm scipy's paths
+        tracemalloc.start()
+        try:
+            superoperator(gen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 56.3e6
+
 
 class TestConjugateGenerator:
     def test_identity_leaves_generator_alone(self):
@@ -1130,6 +1162,90 @@ class TestRelaxPopulations:
         vacuum[0] = 1.0
         with pytest.raises(CutoffLeak):
             relax_populations(vacuum, 5.0, 1.0, 10.0)
+
+    @pytest.mark.parametrize("p0", [[1.5, -0.5], [np.inf, 0.0], [0.5, np.nan, 0.5]])
+    def test_rejects_negative_or_non_finite_entries(self, p0):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            relax_populations(np.array(p0), 0.5, 1.0, 1.0)
+
+
+def pascal_table(x, size):
+    """c[k, m] = C(k, m) x^m (1-x)^(k-m), row by row (Pascal's rule)."""
+    c = np.zeros((size, size))
+    c[0, 0] = 1.0
+    for k in range(size - 1):
+        row = c[k, : k + 1]
+        np.multiply(row, 1.0 - x, out=c[k + 1, : k + 1])
+        c[k + 1, 1 : k + 2] += x * row
+    return c
+
+
+def table_channel(p0, nbar, kappa, t):
+    """relax_populations' loss-then-amplifier on whole n x n tables, before
+    renormalising: (populations, leak)."""
+    eta = math.exp(-2.0 * kappa * t)
+    gain = 1.0 + (1.0 - eta) * nbar
+    lost = pascal_table(eta / gain, p0.size).T @ p0
+    out = pascal_table(1.0 / gain, p0.size) @ lost / gain
+    return out, 1.0 - out.sum()
+
+
+class TestChunkedChannel:
+    """relax_populations applies its two binomial tables chunk by chunk;
+    above one chunk of C levels it must still agree with the whole-table
+    products, and at most one chunk it must be them."""
+
+    C = dynamics._PASCAL_CHUNK
+    SIZES = [C - 1, C, C + 1, 2 * C + 1, 640, 1740]
+
+    @staticmethod
+    def assert_agrees(got, want, exact):
+        if exact:
+            assert got.tobytes() == want.tobytes()
+        big = want > 1e-250
+        assert np.abs(got - want).max() <= 1e-15
+        assert (np.abs(got - want)[big] / want[big]).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_hot_start_into_a_warm_bath(self, n):
+        p0 = thermal_populations(n / 25.0, n)
+        want, _leak = table_channel(p0, n / 30.0, 1.0, 0.3)
+        got = relax_populations(p0, n / 30.0, 1.0, 0.3)
+        self.assert_agrees(got, want / want.sum(), n <= self.C)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_pure_loss_of_a_spread_start(self, n):
+        # every level occupied: thinning from the top chunk down, and an
+        # amplifier of gain 1 that must hand each level back unchanged
+        p0 = np.random.default_rng(n).random(n)
+        p0 /= p0.sum()
+        want, _leak = table_channel(p0, 0.0, 1.0, 0.05)
+        got = relax_populations(p0, 0.0, 1.0, 0.05)
+        self.assert_agrees(got, want / want.sum(), n <= self.C)
+
+    def test_a_leak_above_one_chunk_raises_and_matches_the_tables(self):
+        n, nbar, t = 2 * self.C + 1, 20.0, 10.0
+        p0 = thermal_populations(3.0, n)
+        _want, leak = table_channel(p0, nbar, 1.0, t)
+        eta = math.exp(-2.0 * t)
+        gain = 1.0 + (1.0 - eta) * nbar
+        out = dynamics._spread(dynamics._thin(p0, eta / gain), 1.0 / gain) / gain
+        assert leak > 1e-3
+        assert abs((1.0 - out.sum()) - leak) <= 1e-15
+        with pytest.raises(CutoffLeak, match=f"leaks {leak:.3e} past cutoff {n}"):
+            relax_populations(p0, nbar, 1.0, t)
+
+    def test_no_n_by_n_table_is_formed(self):
+        # one 1,740 x 1,740 float table alone is 24 MB
+        p0 = thermal_populations(60.0, 1740)
+        relax_populations(p0, 0.5, 1.0, 0.3)  # warm numpy's paths
+        tracemalloc.start()
+        try:
+            relax_populations(p0, 0.5, 1.0, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestThermalContact:

@@ -261,3 +261,26 @@ def test_scipy_loads_on_first_need(tmp_path):
     subprocess.run([sys.executable, "-c", STARTUP, str(data / "cycle.ini"), str(out)],
                    env=env, check=True, timeout=120)
     assert out.read_bytes() == (data / "cycle.csv").read_bytes()
+
+
+SWEPT_THERMAL = """
+import sys
+import squeezedbath as sb
+
+sched = sb.linear_ramp_schedule(25, 20, 2, dim=20)
+gen = sb.thermal_generator(sched, 1, dim=20, temperature=5)
+traj = sb.evolve(gen, sb.thermal_state(0.3, 20), 2.0)
+assert traj.times[-1] == 2.0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+
+
+def test_a_swept_thermal_bath_evolves_without_scipy():
+    # at r = 0 the bath's frame is the identity, and the band RK4 that
+    # runs it needs no scipy routine
+    src = Path(squeezedbath.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    subprocess.run([sys.executable, "-W", "ignore", "-c", SWEPT_THERMAL],
+                   env=env, check=True, timeout=120)

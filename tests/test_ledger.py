@@ -45,7 +45,7 @@ from squeezedbath import (
     trace_distance,
     von_neumann_entropy,
 )
-from squeezedbath import ledger
+from squeezedbath import dynamics, ledger
 from squeezedbath.passivity import EIG_FLOOR
 
 # bose_occupation(1, T) = 0.5 at this temperature
@@ -137,6 +137,29 @@ class TestSigmaSeries:
         sa = sigma_series(traj, gen)
         sb = sigma_series(traj, _custom_clone(gen))
         assert np.abs(sa - sb).max() < 1e-8
+
+    def test_quadrature_invariants_are_steady_states(self, monkeypatch):
+        # the route builds each jump's superoperator piece once per call,
+        # and every invariant it reads is steady_state's to the bit
+        gen, traj = _driven_stroke(stride=40)
+        clone = _custom_clone(gen)
+        seen, built = [], []
+        steady_states, piece = ledger._steady_states, dynamics._jump_piece
+
+        def spy(gen, times):
+            times = list(times)
+            for t, inv in zip(times, steady_states(gen, times)):
+                seen.append((t, inv))
+                yield inv
+
+        monkeypatch.setattr(ledger, "_steady_states", spy)
+        monkeypatch.setattr(dynamics, "_jump_piece", lambda j: built.append(j) or piece(j))
+        sigma_series(traj, clone)
+        assert built == list(clone.jumps)
+        assert [t for t, _inv in seen] == traj.times.tolist()
+        for t, inv in seen:
+            want = dynamics.steady_state(clone, t=t).matrix
+            assert inv.matrix.tobytes() == want.tobytes()
 
     def test_driven_squeezed_stroke_reads_sigma_off_the_trajectory(self, monkeypatch):
         gen, traj = _driven_squeezed_stroke()
