@@ -857,15 +857,21 @@ def _frame_run(gen: Generator, rho0: DensityMatrix, dt: float, marks: list):
 # steady states
 
 
+def _sides(a):
+    """a (x) 1 and 1 (x) a^T: rho -> a rho and rho -> rho a as scipy.sparse
+    CSR superoperators on row-major vec(rho), a being CSR."""
+    sparse = _scipy()[1]
+    eye = sparse.identity(a.shape[0], format="csr", dtype=complex)
+    return sparse.kron(a, eye, format="csr"), sparse.kron(eye, a.T, format="csr")
+
+
 def _jump_piece(jump: JumpTerm):
     """2 L (x) conj(L) - L^dag L (x) 1 - 1 (x) (L^dag L)^T, the superoperator
     of one jump at unit rate, as scipy.sparse CSR on row-major vec(rho)."""
     sparse = _scipy()[1]
-    eye = sparse.identity(jump.operator.dim.cutoff, format="csr", dtype=complex)
-    kron = functools.partial(sparse.kron, format="csr")
     lm = sparse.csr_matrix(jump.operator.matrix)
-    ldl = lm.conj().T @ lm
-    return 2.0 * kron(lm, lm.conj()) - kron(ldl, eye) - kron(eye, ldl.T)
+    left, right = _sides(lm.conj().T @ lm)
+    return 2.0 * sparse.kron(lm, lm.conj(), format="csr") - left - right
 
 
 def _fold(gen: Generator, t: float, piece: Callable):
@@ -876,10 +882,8 @@ def _fold(gen: Generator, t: float, piece: Callable):
     n, sparse = gen.dim.cutoff, _scipy()[1]
     total = sparse.csr_matrix((n * n, n * n), dtype=complex)
     if gen.picture == "schroedinger":
-        eye = sparse.identity(n, format="csr", dtype=complex)
-        kron = functools.partial(sparse.kron, format="csr")
-        h = sparse.csr_matrix(gen.hamiltonian.evaluate(t))
-        total = total - 1j * (kron(h, eye) - kron(eye, h.T))
+        left, right = _sides(sparse.csr_matrix(gen.hamiltonian.evaluate(t)))
+        total = total - 1j * (left - right)
     for k, j in enumerate(gen.jumps):
         g = _rate_at(j.rate, t)
         if g != 0.0:
@@ -1003,18 +1007,16 @@ def _binomial_table(x: float, size: int) -> np.ndarray:
 def _thin(p: np.ndarray, x: float) -> np.ndarray:
     """Binomial thinning B_x^T p: level k keeps each quantum with chance x.
 
-    At most _PASCAL_CHUNK levels this is the Pascal table product itself.
-    Above, Horner's rule runs over chunks of C = _PASCAL_CHUNK levels. With
+    Horner's rule runs over chunks of C = _PASCAL_CHUNK levels. With
     w = 1 - x + x z the output's generating function is
     sum_j w^(jC) P_j(w), P_j holding chunk j of p, so each step convolves
     the accumulator with row C of the table (w^C) and adds the next chunk's
-    table product at the low end.
+    table product at the low end. At most C levels make one chunk, and the
+    table is then the whole n x n one, so the result is its product.
     """
     n, size = p.size, _PASCAL_CHUNK
-    if n <= size:
-        return _binomial_table(x, n).T @ p
-    c = _binomial_table(x, size + 1)
-    table, row = c[:size, :size].T, c[size]
+    c = _binomial_table(x, min(n, size + 1))
+    table, row = c[:size, :size].T, c[-1]
     start = (n - 1) // size * size
     acc = table[: n - start, : n - start] @ p[start:]
     for j in range(start - size, -1, -size):
@@ -1034,10 +1036,8 @@ def _spread(q: np.ndarray, y: float) -> np.ndarray:
     C x C table product of q_j's first C entries.
     """
     n, size = q.size, _PASCAL_CHUNK
-    if n <= size:
-        return _binomial_table(y, n) @ q
-    c = _binomial_table(y, size + 1)
-    table, row = c[:size, :size], c[size]
+    c = _binomial_table(y, min(n, size + 1))
+    table, row = c[:size, :size], c[-1]
     out = np.empty(n)
     for j in range(0, n, size):
         if j:
@@ -1062,7 +1062,7 @@ def relax_populations(
     nonnegative stochastic matrices, so the result needs no eigensolve and
     no rescaling. Neither is formed: above _PASCAL_CHUNK levels both act
     chunk by chunk through one small Pascal table (_thin, _spread), in
-    O(n C) memory; every term is nonnegative, so nothing cancels. Mass the
+    O(n + C^2) memory; every term is nonnegative, so nothing cancels. Mass the
     amplifier maps past the cutoff is truncation error: above
     fock.TOL_LEAK it raises CutoffLeak, below it the result is
     renormalised. p0 must be finite and nonnegative.
