@@ -63,6 +63,8 @@ _RK4_TABLEAU = ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
 _BLOCK = 32  # snapshots stacked at once, which bounds the temporaries
 # levels per chunk of relax_populations' channels: one Pascal table this size
 _PASCAL_CHUNK = 64
+# rows of U^H L U formed at once by steady_state, which bounds its temporaries
+_REAL_ROWS = 512
 
 
 def bose_occupation(omega: float, temperature: float) -> float:
@@ -912,56 +914,112 @@ def _steady_states(gen: Generator, times) -> Iterator[DensityMatrix]:
 def steady_state(gen: Generator, *, t: float = 0.0) -> DensityMatrix:
     """Unique kernel state of the generator frozen at time t.
 
-    One sparse LU factors the superoperator L bordered by the unit trace
-    vector y = vec(1)/sqrt(n), M = [[L, y], [y^H, 0]]. As y^H L = 0, the
-    solve M [x; mu] = [0; 1] gives the kernel vector. The same factors
-    apply the pseudo-inverse L^+ (input projected off y, output off x) and
-    its adjoint, so one svds gives the gap sigma_2(L) = 1 / ||L^+||_2.
-    NonUniqueSteadyState is raised for an exactly singular M (degenerate
-    or traceless kernel), for ||L x|| above RESIDUAL_TOL or NaN at the
-    unit solve vector x (no kernel; never below sigma_min), for
-    sigma_2 < GAP_TOL (kernel not isolated) and for a unit x with trace
-    below 1e-8. SteadyStateResidual is raised when apply() leaves more
-    than RESIDUAL_TOL on the normalised state.
+    L preserves Hermiticity, so in the orthonormal Hermitian basis U of
+    _hermitian_basis its matrix R = U^H L U is real (the coherence-vector
+    picture; Alicki & Lendi, LNP 286 (1987)). One real sparse LU factors R
+    bordered by the unit trace vector y = vec(1)/sqrt(n), which U leaves
+    unchanged: M = [[R, y], [y^T, 0]]. As y^T R = 0, the solve M [w; mu] =
+    [0; 1] gives the kernel coordinates w, and x = U w. U is unitary, so
+    ||R w|| = ||L x|| and R has L's singular values: the same factors apply
+    the pseudo-inverse R^+ (input projected off y, output off w) and its
+    transpose, and one real svds gives the gap sigma_2(L) = 1 / ||R^+||_2.
+    ValueError is raised when U^H L U is not real to 1e-12 of its largest
+    entry (a non-Hermitian H(t), say). NonUniqueSteadyState is raised for
+    an exactly singular M (degenerate or traceless kernel), for ||R w||
+    above RESIDUAL_TOL or NaN at the unit solve vector w (no kernel; never
+    below sigma_min), for sigma_2 < GAP_TOL (kernel not isolated) and for
+    a unit x with trace below 1e-8. SteadyStateResidual is raised when
+    apply() leaves more than RESIDUAL_TOL on the normalised state.
     """
     return _kernel_state(gen, superoperator(gen, t=t), t)
 
 
+@functools.lru_cache(maxsize=8)
+def _hermitian_basis(n: int):
+    """The unitary U whose columns are the row-major vecs of E_ii (column
+    i*n + i), (E_ij + E_ji)/sqrt(2) (column i*n + j) and i (E_ij - E_ji)/
+    sqrt(2) (column j*n + i) for i < j, as scipy.sparse CSR (cached; treat
+    as read-only). U^H vec(X) is real for a Hermitian X, and U^H vec(1) =
+    vec(1)."""
+    sparse = _scipy()[1]
+    i, j = np.triu_indices(n, 1)
+    upper, lower, diag = i * n + j, j * n + i, np.arange(n) * (n + 1)
+    h = math.sqrt(0.5)
+    rows = np.concatenate([diag, upper, lower, upper, lower])
+    cols = np.concatenate([diag, upper, upper, lower, lower])
+    vals = np.concatenate([np.ones(n), np.full(2 * i.size, h),
+                           np.full(i.size, 1j * h), np.full(i.size, -1j * h)])
+    u = sparse.csr_matrix((vals, (rows, cols)), shape=(n * n, n * n))
+    for part in (u.data, u.indices, u.indptr):
+        part.setflags(write=False)
+    return u
+
+
+def _real_form(lmat, u, t: float):
+    """R = U^H L U for lmat = L and u = _hermitian_basis(n), as real
+    scipy.sparse CSR, formed _REAL_ROWS rows at a time so that the complex
+    products stay a few MB; ValueError when an imaginary part exceeds 1e-12
+    of R's largest entry, as it does when L breaks Hermiticity."""
+    sparse = _scipy()[1]
+    uh = u.conj().T.tocsr()
+    drift = scale = 0.0
+    rows = []
+    for start in range(0, u.shape[0], _REAL_ROWS):
+        k = (uh[start:start + _REAL_ROWS] @ lmat) @ u
+        drift = max(drift, np.abs(k.data.imag).max(initial=0.0))
+        scale = max(scale, np.abs(k.data.real).max(initial=0.0))
+        rows.append(k.real.copy())  # contiguous, so k's imaginary half is freed
+    if drift > 1e-12 * scale:
+        raise ValueError(f"generator does not preserve Hermiticity at t={t:g}: "
+                         f"U^H L U has imaginary entries up to {drift:.3e} against "
+                         f"{scale:.3e}; is H(t) Hermitian?")
+    return rows[0] if len(rows) == 1 else sparse.vstack(rows, format="csr")
+
+
 def _kernel_state(gen: Generator, lmat, t: float) -> DensityMatrix:
-    """steady_state's solve and gates on lmat, the superoperator at t."""
+    """steady_state's solve and gates on lmat, the superoperator at t,
+    through its real form R = Re(U^H L U)."""
     n = gen.dim.cutoff
     size = n * n
     _, sparse, splinalg = _scipy()
-    y = np.eye(n, dtype=complex).reshape(-1) / math.sqrt(n)
-    y_col = sparse.csc_matrix(y[:, None])
-    bordered = sparse.bmat([[lmat, y_col], [y_col.conj().T, None]], "csc")
+    u = _hermitian_basis(n)
+    rmat = _real_form(lmat, u, t)
+    y = np.eye(n).reshape(-1) / math.sqrt(n)
+    # M from R's CSR arrays (bmat costs more than the LU at cutoff 20): y's
+    # entry closes the row of each diagonal coordinate, and y^T is the last row
+    diag = np.arange(n) * (n + 1)
+    ends, weights = rmat.indptr[diag + 1], y[diag]
+    bordered = sparse.csr_matrix((
+        np.append(np.insert(rmat.data, ends, weights), weights),
+        np.append(np.insert(rmat.indices, ends, size), diag),
+        np.append(rmat.indptr + np.searchsorted(diag, np.arange(size + 1)), rmat.nnz + 2 * n),
+    ), shape=(size + 1, size + 1)).tocsc()
     try:
         lu = splinalg.splu(bordered)
     except RuntimeError as exc:  # exactly singular factor
         raise NonUniqueSteadyState(f"degenerate or traceless kernel: {exc}") from exc
-    vec = lu.solve(np.append(np.zeros(size, dtype=complex), 1.0))[:size]
+    vec = lu.solve(np.append(np.zeros(size), 1.0))[:size]
     vec = vec / np.linalg.norm(vec)
-    miss = np.linalg.norm(lmat @ vec)
+    miss = np.linalg.norm(rmat @ vec)
     if not miss <= RESIDUAL_TOL:
         raise NonUniqueSteadyState(f"no kernel vector: ||L x|| = {miss:.3e}")
 
     def solve(v: np.ndarray, trans: str, drop_in: np.ndarray, drop_out: np.ndarray):
         # bordered solve, unit vector drop_in (drop_out) projected out of
         # the input (output)
-        v = np.append(v.ravel() - drop_in * np.vdot(drop_in, v.ravel()), 0.0)
+        v = np.append(v.ravel() - drop_in * np.dot(drop_in, v.ravel()), 0.0)
         w = lu.solve(v, trans=trans)[:size]
-        return w - drop_out * np.vdot(drop_out, w)
+        return w - drop_out * np.dot(drop_out, w)
 
     pinv = splinalg.LinearOperator(
         (size, size),
         matvec=lambda v: solve(v, "N", y, vec),
-        rmatvec=lambda v: solve(v, "H", vec, y),
-        dtype=complex,
+        rmatvec=lambda v: solve(v, "T", vec, y),
+        dtype=float,
     )
     # a generic start: vec(1) projects to zero, and an all-ones vector is
     # orthogonal to slow traceless population modes
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    v0 = np.random.default_rng(0).standard_normal(size)
     # the gap only meets a threshold, so 1e-6 relative accuracy is ample;
     # a short Lanczos basis (ARPACK needs 1 < ncv < size) halves the solves
     gap = 1.0 / splinalg.svds(
@@ -971,7 +1029,7 @@ def _kernel_state(gen: Generator, lmat, t: float) -> DensityMatrix:
     if gap < GAP_TOL:
         raise NonUniqueSteadyState(f"kernel not isolated: next singular value {gap:.3e}")
 
-    x = vec.reshape(n, n)
+    x = (u @ vec).reshape(n, n)
     x = 0.5 * (x + x.conj().T)
     tr = float(x.trace().real)
     if abs(tr) < 1e-8:

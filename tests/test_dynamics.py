@@ -888,6 +888,24 @@ class TestSteadyState:
         ss = steady_state(gen)
         assert np.abs(apply(gen, ss)).max() < 1e-10
 
+    def test_steady_state_peak_memory_stays_under_the_build(self):
+        # TestSuperoperator's memory input at cutoff 40: U^H L U is formed
+        # _REAL_ROWS rows at a time, so the superoperator's build (56.2 MB)
+        # is steady_state's tracemalloc peak too; forming it whole would
+        # reach about 69 MB. SuperLU's factors are not traced: they show in
+        # RSS only
+        gen = conjugate_generator(
+            thermal_generator(1, 1, nbar=0.3, dim=40), squeeze_operator(-0.5, 40)
+        )
+        steady_state(gen)  # warm scipy's paths
+        tracemalloc.start()
+        try:
+            steady_state(gen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 56.2e6
+
 
 def _rotated_thermal(n, nbar=0.3, r=0.25):
     """Thermal damping conjugated by the exact truncated squeeze unitary."""
@@ -906,6 +924,21 @@ def _driven_schroedinger(n):
         HilbertDim(n),
         constant_hamiltonian(Operator(HilbertDim(n), h)),
         jumps=(JumpTerm(a, 1.3), JumpTerm(a.dagger(), 0.3)),
+    )
+
+
+def _complex_drive(n):
+    """Custom generator with complex H and a complex jump: a drive
+    0.3i(a - a^dag) and loss through e^(i pi/5) a + 0.2 a^dag, whose
+    relative phase (unlike a global one) reaches the dissipator."""
+    a = annihilation(n)
+    am, ad = a.matrix, a.dagger().matrix
+    h = ad @ am + 0.3j * (am - ad)
+    jump = Operator(HilbertDim(n), np.exp(0.2j * np.pi) * am + 0.2 * ad)
+    return Generator(
+        HilbertDim(n),
+        constant_hamiltonian(Operator(HilbertDim(n), h)),
+        jumps=(JumpTerm(jump, 1.3), JumpTerm(a.dagger(), 0.3)),
     )
 
 
@@ -932,10 +965,49 @@ class TestSteadyStateOracle:
         return DensityMatrix(Operator(gen.dim, x / x.trace().real))
 
     @pytest.mark.parametrize("n", [6, 20, 32])
-    @pytest.mark.parametrize("build", [_rotated_thermal, _driven_schroedinger])
+    @pytest.mark.parametrize("build", [_rotated_thermal, _driven_schroedinger,
+                                       _complex_drive])
     def test_matches_dense_null_vector(self, build, n):
         gen = build(n)
         assert trace_distance(steady_state(gen), self._dense_kernel(gen)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [6, 12])
+    @pytest.mark.parametrize("build", [_rotated_thermal, _driven_schroedinger])
+    def test_gap_gate_reads_the_dense_second_singular_value(self, monkeypatch, build, n):
+        # sigma_2 of the complex superoperator, independent of the basis
+        # the solve works in; the gate sits on it to 1e-3 either way
+        gen = build(n)
+        sigma_2 = scipy.linalg.svdvals(superoperator(gen).toarray())[-2]
+        monkeypatch.setattr(dynamics, "GAP_TOL", sigma_2 * (1 + 1e-3))
+        with pytest.raises(NonUniqueSteadyState, match="not isolated"):
+            steady_state(gen)
+        monkeypatch.setattr(dynamics, "GAP_TOL", sigma_2 * (1 - 1e-3))
+        steady_state(gen)
+
+    def test_non_hermitian_hamiltonian_is_a_value_error(self):
+        # such an H breaks the real form; the residual gate alone would
+        # only report a SteadyStateResidual
+        n = 8
+        rng = np.random.default_rng(3)
+        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        sched = HamiltonianSchedule(
+            dim=HilbertDim(n), evaluate_fn=lambda t: h,
+            derivative_fn=lambda t: np.zeros_like(h), is_constant=True,
+        )
+        gen = Generator(HilbertDim(n), sched, jumps=(JumpTerm(annihilation(n), 1.0),))
+        with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+            steady_state(gen)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_hermitian_basis_is_unitary_and_real_on_hermitian_states(self, n):
+        u = dynamics._hermitian_basis(n)
+        assert np.abs((u.conj().T @ u).toarray() - np.eye(n * n)).max() <= 1e-15
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        rho = g + g.conj().T
+        coords = u.conj().T @ rho.reshape(-1)
+        assert np.abs(coords.imag).max() <= 1e-15
+        np.testing.assert_allclose((u @ coords.real).reshape(n, n), rho, atol=1e-14)
 
     @pytest.mark.parametrize("n", [6, 20, 40])
     def test_near_degenerate_kernel_raises(self, n):
