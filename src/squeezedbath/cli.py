@@ -34,7 +34,7 @@ from .dynamics import (
     thermal_generator,
 )
 from .errors import ConfigError
-from .fock import HilbertDim, coherent_state, thermal_state
+from .fock import DEFAULT_CUTOFF, HilbertDim, coherent_state, thermal_state
 from .ledger import accumulate_ledger, entropy_bound_report
 
 UNITS_NOTE = (
@@ -377,7 +377,7 @@ SCENARIOS = {
             "omega": ("float", 1.0),
             "kappa": ("float", 1.0),
             "nbar": ("float", 0.0),
-            "cutoff": ("int", 40),
+            "cutoff": ("int", DEFAULT_CUTOFF),
             "dt": ("float", None),
         },
         _run_decay,
@@ -391,7 +391,7 @@ SCENARIOS = {
             "initial_nbar": ("float", 0.0),
             "omega": ("float", 10.0),
             "kappa": ("float", 1.0),
-            "cutoff": ("int", 40),
+            "cutoff": ("int", DEFAULT_CUTOFF),
             "dt": ("float", None),
         },
         _run_squeezed_relax,
@@ -405,7 +405,7 @@ SCENARIOS = {
             "omega_end": ("float", 20.0),
             "r": ("float", 0.2),
             "kappa": ("float", 1.0),
-            "cutoff": ("int", 40),
+            "cutoff": ("int", DEFAULT_CUTOFF),
             "dt": ("float", None),
         },
         _run_carnot_stroke,

@@ -37,6 +37,7 @@ from .errors import (
 from .fock import (
     DEFAULT_CUTOFF,
     TOL_LEAK,
+    TOL_PSD,
     DensityMatrix,
     DimLike,
     HilbertDim,
@@ -52,6 +53,7 @@ RateLike = Union[float, Callable[[float], float]]
 
 GAP_TOL = 1e-6
 RESIDUAL_TOL = 1e-10
+DRIFT_TOL = 1e-8  # evolve's gate on a snapshot's trace before normalising
 # steady_state takes one route at every cutoff; this only names the
 # small/large split that benchmark spans report
 DENSE_STEADY_LIMIT = 32
@@ -554,10 +556,11 @@ def evolve(
     integrated with the state (never taken as a difference of energies).
     A route hands over blocks of up to _BLOCK snapshots. Each snapshot is
     validated, the first failure in time order raising: a trace off by
-    more than 1e-8 TraceDrift, an eigenvalue below -1e-9 or a non-finite
-    one PositivityLoss. A block over its traces is its snapshots' storage:
-    each is a read-only view that keeps its gate's unclipped spectrum, so
-    min_eig shows the margin to the gate, and is not validated again.
+    more than DRIFT_TOL TraceDrift, an eigenvalue below -fock.TOL_PSD or a
+    non-finite one PositivityLoss. A block over its traces is its
+    snapshots' storage: each is a read-only view that keeps its gate's
+    unclipped spectrum, so min_eig shows the margin to the gate, and is not
+    validated again.
     Snapshots past states[0] (rho0 itself) keep their route's dtype:
     float64 for a real rho0 on the frame route, complex128 for a complex
     one or on the RK4 route. A tagged bath with a swept occupation also
@@ -592,7 +595,7 @@ def evolve(
     for steps, rhos, flows in run:
         tr = np.trace(rhos, axis1=1, axis2=2).real
         err = np.abs(tr - 1.0)
-        ok = int(np.append(err <= 1e-8, False).argmin())  # NaN fails too
+        ok = int(np.append(err <= DRIFT_TOL, False).argmin())  # NaN fails too
         t = [step * dt for step in steps]
         # the prefix first, so an earlier positivity failure wins
         states.extend(_gate_block(gen.dim, rhos[:ok] / tr[:ok, None, None], t[:ok]))
@@ -623,7 +626,7 @@ def _gate_block(dim: HilbertDim, x: np.ndarray, times: list) -> list:
     split = not (x[:ok, 0::2, 1::2].any() or x[:ok, 1::2, 0::2].any())
     sectors = (slice(0, None, 2), slice(1, None, 2)) if split else (slice(None),)
     eigs = np.sort(np.hstack([np.linalg.eigvalsh(x[:ok, q, q]) for q in sectors]))
-    good = (eigs[:, 0] >= -1e-9) & np.isfinite(eigs).all(axis=1)  # NaN fails too
+    good = (eigs[:, 0] >= -TOL_PSD) & np.isfinite(eigs).all(axis=1)  # NaN fails too
     j = int(np.append(good, False).argmin())  # first failure, else ok
     if j < len(x):  # past ok the matrix itself is not finite
         raise PositivityLoss(f"negative or non-finite eigenvalue "
@@ -663,7 +666,7 @@ def _rk4(at: Callable, deriv: Callable, flow_rates: Callable, y, dt: float,
 def _rk4_run(gen: Generator, rho0: DensityMatrix, dt: float, marks: list):
     """RK4 of a custom generator on the complex rho in blocks (steps, rhos,
     (Tr[k H], Tr[m dH/dt], 0) per step) that end at _BLOCK steps or at a
-    trace off by more than 1e-8 (or NaN), where evolve's gate stops the run."""
+    trace off by more than DRIFT_TOL (or NaN), where evolve's gate stops the run."""
     sched = gen.hamiltonian
 
     def flow_rates(m: np.ndarray, k: np.ndarray, t: float) -> tuple:
@@ -676,7 +679,7 @@ def _rk4_run(gen: Generator, rho0: DensityMatrix, dt: float, marks: list):
     for mark, rho, flows in run:
         block.append((mark, rho, flows))
         if (len(block) == _BLOCK or mark == marks[-1]
-                or not abs(np.trace(rho).real - 1.0) <= 1e-8):
+                or not abs(np.trace(rho).real - 1.0) <= DRIFT_TOL):
             steps, rhos, cums = zip(*block)
             yield steps, np.array(rhos), cums
             block = []
@@ -880,7 +883,8 @@ def _fold(gen: Generator, t: float, piece: Callable):
     """The superoperator at t as the rate-weighted sum of the jump pieces,
     piece(k) giving jump k's. Each piece and its scaled copy die before
     the next is asked for, which keeps a streamed fold's peak at one
-    piece."""
+    piece. The sum comes back as a compact copy: scipy's sparse add can
+    leave its entries in buffers up to twice their size."""
     n, sparse = gen.dim.cutoff, _scipy()[1]
     total = sparse.csr_matrix((n * n, n * n), dtype=complex)
     if gen.picture == "schroedinger":
@@ -890,7 +894,7 @@ def _fold(gen: Generator, t: float, piece: Callable):
         g = _rate_at(j.rate, t)
         if g != 0.0:
             total = total + g * piece(k)
-    return total.tocsr()
+    return total.copy()
 
 
 def superoperator(gen: Generator, t: float = 0.0):

@@ -32,7 +32,7 @@ from .dynamics import (
     thermal_generator,
 )
 from .errors import NotSteady, OpenCycle, RegimeViolation
-from .fock import _squeeze_matrix, thermal_populations
+from .fock import DEFAULT_CUTOFF, _squeeze_matrix, thermal_populations
 from .passivity import _population_entropy
 
 STEADY_TOL = 1e-8
@@ -311,8 +311,6 @@ def required_cutoff(nbar: float, r: float = 0.0) -> int:
         raise ValueError("nbar must be nonnegative")
     v = (2.0 * nbar + 1.0) * math.exp(2.0 * abs(r)) / 2.0
     lam = (2.0 * v - 1.0) / (2.0 * v + 1.0)
-    if lam <= 0.0:
-        return CUTOFF_FLOOR
     n = CUTOFF_FLOOR
     power = lam**n
     while 2.0 * n * (1.0 - lam) * power > CUTOFF_TAIL_TOL:
@@ -524,7 +522,7 @@ class CarnotSpec:
     stroke_time: float
     settle_time: float = 14.0
     kappa: float = 1.0
-    cutoff: int = 40
+    cutoff: int = DEFAULT_CUTOFF
 
     def __post_init__(self) -> None:
         if not 0 < self.temp_cold < self.temp_hot:

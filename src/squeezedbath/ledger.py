@@ -2,8 +2,9 @@
 
 The dissipated energy E_d (bath flow) splits into a passive part, the
 portion that moves the passive-state energy, and an ergotropy part, the
-portion that builds or burns extractable work. The split is computed two
-independent ways and cross-checked; disagreement raises LedgerInconsistent.
+portion that builds or burns extractable work. E_d, co-integrated with the
+state, is cross-checked against its midpoint sum over the snapshots;
+disagreement raises LedgerInconsistent.
 
 Entropy production sigma follows the relative-entropy route: for a
 time-independent generator with invariant state rho_inv,
@@ -46,6 +47,7 @@ from .fock import squeezed_thermal_state, thermal_state
 from .passivity import (
     EIG_FLOOR,
     _hamiltonian_eigensystem,
+    _population_entropy,
     passive_decompose,
     relative_entropy,
 )
@@ -103,23 +105,6 @@ def _log_state(rho: DensityMatrix) -> np.ndarray:
     return (vecs * logs) @ vecs.conj().T
 
 
-def _spectral_entropies(spectra: np.ndarray) -> np.ndarray:
-    """von_neumann_entropy of each stacked spectrum to the bit: an ascending
-    spectrum's entries above EIG_FLOOR are a suffix, and rows whose suffixes
-    share a length are summed together in that form's order."""
-    out, kept = np.empty(len(spectra)), (spectra > EIG_FLOOR).sum(axis=1)
-    p = np.where(spectra > EIG_FLOOR, spectra, 1.0)
-    terms = p * np.log(p)
-    for size in np.unique(kept):
-        out[kept == size] = -terms[kept == size, p.shape[1] - size:].sum(axis=1)
-    return np.where(out > 0.0, out, 0.0)
-
-
-def _entropies(states: tuple) -> np.ndarray:
-    """_spectral_entropies of the states' stacked spectra."""
-    return _spectral_entropies(np.array([s._eigs for s in states]))
-
-
 def _is_time_independent(gen: Generator) -> bool:
     if any(callable(j.rate) for j in gen.jumps):
         return False
@@ -141,15 +126,20 @@ def sigma_series(traj: Trajectory, gen: Generator) -> np.ndarray:
     of the production rate with the frozen-time invariant recomputed per
     snapshot.
     """
-    return _sigma(traj, gen, _entropies(traj.states))
+    spectra = np.array([s._eigs for s in traj.states])
+    return _sigma(traj, gen, _population_entropy(spectra))
 
 
-def _sigma(traj: Trajectory, gen: Generator, entropy: np.ndarray) -> np.ndarray:
-    """sigma_series with the snapshots' entropies already computed."""
+def _sigma(traj: Trajectory, gen: Generator, entropy: np.ndarray,
+           invariant: DensityMatrix | None = None) -> np.ndarray:
+    """sigma_series with the snapshots' entropies already computed, and
+    bath_invariant_state(gen, t=0.0) too when invariant is given."""
     if _is_time_independent(gen):
+        if invariant is None:
+            invariant = bath_invariant_state(gen, t=0.0)
         # Tr[rho ln rho_inv] against the fixed invariant, one dot per state
         # where it is stored; a float64 state is cast to complex exactly
-        log_inv = _log_state(bath_invariant_state(gen, t=0.0)).T.ravel()
+        log_inv = _log_state(invariant).T.ravel()
         cross = np.array([np.dot(s.matrix.ravel(), log_inv) for s in traj.states]).real
         return (entropy - entropy[0]) + (cross - cross[0])
     if gen.kind == "custom":
@@ -245,7 +235,7 @@ def _ledger_rows(gen: Generator, states: tuple, times: np.ndarray) -> tuple:
         levels = np.sort(h, axis=1)
     pas = (p_desc[:, None, :] @ levels[:m, :, None])[:, 0, 0]
     dpas = (np.diff(p_desc, axis=0)[:, None, :] @ levels[m:, :, None])[:, 0, 0]
-    rows = [energy, pas, spectra[:, 0], _spectral_entropies(spectra)]
+    rows = [energy, pas, spectra[:, 0], _population_entropy(spectra)]
     return np.array(rows), np.array([de, dpas])
 
 
@@ -254,11 +244,12 @@ def accumulate_ledger(traj: Trajectory, gen: Generator) -> FirstLawLedger:
 
     The passive share of the bath flow accrues step increments
     Tr[(pi_{k+1} - pi_k) H_mid]; for constant H these telescope exactly.
-    The ergotropy share is E_d minus that. An independent midpoint
-    estimate of the same split must agree within
-    TOL_FIRSTLAW_SCALE * max(|delta E|, omega_ref); the cross-check's own
-    quadrature error scales with the snapshot spacing, so keep snapshots
-    dense when H is driven.
+    The ergotropy share is E_d minus that. The cross-check compares E_d,
+    co-integrated by evolve, with its midpoint sum
+    sum_k Tr[(rho_{k+1} - rho_k) H_mid], which must agree within
+    TOL_FIRSTLAW_SCALE * max(|delta E|, omega_ref); the sum's quadrature
+    error scales with the snapshot spacing, so keep snapshots dense when H
+    is driven.
     """
     times, n = traj.times, len(traj.times)
     rows, intervals = [], []
@@ -273,20 +264,16 @@ def accumulate_ledger(traj: Trajectory, gen: Generator) -> FirstLawLedger:
     de, dpas = np.concatenate(intervals, axis=1)
     ergo = np.clip(energy - pas, 0.0, None)
     pas_d = np.cumsum(np.concatenate(([0.0], dpas)))  # increments in order
-    # the midpoint route: cross_{k+1} = cross_k + de_k - (pas_d_{k+1} - pas_d_k)
-    steps = np.stack((de, -np.diff(pas_d)), axis=1).ravel()
-    cross = np.cumsum(np.concatenate(([0.0], steps)))
-
     ergo_d = traj.dissipated_cum - pas_d
 
-    delta_e = energy[-1] - energy[0]
-    tol = firstlaw_tolerance(delta_e, _reference_frequency(gen))
-    mismatch = abs(ergo_d[-1] - cross[-1])
+    e_d, midpoint = traj.dissipated_cum[-1], de.sum()
+    tol = firstlaw_tolerance(energy[-1] - energy[0], _reference_frequency(gen))
+    mismatch = abs(e_d - midpoint)
     if mismatch > tol:
         raise LedgerInconsistent(
-            f"ergotropy-flow split disagrees between the co-integrated and "
-            f"midpoint routes by {mismatch:.3e} (tolerance {tol:.3e}); "
-            "snapshots may be too sparse for the drive"
+            f"co-integrated bath flow E_d = {e_d:.6e} disagrees with its midpoint "
+            f"sum of Tr[(rho_k+1 - rho_k) H_mid] = {midpoint:.6e} by {mismatch:.3e} "
+            f"(tolerance {tol:.3e}); snapshots may be too sparse for the drive"
         )
 
     return FirstLawLedger(
@@ -362,9 +349,11 @@ def entropy_bound_report(
     thermal contact, one phase-insensitive channel whose mean, and so whose
     flow, closes on itself: dynamics._thermal_contact integrates it on gen,
     and its invariant is the thermal state at N(0). A custom generator is
-    its own passive frame, evolved by alt_path_energy. Both dissipated
-    fluxes are divided by the temperature; the slacks delta_S - bound
-    quantify how far the stroke is from saturating each inequality.
+    its own passive frame, evolved from pi_0 as alt_path_energy would, and
+    its invariant at t = 0 is solved once, for the report and sigma alike.
+    Both dissipated fluxes are divided by the temperature; the slacks
+    delta_S - bound quantify how far the stroke is from saturating each
+    inequality.
     """
     if bath_temperature is None:
         bath_temperature = gen.temperature
@@ -372,7 +361,7 @@ def entropy_bound_report(
         raise ValueError("entropy bounds need a positive bath temperature")
     t_bath = float(bath_temperature)
 
-    entropy = _entropies(traj.states)
+    entropy = _population_entropy(np.array([s._eigs for s in traj.states]))
     delta_s = float(entropy[-1] - entropy[0])
     e_d = float(traj.dissipated_cum[-1])
 
@@ -384,14 +373,16 @@ def entropy_bound_report(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SlowDriveViolation)
         if gen.kind == "custom":
-            e_alt, _ = alt_path_energy(gen, traj.states[0], t_final)
+            e_alt = float(evolve(gen, pi0, t_final).dissipated_cum[-1])
             invariant = bath_invariant_state(gen, t=0.0)
         else:
             n0 = float(np.diagonal(pi0.matrix).real @ np.arange(gen.dim.cutoff))
             _, e_alt, _ = _thermal_contact(gen, n0, t_final)
             invariant = thermal_state(gen.occupation_at(0.0), gen.dim)
 
-    sigma = float(_sigma(traj, gen, entropy)[-1])
+    # a custom bath's invariant is the bath's own, which a telescoped sigma reads
+    own = invariant if gen.kind == "custom" else None
+    sigma = float(_sigma(traj, gen, entropy, own)[-1])
     rel = relative_entropy(pi0, invariant)
 
     bound_total = e_d / t_bath

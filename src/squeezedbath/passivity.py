@@ -33,8 +33,7 @@ class PassiveDecomposition:
 def _hamiltonian_eigensystem(hamiltonian: Operator):
     """Ascending eigenvalues and eigenvectors; diagonal H short-circuits."""
     m = hamiltonian.matrix
-    off = np.abs(m - np.diag(np.diag(m))).max() if m.shape[0] > 1 else 0.0
-    if off == 0.0:
+    if not np.any(m - np.diag(np.diag(m))):
         diag = np.real(np.diag(m))
         order = np.argsort(diag, kind="stable")
         vecs = np.eye(m.shape[0], dtype=complex)[:, order]
@@ -97,13 +96,17 @@ def passive_energy(rho: DensityMatrix, hamiltonian: Operator) -> float:
     return float(p_desc @ e_vals)
 
 
-def _population_entropy(p: np.ndarray) -> float:
-    """-sum p ln p in nats over a spectrum or population array, summed in
-    the given order; entries below EIG_FLOOR contribute 0. Never below
-    +0.0: a pure state would give -0.0 (negating 1 ln 1), or a few ulps
-    below 0 when roundoff lifts its one eigenvalue past 1."""
-    p = p[p > EIG_FLOOR]
-    return max(0.0, float(-(p * np.log(p)).sum()))
+def _population_entropy(p: np.ndarray):
+    """-sum p ln p in nats over the last axis of a spectrum or population
+    array, in any order: a float for one, an array for a stack of them,
+    each row summed as its own 1-D call would sum it. Entries at or below
+    EIG_FLOOR (and NaN) are set to 1 before the log, so they contribute 0.
+    Never below +0.0: a pure state would give -0.0 (negating 1 ln 1), or a
+    few ulps below 0 when roundoff lifts its one eigenvalue past 1."""
+    p = np.where(p > EIG_FLOOR, p, 1.0)
+    s = -(p * np.log(p)).sum(axis=-1)
+    s = np.where(s > 0.0, s, 0.0)
+    return float(s) if s.ndim == 0 else s
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -6,6 +6,7 @@ import pytest
 from squeezedbath import ConfigError, SlowDriveViolation
 from squeezedbath import cli
 from squeezedbath import engine as eng
+from squeezedbath.fock import DEFAULT_CUTOFF
 from squeezedbath.cli import _STROKE_FIELDS, CYCLE_COLUMNS, TRAJECTORY_COLUMNS, main
 from test_gaussian_oracle import gaussian_stroke
 
@@ -162,6 +163,28 @@ class TestConfigValidation:
             args = argparse.Namespace(dt=None, cutoff=flag)
             with pytest.raises(ConfigError, match="cutoff or --cutoff"):
                 cli._load_config(scenario, str(cfg), args)
+
+    @pytest.mark.parametrize("scenario, keys, message", [
+        ("decay", dict(alpha=1.0, t_final=1.0, cutoff="ten"), "expected an integer"),
+        ("carnot-stroke", dict(durations=" , "), "expected at least one number"),
+    ])
+    def test_malformed_integer_or_empty_list(self, tmp_path, capsys, scenario, keys,
+                                             message):
+        cfg = write_config(tmp_path, scenario, **keys)
+        assert run(scenario, cfg, tmp_path / "out.csv") == 2
+        assert message in capsys.readouterr().err
+
+    def test_unparsable_file(self, tmp_path, capsys):
+        cfg = tmp_path / "broken.ini"
+        cfg.write_text("alpha = 1\n[decay]\n")  # a key before any section
+        assert run("decay", cfg, tmp_path / "out.csv") == 2
+        assert "cannot parse" in capsys.readouterr().err
+
+    def test_cutoff_defaults_are_the_library_default(self):
+        for name in ("decay", "squeezed-relax", "carnot-stroke"):
+            assert cli.SCENARIOS[name].schema["cutoff"] == ("int", DEFAULT_CUTOFF)
+        spec = eng.matched_carnot_spec(1.0, 2.0, 3.0, 2.0, 10.0)
+        assert spec.cutoff == DEFAULT_CUTOFF
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run("decay", tmp_path / "absent.ini", tmp_path / "out.csv") == 2

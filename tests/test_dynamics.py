@@ -50,6 +50,7 @@ from squeezedbath import (
     relative_entropy,
 )
 from squeezedbath import dynamics
+from squeezedbath.engine import CUTOFF_FLOOR
 
 
 def matrix_units(n):
@@ -283,6 +284,24 @@ class TestSqueezedGenerator:
         np.testing.assert_allclose(b, expected, atol=1e-14)
 
 
+class TestGeneratorValidation:
+    def test_jump_rate_must_be_finite_and_nonnegative(self):
+        for rate in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="rate must be finite and nonnegative"):
+                JumpTerm(annihilation(4), rate)
+
+    def test_fields_are_checked(self):
+        a, h = annihilation(4), constant_hamiltonian(harmonic_hamiltonian(1.0, 4))
+        with pytest.raises(ValueError, match="unknown kind 'lossy'"):
+            Generator(HilbertDim(4), h, jumps=(), kind="lossy")
+        with pytest.raises(ValueError, match="unknown picture 'heisenberg'"):
+            Generator(HilbertDim(4), h, jumps=(), picture="heisenberg")
+        with pytest.raises(TypeError, match="jumps must be JumpTerm instances"):
+            Generator(HilbertDim(4), h, jumps=((a, 1.0),))
+        with pytest.raises(ValueError, match="jump operator dimension mismatch"):
+            Generator(HilbertDim(4), h, jumps=(JumpTerm(annihilation(5), 1.0),))
+
+
 class TestApply:
     def test_trace_free_on_random_states(self):
         rng = np.random.default_rng(2)
@@ -468,6 +487,20 @@ class TestEvolve:
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             evolve(gen, number_state(0, 10), 1.0, dt=bad)
 
+    def test_snapshot_stride_must_be_positive(self):
+        gen = thermal_generator(1.0, 1.0, nbar=0.0, dim=10)
+        with pytest.raises(ValueError, match="snapshot_stride must be >= 1"):
+            evolve(gen, number_state(0, 10), 1.0, snapshot_stride=0)
+
+    def test_jumpless_interaction_picture_takes_fifty_steps(self):
+        # nothing sets a stability scale, so the step is t_final / 50
+        h = constant_hamiltonian(harmonic_hamiltonian(1.0, 10))
+        gen = Generator(HilbertDim(10), h, jumps=(), picture="interaction")
+        rho0 = coherent_state(0.5, 10)
+        traj = evolve(gen, rho0, 2.0)
+        np.testing.assert_allclose(traj.times, np.arange(51) * 0.04, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(traj.final_state.matrix, rho0.matrix, rtol=0, atol=1e-15)
+
 
 class TestBlockGate:
     """A route hands evolve its snapshots up to dynamics._BLOCK at a time,
@@ -475,6 +508,30 @@ class TestBlockGate:
     block's traces, gates positivity on the snapshots before the first
     drifted trace, and the first snapshot in time order that fails names
     the error; no block past it is pulled."""
+
+    def test_gates_read_the_named_tolerances(self, monkeypatch):
+        # an eigenvalue of -5e-9 fails the -TOL_PSD gate, and passes once
+        # the tolerance is widened
+        x = np.diag([1.0 + 5e-9, -5e-9, 0.0])[None]
+        with pytest.raises(PositivityLoss, match="-5.000e-09 at t=0;"):
+            dynamics._gate_block(HilbertDim(3), x.copy(), [0.0])
+        monkeypatch.setattr(dynamics, "TOL_PSD", 1e-8)
+        (state,) = dynamics._gate_block(HilbertDim(3), x.copy(), [0.0])
+        assert state.min_eig == pytest.approx(-5e-9, rel=1e-12)
+        # DRIFT_TOL: a negative one fails every trace, so the lab RK4 ends
+        # a block at each step and evolve stops at the first snapshot
+        gen = custom_clone(thermal_generator(1.0, 1.0, nbar=0.5, dim=10))
+        rho0 = thermal_state(0.1, 10)
+
+        def block_sizes():
+            return [len(steps) for steps, _, _ in
+                    dynamics._rk4_run(gen, rho0, 0.01, [1, 2, 3, 4, 5])]
+
+        assert block_sizes() == [5]
+        monkeypatch.setattr(dynamics, "DRIFT_TOL", -1.0)
+        assert block_sizes() == [1] * 5
+        with pytest.raises(TraceDrift, match=r"at t=0\.02$"):
+            evolve(gen, rho0, 1.0, dt=0.02, snapshot_stride=1)
 
     @staticmethod
     def planted_run(plant, advanced, size=1):
@@ -883,6 +940,13 @@ class TestSteadyState:
         with pytest.raises(NonUniqueSteadyState):
             steady_state(gen)
 
+    def test_kernel_vector_above_the_residual_gate_raises(self, monkeypatch):
+        # no solve is exact, so with RESIDUAL_TOL at 0.0 the kernel check
+        # answers before the gap and the final residual are read
+        monkeypatch.setattr(dynamics, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(NonUniqueSteadyState, match="no kernel vector"):
+            steady_state(thermal_generator(1.0, 1.0, nbar=0.5, dim=8))
+
     def test_residual_is_small(self):
         gen = squeezed_generator(1.0, 1.0, 0.3, 0.2, dim=50)
         ss = steady_state(gen)
@@ -1081,6 +1145,17 @@ class TestSuperoperator:
             tracemalloc.stop()
         assert peak <= 1.05 * 56.3e6
 
+    def test_result_owns_no_oversized_buffer(self):
+        # scipy's sparse add can keep a sum's entries in buffers up to twice
+        # their size, which steady_state would hold through its solve
+        gen = _rotated_thermal(20)
+        sup = superoperator(gen)
+        for part in (sup.data, sup.indices):
+            root = part
+            while root.base is not None:
+                root = root.base
+            assert root.nbytes == part.nbytes
+
 
 class TestConjugateGenerator:
     def test_identity_leaves_generator_alone(self):
@@ -1096,6 +1171,11 @@ class TestConjugateGenerator:
         bad = annihilation(12)
         with pytest.raises(NotUnitary):
             conjugate_generator(gen, bad)
+
+    def test_rejects_dimension_mismatch(self):
+        gen = thermal_generator(1.0, 1.0, nbar=0.5, dim=12)
+        with pytest.raises(ValueError, match="^dimension mismatch"):
+            conjugate_generator(gen, squeeze_operator(0.0, 10))
 
     def test_superoperator_identity_on_complete_basis(self):
         # U+ (L_U rho) U == L~ (U+ rho U) for every basis element
@@ -1346,6 +1426,14 @@ class TestRequiredCutoff:
     def test_known_values(self):
         assert required_cutoff(2.0) == 58
         assert required_cutoff(0.0, 0.4) == 40
+        assert required_cutoff(0.0) == CUTOFF_FLOOR  # lam = 0: the floor itself
+
+    def test_rejects_negative_occupation_and_reports_no_convergence(self):
+        with pytest.raises(ValueError, match="nbar must be nonnegative"):
+            required_cutoff(-1.0)
+        # lam = 1 - 1e-6: the tail bound still exceeds the tolerance at 1e5
+        with pytest.raises(ValueError, match="cutoff search did not converge"):
+            required_cutoff(1e6)
 
     def test_monotone(self):
         assert required_cutoff(1.0) <= required_cutoff(2.0)

@@ -43,6 +43,13 @@ def test_operator_shape_and_finiteness():
         Operator(HilbertDim(2), np.array([[np.inf, 0], [0, 0]]))
 
 
+def test_mismatched_dimensions_are_rejected():
+    with pytest.raises(ValueError, match="^dimension mismatch"):
+        annihilation(3) @ annihilation(4)
+    with pytest.raises(ValueError, match="nbar must be nonnegative"):
+        thermal_populations(-1.0, 10)
+
+
 def test_operator_matrix_is_read_only():
     a = annihilation(4)
     with pytest.raises(ValueError):

@@ -23,6 +23,7 @@ from squeezedbath import (
     bath_invariant_state,
     bose_occupation,
     coherent_state,
+    conjugate_generator,
     constant_hamiltonian,
     entropy_bound_report,
     evolve,
@@ -377,6 +378,25 @@ class TestAccumulateLedger:
         assert np.all(led.work_cum == 0.0)
         assert np.all(np.diff(led.sigma_cum) >= -1e-12)
 
+    def test_cross_check_compares_the_bath_flow_with_its_midpoint_sum(self):
+        # E_d against sum_k Tr[(rho_k+1 - rho_k) H(t_mid)], within
+        # firstlaw_tolerance(delta E, omega(0)); the passive split plays no part
+        gen, traj = _driven_stroke()
+        sched, t = gen.hamiltonian, traj.times.tolist()
+        midpoint = sum(sched.trace_with(b.matrix - a.matrix, 0.5 * (t0 + t1))
+                       for a, b, t0, t1 in zip(traj.states, traj.states[1:], t, t[1:]))
+        energy = accumulate_ledger(traj, gen).energy
+        tol = firstlaw_tolerance(energy[-1] - energy[0], 25.0)
+        for offset, raises in ((0.5 * tol, False), (1.5 * tol, True)):
+            flow = traj.dissipated_cum.copy()
+            flow[-1] = midpoint + offset
+            moved = dataclasses.replace(traj, dissipated_cum=flow)
+            if raises:
+                with pytest.raises(LedgerInconsistent, match="midpoint sum"):
+                    accumulate_ledger(moved, gen)
+            else:
+                accumulate_ledger(moved, gen)
+
     def test_sparse_snapshots_raise_inconsistency(self):
         gen, traj = _driven_stroke(stride=50)
         with pytest.raises(LedgerInconsistent):
@@ -571,13 +591,29 @@ class TestEntropyBoundReport:
         for r in (0.2, 0.0):
             gen = squeezed_generator(sched, 1.0, None, r, dim=16, temperature=5.0)
             clone = _custom_clone(gen)
-            for bath, expected in ((gen, []), (clone, ["alt_path_energy", "evolve"])):
+            for bath, expected in ((gen, []), (clone, ["evolve"])):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", SlowDriveViolation)
                     traj = evolve(bath, rho0, 1.0)
                     calls.clear()
                     entropy_bound_report(traj, bath)
                 assert calls == expected, (r, bath.kind)
+
+    def test_custom_report_solves_its_invariant_once(self, monkeypatch):
+        # a time-independent custom bath: the report's invariant is the one
+        # the telescoped sigma reads, and the comparison path starts from
+        # the report's own pi_0; both match the public routes to the bit
+        gen = conjugate_generator(thermal_generator(1.0, 1.0, nbar=0.3, dim=20),
+                                  squeeze_operator(-0.25, 20))
+        t_bath = 1.0 / math.log(1.0 + 1.0 / 0.3)
+        traj = evolve(gen, coherent_state(0.6, 20), 1.0)
+        solves, kernel_state = [], dynamics._kernel_state
+        monkeypatch.setattr(dynamics, "_kernel_state",
+                            lambda *a: solves.append(a[2]) or kernel_state(*a))
+        rep = entropy_bound_report(traj, gen, t_bath)
+        assert solves == [0.0]
+        assert rep.alt_energy == alt_path_energy(gen, traj.states[0], 1.0)[0]
+        assert rep.sigma_spohn == sigma_series(traj, gen)[-1]
 
     def test_relaxation_bounds_are_ordered_and_obeyed(self):
         gen = thermal_generator(1.0, 1.0, dim=30, temperature=T_HALF)

@@ -21,6 +21,7 @@ from squeezedbath import (
     trace_distance,
     von_neumann_entropy,
 )
+from squeezedbath.passivity import EIG_FLOOR, _population_entropy
 
 
 def diag_state(*populations):
@@ -166,6 +167,32 @@ class TestEntropy:
         val = von_neumann_entropy(thermal_state(1.0, 40))
         assert math.isclose(val, 2 * math.log(2), rel_tol=1e-9)
 
+    @pytest.mark.parametrize("n", [50, 300])
+    def test_a_stack_sums_each_row_as_its_own_call_to_the_bit(self, n):
+        # unsorted rows, some with entries at or below EIG_FLOOR, exact
+        # zeros or a NaN among their populations, and two pure states
+        rng = np.random.default_rng(n)
+        rows = []
+        for kept in (n, n // 2, 9, 3):
+            p = np.zeros(n)
+            p[:kept] = rng.dirichlet(np.ones(kept))
+            p[kept:] = rng.choice([0.0, 1e-16, EIG_FLOOR, -2e-16], size=n - kept)
+            rows.append(rng.permutation(p))
+        rows[1][rng.integers(n)] = math.nan
+        rows.append(rng.permutation(np.eye(n)[0]))  # pure: -0.0 unclamped
+        rows.append(rng.permutation(np.append(1.0 + 4e-16, np.zeros(n - 1))))
+        stack = _population_entropy(np.array(rows))
+        single = [_population_entropy(row) for row in rows]
+        assert all(type(s) is float for s in single)
+        assert stack.tobytes() == np.array(single).tobytes()
+        assert stack.min() >= 0.0 and stack[0] > 1.0
+        for s in (*stack[-2:], *single[-2:]):
+            assert s == 0.0 and math.copysign(1.0, s) == 1.0
+        # entries at or below the floor drop out of the sum
+        above = rows[2][rows[2] > EIG_FLOOR]
+        assert single[2] == pytest.approx(-float(np.sum(above * np.log(above))),
+                                          rel=1e-14)
+
 
 class TestRelativeEntropy:
     def test_self_distance_zero(self):
@@ -244,3 +271,12 @@ class TestTraceDistance:
         d_ab = trace_distance(a, b)
         assert math.isclose(d_ab, trace_distance(b, a), rel_tol=1e-12)
         assert d_ab <= trace_distance(a, c) + trace_distance(c, b) + 1e-12
+
+
+def test_every_two_argument_function_checks_dimensions():
+    rho, h, sigma = number_state(1, 6), harmonic_hamiltonian(1.0, 5), number_state(1, 5)
+    for call in (lambda: passive_decompose(rho, h), lambda: passive_energy(rho, h),
+                 lambda: ergotropy(rho, h), lambda: relative_entropy(rho, sigma),
+                 lambda: majorizes(rho, sigma), lambda: trace_distance(rho, sigma)):
+        with pytest.raises(ValueError, match="^dimension mismatch"):
+            call()
