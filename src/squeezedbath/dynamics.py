@@ -45,6 +45,7 @@ from .fock import (
     _check_unitary,
     _scipy,
     _squeeze_matrix,
+    annihilation,
     as_dim,
     squeezed_thermal_state,
 )
@@ -242,6 +243,9 @@ class Generator:
         ladder = (sched.levels, sched.frequency, sched.frequency_dot)
         if self.kind != "custom" and any(part is None for part in ladder):
             raise ValueError(f"a {self.kind} bath needs levels and frequency metadata")
+        # sigma and the ledger divide a swept occupation's heat by T
+        if self.kind != "custom" and self.temperature is None and self.occupation_fn:
+            raise ValueError(f"a {self.kind} bath with occupation_fn needs a temperature")
         if self.picture not in ("interaction", "schroedinger"):
             raise ValueError(f"unknown picture {self.picture!r}")
         if self.hamiltonian.dim != self.dim:
@@ -297,12 +301,8 @@ def apply(gen: Generator, rho, t: float = 0.0, *, hermitian: bool = False) -> np
 def squeezed_mode_operator(r: float, dim: DimLike = DEFAULT_CUTOFF) -> Operator:
     """b = a cosh(r) + a^dag sinh(r), the mode the squeezed bath damps."""
     d = as_dim(dim)
-    n = d.cutoff
-    rungs = np.sqrt(np.arange(1, n))
-    m = np.zeros((n, n), dtype=complex)
-    m[np.arange(n - 1), np.arange(1, n)] = math.cosh(r) * rungs
-    m[np.arange(1, n), np.arange(n - 1)] = math.sinh(r) * rungs
-    return Operator(d, m)
+    a = annihilation(d).matrix
+    return Operator(d, math.cosh(r) * a + math.sinh(r) * a.T)
 
 
 def _bath_generator(
@@ -332,12 +332,8 @@ def _bath_generator(
         schedule = omega
     else:
         w = float(omega)
-        schedule = HamiltonianSchedule(
-            dim=d,
-            is_constant=True,
-            frequency=lambda t: w,
-            frequency_dot=lambda t: 0.0,
-            levels=np.arange(d.cutoff, dtype=float),
+        schedule = dataclasses.replace(
+            oscillator_schedule(lambda t: w, lambda t: 0.0, d), is_constant=True
         )
         if nbar is None:
             nbar = bose_occupation(w, temperature)

@@ -325,10 +325,6 @@ def required_cutoff(nbar: float, r: float = 0.0) -> int:
 # Otto runner
 
 
-def _sorted_desc(v: np.ndarray) -> np.ndarray:
-    return np.sort(v)[::-1]
-
-
 def _work_stroke(label: str, e_a: float, e_b: float) -> StrokeLedger:
     """A stroke without bath contact (a frozen-spectrum frequency jump or
     the unsqueezing unitary): its energy change is pure work."""
@@ -396,7 +392,7 @@ def run_otto(spec: CycleSpec) -> CycleReport:
         return float(levels @ v)
 
     def passive_n(v: np.ndarray) -> float:
-        return float(_sorted_desc(v) @ levels)
+        return float(np.sort(v)[::-1] @ levels)
 
     w_h, w_c = spec.omega_hot, spec.omega_cold
     strokes = []

@@ -26,6 +26,7 @@ recomputed per snapshot.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -143,7 +144,7 @@ def _sigma(traj: Trajectory, gen: Generator, entropy: np.ndarray,
         cross = np.array([np.dot(s.matrix.ravel(), log_inv) for s in traj.states]).real
         return (entropy - entropy[0]) + (cross - cross[0])
     if gen.kind == "custom":
-        return _sigma_by_quadrature(traj, gen)
+        return _sigma_by_quadrature(traj, gen, invariant)
     heat = traj.squeezed_heat_cum
     if heat is None:
         raise ValueError(
@@ -156,15 +157,21 @@ def _sigma(traj: Trajectory, gen: Generator, entropy: np.ndarray,
     return (entropy - entropy[0]) - heat / gen.temperature
 
 
-def _sigma_by_quadrature(traj: Trajectory, gen: Generator) -> np.ndarray:
+def _sigma_by_quadrature(traj: Trajectory, gen: Generator,
+                         first: DensityMatrix | None = None) -> np.ndarray:
     """Trapezoid quadrature of the Spohn rate for a custom driven generator.
 
     The frozen-time invariant at each snapshot is steady_state's, to the
     bit; the jumps' superoperator pieces are built once per call and only
-    their rates change from one snapshot's solve to the next.
+    their rates change from one snapshot's solve to the next. first, the
+    invariant at t = 0 when given, is read in place of that solve.
     """
     rates = np.empty(len(traj.states))
-    invariants = _steady_states(gen, map(float, traj.times))
+    times = traj.times.tolist()
+    reuse = first is not None and times[0] == 0.0
+    invariants = _steady_states(gen, times[reuse:])
+    if reuse:
+        invariants = itertools.chain([first], invariants)
     for i, (t, state, inv) in enumerate(zip(traj.times, traj.states, invariants)):
         log_inv = _log_state(inv)
         log_rho = _log_state(state)
@@ -380,7 +387,7 @@ def entropy_bound_report(
             _, e_alt, _ = _thermal_contact(gen, n0, t_final)
             invariant = thermal_state(gen.occupation_at(0.0), gen.dim)
 
-    # a custom bath's invariant is the bath's own, which a telescoped sigma reads
+    # a custom bath's invariant is the bath's own, which sigma reads at t = 0
     own = invariant if gen.kind == "custom" else None
     sigma = float(_sigma(traj, gen, entropy, own)[-1])
     rel = relative_entropy(pi0, invariant)

@@ -185,6 +185,19 @@ class TestBathValidation:
             Generator(HilbertDim(6), h, jumps, kind=kind, r=r,
                       occupation_fn=lambda t: 0.1 * t)
 
+    @pytest.mark.parametrize("kind, r", [("thermal", 0.0), ("squeezed", 0.3)])
+    def test_swept_tagged_bath_needs_a_temperature(self, kind, r):
+        # sigma and the ledger divide a swept occupation's heat by T, so a
+        # tagged bath without one fails at construction, not in the ledger
+        h = linear_ramp_schedule(25.0, 20.0, 2.0, dim=6)
+        jumps = (JumpTerm(annihilation(6), lambda t: 1.0 + 0.1 * t),)
+        occupation = lambda t: 0.1 * t  # noqa: E731
+        with pytest.raises(ValueError, match="occupation_fn needs a temperature"):
+            Generator(HilbertDim(6), h, jumps, kind=kind, r=r, occupation_fn=occupation)
+        gen = Generator(HilbertDim(6), h, jumps, kind=kind, r=r,
+                        occupation_fn=occupation, temperature=5.0)
+        assert gen.temperature == 5.0
+
     @staticmethod
     def general_ramp():
         """linear_ramp_schedule's callables without its levels: a general

@@ -11,7 +11,12 @@ follows from these three real ODEs (the third is the same ODE at r = 0,
 the comparison path from the passive start). A constant bath needs no
 ODE: with eta = exp(-2 kappa t) a coherent amplitude decays as
 alpha sqrt(eta), and the frame quadrature variances relax as
-v(t) = eta v(0) + (1 - eta)/2. Nothing here calls the library.
+v(t) = eta v(0) + (1 - eta)/2.
+
+The passive state of a Gaussian state under H = omega n is thermal at
+nu - 1/2, nu = sqrt((n_b + 1/2)^2 - m_b^2) its symplectic eigenvalue, so
+its energy is omega (nu - 1/2) and the passive share of the bath flow is
+the integral of omega dnu. Nothing here calls the library.
 """
 
 import math
@@ -27,6 +32,7 @@ from squeezedbath import (
     coherent_state,
     entropy_bound_report,
     evolve,
+    firstlaw_tolerance,
     linear_ramp_schedule,
     squeezed_generator,
     thermal_generator,
@@ -38,6 +44,11 @@ def _gaussian_entropy(nu: float) -> float:
     """Von Neumann entropy of a one-mode Gaussian state, symplectic eigenvalue nu."""
     lo, hi = nu - 0.5, nu + 0.5
     return hi * math.log(hi) - (lo * math.log(lo) if lo > 0 else 0.0)
+
+
+def _symplectic_nu(n_b, m_b):
+    """nu of a zero-mean one-mode Gaussian state from n_b = <b^dag b>, m_b = <b^2>."""
+    return np.sqrt((n_b + 0.5) ** 2 - m_b**2)
 
 
 def gaussian_stroke(omega_start, omega_end, tau, temperature, r, kappa=1.0):
@@ -59,7 +70,7 @@ def gaussian_stroke(omega_start, omega_end, tau, temperature, r, kappa=1.0):
     y0 = [nb0 * c2 + sh2, 0.5 * s2 * (2 * nb0 + 1), nb0, 0.0, 0.0, 0.0, 0.0]
     sol = solve_ivp(rhs, (0.0, tau), y0, method="DOP853", rtol=1e-12, atol=1e-15)
     n_b, m_b, _, e_d, work, phi, e_alt = sol.y[:, -1]
-    nu = math.sqrt((n_b + 0.5) ** 2 - m_b**2)
+    nu = _symplectic_nu(n_b, m_b)
     delta_s = _gaussian_entropy(nu) - _gaussian_entropy(nb0 + 0.5)
     return {
         "delta_S": delta_s,
@@ -98,6 +109,14 @@ def coherent_decay(alpha, omega, times, kappa=1.0):
     return energy, energy - omega * abs(alpha) ** 2, np.zeros_like(eta)
 
 
+def _frame_variances(r, times, kappa=1.0):
+    """The lab vacuum's quadrature variances in the frame of a squeezed
+    vacuum bath, exp(+-2r)/2 at t = 0, relaxing toward the vacuum's 1/2."""
+    eta = np.exp(-2.0 * kappa * np.asarray(times))
+    return (eta * math.exp(2 * r) / 2 + (1 - eta) / 2,
+            eta * math.exp(-2 * r) / 2 + (1 - eta) / 2)
+
+
 def vacuum_into_squeezed_vacuum(r, omega, times, kappa=1.0):
     """Energy, E_d and entropy of the vacuum relaxing into the squeezed vacuum.
 
@@ -105,9 +124,7 @@ def vacuum_into_squeezed_vacuum(r, omega, times, kappa=1.0):
     variances exp(+-2r)/2, damped toward the vacuum's 1/2; the lab mean
     occupation undoes the squeeze on each quadrature.
     """
-    eta = np.exp(-2.0 * kappa * np.asarray(times))
-    v_plus = eta * math.exp(2 * r) / 2 + (1 - eta) / 2
-    v_minus = eta * math.exp(-2 * r) / 2 + (1 - eta) / 2
+    v_plus, v_minus = _frame_variances(r, times, kappa)
     nu = np.sqrt(v_plus * v_minus)
     entropy = np.array([_gaussian_entropy(x) for x in nu])
     n_lab = 0.5 * (v_plus * math.exp(-2 * r) + v_minus * math.exp(2 * r)) - 0.5
@@ -138,3 +155,63 @@ class TestConstantBathOracle:
             gen, thermal_state(0.0, 40), 6.0,
             lambda t: vacuum_into_squeezed_vacuum(0.4, 10.0, t),
         )
+
+
+def gaussian_passive_split(omega_start, omega_end, tau, temperature, r, times, kappa=1.0):
+    """omega(t), nu(t) and the passive flow (the integral of omega dnu) at
+    times, for the linear sweep of gaussian_stroke."""
+    slope = (omega_end - omega_start) / tau
+    c2, s2, sh2 = math.cosh(2 * r), math.sinh(2 * r), math.sinh(r) ** 2
+    nb0 = 1.0 / math.expm1(omega_start / temperature)
+
+    def rhs(t, y):
+        n_b, m_b = y[:2]
+        w = omega_start + slope * t
+        occ = 1.0 / math.expm1(w / temperature)
+        dn, dm = -2 * kappa * (n_b - occ), -2 * kappa * m_b
+        dnu = ((n_b + 0.5) * dn - m_b * dm) / _symplectic_nu(n_b, m_b)
+        return [dn, dm, w * dnu]
+
+    y0 = [nb0 * c2 + sh2, 0.5 * s2 * (2 * nb0 + 1), 0.0]
+    # the snapshot grid can end an ulp past tau, so integrate to its end
+    sol = solve_ivp(rhs, (0.0, times[-1]), y0, method="DOP853", t_eval=times,
+                    rtol=1e-12, atol=1e-15)
+    n_b, m_b, flow = sol.y
+    return omega_start + slope * np.asarray(times), _symplectic_nu(n_b, m_b), flow
+
+
+class TestPassiveSplitOracle:
+    """passive_energy and passive_dissipated_cum at every snapshot against
+    the Gaussian passive state, omega (nu - 1/2), and its flow."""
+
+    def test_coherent_decay_stays_pure(self):
+        # a coherent state stays coherent: nu = 1/2, no passive energy or flow
+        gen = thermal_generator(10.0, 1.0, nbar=0.0, dim=40)
+        led = accumulate_ledger(evolve(gen, coherent_state(1.0, 40), 4.0), gen)
+        np.testing.assert_allclose(led.passive_energy, 0.0, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(led.passive_dissipated_cum, 0.0, rtol=0, atol=1e-10)
+
+    def test_vacuum_into_squeezed_vacuum(self):
+        r, omega = 0.4, 10.0
+        gen = squeezed_generator(omega, 1.0, 0.0, r, dim=40)
+        led = accumulate_ledger(evolve(gen, thermal_state(0.0, 40), 6.0), gen)
+        nu = np.sqrt(np.multiply(*_frame_variances(r, led.times)))
+        np.testing.assert_allclose(led.passive_energy, omega * (nu - 0.5), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(led.passive_dissipated_cum, omega * (nu - nu[0]),
+                                   rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("r", [0.2, 0.0])
+    @pytest.mark.parametrize("tau", [2.0, 4.0, 10.0])
+    def test_driven_stroke(self, tau, r):
+        sched = linear_ramp_schedule(25.0, 20.0, tau, dim=40)
+        gen = squeezed_generator(sched, 1.0, None, r, dim=40, temperature=5.0)
+        rho0 = thermal_state(bose_occupation(25.0, 5.0), 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            led = accumulate_ledger(evolve(gen, rho0, tau), gen)
+        omega, nu, flow = gaussian_passive_split(25.0, 20.0, tau, 5.0, r, led.times)
+        np.testing.assert_allclose(led.passive_energy, omega * (nu - 0.5), rtol=0, atol=1e-10)
+        # the ledger's midpoint sum carries the snapshot spacing's quadrature
+        # error, which the run's own first-law tolerance bounds
+        tol = firstlaw_tolerance(led.energy[-1] - led.energy[0], 25.0)
+        np.testing.assert_allclose(led.passive_dissipated_cum, flow, rtol=0, atol=tol)

@@ -615,6 +615,41 @@ class TestEntropyBoundReport:
         assert rep.alt_energy == alt_path_energy(gen, traj.states[0], 1.0)[0]
         assert rep.sigma_spohn == sigma_series(traj, gen)[-1]
 
+    def test_driven_custom_report_solves_each_snapshot_once(self, monkeypatch):
+        # the quadrature route reads the report's t = 0 invariant in place of
+        # its own first solve, and sigma stays sigma_series' to the bit
+        sched = linear_ramp_schedule(25.0, 24.5, 1.0, dim=16)
+        clone = _custom_clone(thermal_generator(sched, 1.0, dim=16, temperature=5.0))
+        rho0 = thermal_state(bose_occupation(25.0, 5.0), 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowDriveViolation)
+            traj = evolve(clone, rho0, 1.0, snapshot_stride=60)
+            want = sigma_series(traj, clone)[-1]
+            solves, kernel_state = [], dynamics._kernel_state
+            monkeypatch.setattr(dynamics, "_kernel_state",
+                                lambda *a: solves.append(a[2]) or kernel_state(*a))
+            rep = entropy_bound_report(traj, clone)
+        assert solves == traj.times.tolist()
+        assert rep.sigma_spohn == want
+        pi0 = passive_decompose(rho0, Operator(clone.dim, sched.evaluate(0.0))).passive_state
+        assert rep.passive_rel_entropy == relative_entropy(pi0, dynamics.steady_state(clone))
+
+    def test_alt_path_below_the_total_heat_is_inconsistent(self, monkeypatch):
+        # on a direct thermal relaxation the comparison path from pi_0
+        # dissipates at least the stroke's own heat; plant one that does not
+        gen = thermal_generator(1.0, 1.0, dim=30, temperature=T_HALF)
+        traj = evolve(gen, coherent_state(1.2, 30), 4.0)
+        entropy_bound_report(traj, gen)
+        contact, e_d = ledger._thermal_contact, float(traj.dissipated_cum[-1])
+
+        def planted(gen, n0, t_final):
+            n, _heat, work = contact(gen, n0, t_final)
+            return n, e_d - 1e-3, work
+
+        monkeypatch.setattr(ledger, "_thermal_contact", planted)
+        with pytest.raises(LedgerInconsistent, match="alt-path bound"):
+            entropy_bound_report(traj, gen)
+
     def test_relaxation_bounds_are_ordered_and_obeyed(self):
         gen = thermal_generator(1.0, 1.0, dim=30, temperature=T_HALF)
         traj = evolve(gen, coherent_state(1.2, 30), 4.0)
