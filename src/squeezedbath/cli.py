@@ -18,7 +18,6 @@ import configparser
 import csv
 import io
 import math
-import multiprocessing
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -194,10 +193,6 @@ def _load_config(scenario: str, path: str, args) -> dict:
         out["dt"] = args.dt
     if args.cutoff is not None:
         out["cutoff"] = args.cutoff
-    if "workers" in args:  # registered on the subcommands that fan out only
-        if args.workers < 1:
-            raise ConfigError(f"--workers: expected at least 1, got {args.workers}")
-        out["workers"] = args.workers
     if out.get("dt") is not None and not out["dt"] > 0:
         raise ConfigError(f"[{scenario}] dt or --dt: expected a positive step")
     # cutoff 0 sizes the space automatically where that is the default
@@ -333,15 +328,12 @@ def _sweep_point(cfg: dict, x: float, r: float) -> dict:
 
 def _run_otto_sweep(cfg: dict):
     columns = ["x", "r"] + CYCLE_COLUMNS + [c for c, _ in _CLOSED_FORM_FIELDS]
-    tasks = [
-        (cfg, float(x), float(r))
+    rows = [
+        _sweep_point(cfg, float(x), float(r))
         for r in sorted(cfg["r_values"])
         for x in sorted(cfg["x_values"])
     ]
-    if cfg["workers"] > 1:
-        with multiprocessing.Pool(cfg["workers"]) as pool:
-            return columns, pool.starmap(_sweep_point, tasks)
-    return columns, [_sweep_point(*task) for task in tasks]
+    return columns, rows
 
 
 def _run_multibath(cfg: dict):
@@ -475,9 +467,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="INI file with one "
                        f"[{name}] section")
         p.add_argument("--out", required=True, help="output CSV path")
-        if name == "otto-sweep":
-            p.add_argument("--workers", type=int, default=1,
-                           help="process count")
         p.add_argument("--dt", type=float, default=None,
                        help="integrator step override")
         p.add_argument("--cutoff", type=int, default=None,

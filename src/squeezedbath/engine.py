@@ -1,11 +1,12 @@
 """Otto and Carnot-style cycles driven by thermal and squeezed reservoirs.
 
-The Otto runner works in level-population space. Bath contacts only ever
-start from states that are diagonal either in the Fock basis or in the
-squeezed frame of that bath, and the damping couples each diagonal of the
-density matrix to itself, so the populations close on themselves and can
-be propagated exactly by the population channel in dynamics. Coherence
-bands left over from the frame change decay at least as fast as
+The Otto runner works in level-population space. The damping couples
+each diagonal of the density matrix, in the frame where its bath is
+thermal, to itself, so the populations close on themselves and are
+propagated exactly by the population channel in dynamics. The energising
+contact starts from the last contact's thermal fixed point, whose squeezed
+frame populations fock.squeezed_thermal_populations gives in closed form.
+Coherence bands left over from the frame change decay at least as fast as
 exp(-kappa * t) per band offset and are dropped; with the stroke times
 used here that is far below every tolerance gate.
 
@@ -32,7 +33,7 @@ from .dynamics import (
     thermal_generator,
 )
 from .errors import NotSteady, OpenCycle, RegimeViolation
-from .fock import DEFAULT_CUTOFF, _squeeze_matrix, thermal_populations
+from .fock import DEFAULT_CUTOFF, squeezed_thermal_populations, thermal_populations
 from .passivity import _population_entropy
 
 STEADY_TOL = 1e-8
@@ -397,26 +398,21 @@ def run_otto(spec: CycleSpec) -> CycleReport:
     w_h, w_c = spec.omega_hot, spec.omega_cold
     strokes = []
 
-    def contact(p, nbar, omega, temperature, label, frame=None):
-        """Relax p toward occupation nbar (in the frame whose transition
-        probabilities from the Fock levels are `frame`, if given), gate the
-        fixed point and log the stroke. Returns the frame's end and start
-        populations, the bath flow and its passive share."""
+    def contact(p, nbar, omega, temperature, label, v0=None, weights=levels):
+        """Relax p toward occupation nbar from v0, its populations in the
+        bath's frame (p by default) whose levels hold lab occupations
+        `weights`; gate the fixed point and log the stroke. Returns the
+        frame's end populations, the bath flow and its passive share."""
         n_start = mean_n(p)
-        if frame is None:
-            v0, weights = p, levels
-        else:
-            v0 = frame.T @ p
-            v0 /= v0.sum()
-            weights = levels @ frame
-        v = relax_populations(v0, nbar, spec.kappa, spec.stroke_time)
+        v = relax_populations(p if v0 is None else v0, nbar, spec.kappa,
+                              spec.stroke_time)
         _check_steady(v, thermal_populations(nbar, n_dim), label)
         n_end = float(weights @ v)
         e_d = omega * (n_end - n_start)
         e_pas = omega * (passive_n(v) - passive_n(p))
         e_a, e_b = omega * n_start, omega * n_end
         strokes.append(StrokeLedger(label, 0.0, e_d, e_a, e_b, temperature))
-        return v, v0, e_d, e_pas
+        return v, e_d, e_pas
 
     p0 = thermal_populations(nbar_c, n_dim)
     p = p0
@@ -425,24 +421,27 @@ def run_otto(spec: CycleSpec) -> CycleReport:
     mid_flows = []
     for stage, nb in zip(spec.mid_baths, stage_nbars):
         t = stage.temperature
-        p, _, e_d, e_pas = contact(p, nb, w_h, t, f"contact T={t:g}")
+        p, e_d, e_pas = contact(p, nb, w_h, t, f"contact T={t:g}")
         mid_flows.append((e_d, e_pas, t))
 
-    # energising contact, damped in its squeezed frame
-    frame = _squeeze_matrix(float(spec.r), n_dim) ** 2 if spec.r != 0.0 else None
-    v_t, v0, e_dh, e_dh_prime = contact(
-        p, nbar_h, w_h, spec.temp_hot, "energising contact", frame
+    # energising contact, in its squeezed frame: level k holds k cosh 2r + sinh^2 r
+    r = float(spec.r)
+    n_in = stage_nbars[-1] if stage_nbars else nbar_c
+    v0 = squeezed_thermal_populations(n_in, r, n_dim)
+    weights = levels * math.cosh(2.0 * r) + math.sinh(r) ** 2
+    v_t, e_dh, e_dh_prime = contact(
+        p, nbar_h, w_h, spec.temp_hot, "energising contact", v0, weights
     )
     e_dh_tilde = w_h * (mean_n(v_t) - mean_n(v0))
 
     # unsqueeze: the frame populations become the lab populations exactly
-    if frame is not None:
+    if r != 0.0:
         strokes.append(
             _work_stroke("unsqueeze", strokes[-1].energy_end, w_h * mean_n(v_t))
         )
     strokes.append(_work_stroke("expansion", w_h * mean_n(v_t), w_c * mean_n(v_t)))
 
-    p_end, _, e_dc, _ = contact(v_t, nbar_c, w_c, spec.temp_cold, "cold contact")
+    p_end, e_dc, _ = contact(v_t, nbar_c, w_c, spec.temp_cold, "cold contact")
 
     eta, regime = eta_actual(e_dh, e_dc, *(f[0] for f in mid_flows))
     eta_m, eta_s = _caps(e_dh_prime, e_dh_tilde, e_dh, spec.temp_cold, spec.temp_hot)

@@ -252,29 +252,56 @@ def _squeeze_matrix(r: float, n: int) -> np.ndarray:
     return out
 
 
-def thermal_populations(nbar: float, dim: DimLike) -> np.ndarray:
-    """Renormalised geometric level populations p_n ~ (nbar/(nbar+1))^n.
+def squeezed_thermal_populations(nbar: float, r: float, dim: DimLike) -> np.ndarray:
+    """Fock-level populations of S(r) rho_thermal(nbar) S(r)^dag, renormalised.
 
-    Raises CutoffLeak when the clipped geometric tail is non-negligible.
+    The untruncated photon-number distribution, cut at the cutoff. With
+    n_b = nbar cosh 2r + sinh^2 r and m_b = (nbar + 1/2) sinh 2r, its
+    generating function [(1 + n_b(1 - z))^2 - m_b^2 (1 - z)^2]^(-1/2) gives
+    (k + 1) a p_{k+1} = -b (k + 1/2) p_k - c k p_{k-1} from p_0 = a^(-1/2),
+    with a = (1 + n_b)^2 - m_b^2, b = 2(m_b^2 - (1 + n_b) n_b) and
+    c = n_b^2 - m_b^2. A squeezed vacuum's odd levels are exactly zero. At
+    r = 0 this is the geometric law p_k ~ (nbar/(nbar+1))^k.
+
+    Raises CutoffLeak when the mass past the cutoff or on the top two
+    levels exceeds TOL_LEAK.
     """
     d = as_dim(dim)
     n = d.cutoff
     if nbar < 0:
         raise ValueError(f"nbar must be nonnegative, got {nbar}")
-    if nbar == 0:
+    if nbar == 0 and r == 0:  # the exact vacuum fits any cutoff
         p = np.zeros(n)
         p[0] = 1.0
         return p
-    q = nbar / (nbar + 1.0)
-    tail = q**n  # mass of the discarded geometric tail
+    if r == 0:
+        q = nbar / (nbar + 1.0)
+        p = (1.0 - q) * q ** np.arange(n)
+    else:
+        n_b = nbar * math.cosh(2.0 * r) + math.sinh(r) ** 2
+        m_b2 = ((nbar + 0.5) * math.sinh(2.0 * r)) ** 2
+        a = (1.0 + n_b) ** 2 - m_b2
+        b = 2.0 * (m_b2 - (1.0 + n_b) * n_b)
+        c = n_b**2 - m_b2
+        p = [0.0, a**-0.5]  # p_{-1}, p_0
+        for k in range(n - 1):
+            p.append(-(b * (k + 0.5) * p[-1] + c * k * p[-2]) / ((k + 1) * a))
+        p = np.array(p[1:])
+        if nbar == 0:
+            p[1::2] = 0.0
+    what = f"squeezed_thermal_populations(nbar={nbar}, r={r})"
+    tail = 1.0 - p.sum()  # the mass past the cutoff
     if tail > TOL_LEAK:
-        raise CutoffLeak(
-            f"thermal state nbar={nbar}: tail mass {tail:.3e} beyond cutoff {n}"
-        )
-    p = (1.0 - q) * q ** np.arange(n)
+        raise CutoffLeak(f"{what}: tail mass {tail:.3e} beyond cutoff {n}")
     p /= p.sum()
-    _check_top_levels(p, d, f"thermal_state(nbar={nbar})")
+    _check_top_levels(p, d, what)
     return p
+
+
+def thermal_populations(nbar: float, dim: DimLike) -> np.ndarray:
+    """Renormalised geometric level populations p_n ~ (nbar/(nbar+1))^n:
+    squeezed_thermal_populations at r = 0, with its CutoffLeak gates."""
+    return squeezed_thermal_populations(nbar, 0.0, dim)
 
 
 def thermal_state(nbar: float, dim: DimLike = DEFAULT_CUTOFF) -> DensityMatrix:
@@ -321,12 +348,14 @@ def number_state(level: int, dim: DimLike = DEFAULT_CUTOFF) -> DensityMatrix:
 def squeezed_thermal_state(
     nbar: float, r: float, dim: DimLike = DEFAULT_CUTOFF
 ) -> DensityMatrix:
-    """S(r) rho_thermal(nbar) S(r)^dag.
+    """S(r) rho_thermal(nbar) S(r)^dag; at r = 0 thermal_state(nbar, dim).
 
     Mean occupation is nbar + (2 nbar + 1) sinh^2(r). The spectrum equals
     the thermal one (unitary conjugation), which the validator reuses.
     """
     d = as_dim(dim)
+    if r == 0:
+        return thermal_state(nbar, d)
     p = thermal_populations(nbar, d)
     s = _squeeze_matrix(float(r), d.cutoff)
     m = (s * p) @ s.T  # s @ diag(p) @ s.T without forming the diagonal

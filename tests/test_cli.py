@@ -318,14 +318,6 @@ class TestDecayScenario:
         assert run("decay", cfg, b) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_workers_is_an_otto_sweep_option_only(self, tmp_path):
-        cfg = write_config(tmp_path, "decay", alpha=1.0, t_final=0.5, cutoff=25)
-        out = tmp_path / "decay.csv"
-        with pytest.raises(SystemExit) as exc:
-            run("decay", cfg, out, "--workers", "2")
-        assert exc.value.code == 2
-        assert not out.exists()
-
     def test_a_vanishing_dt_names_its_step_count_briefly(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "decay", alpha=1.0, t_final=4.0, cutoff=25)
         assert run("decay", cfg, tmp_path / "out.csv", "--dt", "1e-300") == 1
@@ -512,34 +504,13 @@ class TestOttoSweepScenario:
         (cap_cf,) = column(header, rows, "eta_max_closed_form")
         assert cap == pytest.approx(cap_cf, rel=1e-6)
 
-    def test_worker_count_does_not_change_the_bytes(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            "otto-sweep",
-            temp_hot=3.0,
-            temp_cold=1.0,
-            omega_hot=0.3,
-            x_values="0.5, 0.7",
-            r_values="0.5",
-        )
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run("otto-sweep", cfg, a) == 0
-        assert run("otto-sweep", cfg, b, "--workers", "2") == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_worker_count_below_one_is_refused(self, tmp_path, capsys, monkeypatch,
-                                               workers):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(cli.multiprocessing, "Pool", refuse)
+    def test_workers_is_not_an_option(self, tmp_path):
         cfg = write_config(tmp_path, "otto-sweep", temp_hot=3.0, temp_cold=1.0,
                            omega_hot=0.3, x_values="0.5", r_values="0.5")
         out = tmp_path / "sweep.csv"
-        assert run("otto-sweep", cfg, out, "--workers", workers) == 2
-        err = capsys.readouterr().err
-        assert f"--workers: expected at least 1, got {workers}" in err
+        with pytest.raises(SystemExit) as exc:
+            run("otto-sweep", cfg, out, "--workers", "2")
+        assert exc.value.code == 2
         assert not out.exists()
 
 

@@ -254,6 +254,22 @@ class TestRunOtto:
         assert rep.eta < otto_squeezed.eta
         assert len(rep.strokes) == 6
 
+    def test_energising_contact_starts_from_the_mid_bath(self):
+        # the squeezed contact's input is thermal at the mid bath's
+        # occupation, not the cold bath's; E_dh_tilde reads that input
+        r = 0.5
+        rep = run_otto(CycleSpec(r=r, mid_baths=(BathStage(1.5),), **POINT))
+        w_h = POINT["omega_hot"]
+        n_h = bose_occupation(w_h, POINT["temp_hot"])
+        n_mid = bose_occupation(w_h, 1.5)
+        sh2 = math.sinh(r) ** 2
+        assert rep.E_dh == pytest.approx(
+            w_h * (n_h + (2 * n_h + 1) * sh2 - n_mid), rel=0, abs=1e-9
+        )
+        assert rep.E_dh_tilde == pytest.approx(
+            w_h * (n_h - n_mid - (2 * n_mid + 1) * sh2), rel=0, abs=1e-9
+        )
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             CycleSpec(temp_cold=3.0, temp_hot=1.0, omega_cold=0.15, omega_hot=0.3)

@@ -17,6 +17,8 @@ from squeezedbath import (
     number_state,
     real_expectation,
     squeeze_operator,
+    required_cutoff,
+    squeezed_thermal_populations,
     squeezed_thermal_state,
     thermal_populations,
     thermal_state,
@@ -174,16 +176,70 @@ class TestCoherentState:
             coherent_state(3.0, 12)
 
 
-class TestSqueezedThermalState:
-    # at n = 2 the top-two-level leak gate rejects every state; start at 3
+class TestSqueezedThermalPopulations:
+    """The three-term recurrence against the diagonal of S diag(p) S^T."""
+
     @pytest.mark.parametrize(
-        "nbar,n", [(0.0, 3), (0.7, 40), (2.0, 58), (9.508, 300)]
+        "nbar,r", [(0.0, 0.1), (0.5, 1.0), (3.0, 1.0), (0.2, 2.0), (20.0, 0.5),
+                   (0.0, -1.0)]
     )
-    def test_zero_squeezing_reduces_to_thermal(self, nbar, n):
+    def test_matches_the_squeezed_state_diagonal(self, nbar, r):
+        n = required_cutoff(nbar, r)
+        p = squeezed_thermal_populations(nbar, r, n)
+        rho = squeezed_thermal_state(nbar, r, n)
+        assert np.abs(p - np.diag(rho.matrix).real).max() <= 1e-11
+        np.testing.assert_array_equal(p, squeezed_thermal_populations(nbar, -r, n))
+
+    @pytest.mark.parametrize("r", [0.1, 0.7, -1.5])
+    def test_squeezed_vacuum_fills_even_levels_only(self, r):
+        p = squeezed_thermal_populations(0.0, r, required_cutoff(0.0, r))
+        assert np.all(p[1::2] == 0.0)
+        assert np.all(p >= 0.0)
+        # renormalised over the cutoff, which clips at most TOL_LEAK
+        assert p[0] == pytest.approx(1.0 / math.cosh(r), rel=fock.TOL_LEAK)
+
+    def test_clipped_tail_raises(self):
+        with pytest.raises(CutoffLeak, match="tail mass"):
+            squeezed_thermal_populations(0.5, 1.0, 60)
+        with pytest.raises(CutoffLeak, match="tail mass"):
+            squeezed_thermal_populations(2.0, 0.0, 40)
+        with pytest.raises(ValueError, match="nbar must be nonnegative"):
+            squeezed_thermal_populations(-0.1, 0.3, 40)
+
+    def test_top_levels_are_gated_too(self):
+        # the tail past the cutoff of 3 is below TOL_LEAK, but the top two
+        # levels carry more
+        nbar = 1e-3
+        assert (nbar / (nbar + 1)) ** 3 < fock.TOL_LEAK
+        with pytest.raises(CutoffLeak, match="top-two-level"):
+            squeezed_thermal_populations(nbar, 0.0, 3)
+
+    @pytest.mark.parametrize(
+        "nbar,n", [(0.0, 5), (0.3, 20), (1.7, 60), (0.0, 40), (5.0, 200)]
+    )
+    def test_zero_squeezing_is_the_geometric_law(self, nbar, n):
+        q = nbar / (nbar + 1.0)
+        geometric = (1.0 - q) * q ** np.arange(n)
+        geometric /= geometric.sum()
+        np.testing.assert_array_equal(squeezed_thermal_populations(nbar, 0.0, n),
+                                      geometric)
+        np.testing.assert_array_equal(thermal_populations(nbar, n), geometric)
+
+
+class TestSqueezedThermalState:
+    # (0, 2): the exact vacuum fits the smallest cutoff, where the
+    # top-two-level gate covers every level
+    @pytest.mark.parametrize(
+        "nbar,n", [(0.0, 2), (0.0, 3), (0.0, 5), (0.3, 20), (0.7, 40), (1.7, 60),
+                   (0.0, 40), (2.0, 58), (5.0, 200), (9.508, 300)]
+    )
+    def test_zero_squeezing_is_the_thermal_state(self, nbar, n):
         # bath_invariant_state relies on this being exact, not approximate
         np.testing.assert_array_equal(_squeeze_matrix(0.0, n), np.eye(n))
-        np.testing.assert_array_equal(squeezed_thermal_state(nbar, 0.0, n).matrix,
-                                      thermal_state(nbar, n).matrix)
+        rho = squeezed_thermal_state(nbar, 0.0, n)
+        thermal = thermal_state(nbar, n)
+        np.testing.assert_array_equal(rho.matrix, thermal.matrix)
+        np.testing.assert_array_equal(rho.eigenvalues, thermal.eigenvalues)
 
     def test_entropy_matches_thermal(self):
         rho = squeezed_thermal_state(1.0, 0.3, 60)

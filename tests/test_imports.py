@@ -6,8 +6,9 @@ No linter ships with the test dependencies, so these AST checks stand in
 for one. The package __init__ is skipped by the import check: its imports
 are re-exports.
 
-Two import-time contracts ride along: importing the package and its CLI
-loads no scipy, and every public function the package re-exports lives,
+Two import-time contracts ride along: importing the package and its CLI,
+and running the README cycle, otto-sweep and multibath configs, loads no
+scipy, and every public function the package re-exports lives,
 under a unique name, in one of its six layer modules (the benchmark's
 perfbench/spans.library_api collects them from there).
 """
@@ -243,24 +244,29 @@ import squeezedbath, squeezedbath.cli
 def scipy_loaded():
     return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
 
+data, out = sys.argv[1:]
 assert not scipy_loaded(), "import"
-assert squeezedbath.cli.main(["cycle", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
-assert not scipy_loaded(), "cycle"
+for name in ("cycle", "otto-sweep", "multibath"):
+    argv = [name, "--config", f"{data}/{name}.ini", "--out", f"{out}/{name}.csv"]
+    assert squeezedbath.cli.main(argv) == 0, name
+    assert not scipy_loaded(), name
 squeezedbath.squeeze_operator(0.3, 20)
 assert scipy_loaded(), "squeeze_operator"
 """
 
 
 def test_scipy_loads_on_first_need(tmp_path):
-    # a fresh interpreter: this one has loaded scipy already
+    # a fresh interpreter: this one has loaded scipy already; the README
+    # cycle, otto-sweep and multibath runs need none of it
     data = Path(__file__).parent / "data" / "readme"
     src = Path(squeezedbath.__file__).parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    out = tmp_path / "cycle.csv"
-    subprocess.run([sys.executable, "-c", STARTUP, str(data / "cycle.ini"), str(out)],
+    subprocess.run([sys.executable, "-c", STARTUP, str(data), str(tmp_path)],
                    env=env, check=True, timeout=120)
-    assert out.read_bytes() == (data / "cycle.csv").read_bytes()
+    for name in ("cycle", "otto-sweep", "multibath"):
+        csv = f"{name}.csv"
+        assert (tmp_path / csv).read_bytes() == (data / csv).read_bytes(), name
 
 
 SWEPT_THERMAL = """
