@@ -111,66 +111,56 @@ class JumpTerm:
 
 @dataclasses.dataclass(frozen=True)
 class HamiltonianSchedule:
-    """Time-dependent Hamiltonian H(t) with its explicit time derivative.
+    """H(t) = frequency(t) * matrix and dH/dt = frequency_dot(t) * matrix,
+    a fixed matrix M under a swept frequency (M itself without one).
 
-    A ladder schedule has H(t) = frequency(t) * diag(levels) (diag(levels)
-    without a frequency), read by diagonal/diagonal_derivative; a general
-    one gives the matrices through evaluate_fn/derivative_fn.
+    M is validated once through Operator. levels is M's real diagonal when
+    M is diagonal (a ladder, read by diagonal), else None.
     """
 
     dim: HilbertDim
-    evaluate_fn: Optional[Callable[[float], np.ndarray]] = None
-    derivative_fn: Optional[Callable[[float], np.ndarray]] = None
+    matrix: np.ndarray
     is_constant: bool = False
     frequency: Optional[Callable[[float], float]] = None
     frequency_dot: Optional[Callable[[float], float]] = None
-    levels: Optional[np.ndarray] = None
+    levels: Optional[np.ndarray] = dataclasses.field(init=False)
+
+    def __post_init__(self) -> None:
+        if (self.frequency is None) != (self.frequency_dot is None):
+            raise ValueError("give frequency and frequency_dot together")
+        m = Operator(self.dim, self.matrix).matrix
+        diagonal = not np.any(m - np.diag(np.diagonal(m)))
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "levels", np.diagonal(m).real.copy() if diagonal else None)
+
+    def _scale(self, t: float, derivative: bool = False) -> float:
+        """omega(t), or d(omega)/dt with derivative=True (1 and 0 without
+        a frequency)."""
+        if self.frequency is None:
+            return 0.0 if derivative else 1.0
+        return (self.frequency_dot if derivative else self.frequency)(t)
 
     def diagonal(self, t: float) -> np.ndarray:
         """Diagonal of H(t) for a ladder schedule."""
-        if self.frequency is None:
-            return self.levels
-        return self.frequency(t) * self.levels
-
-    def diagonal_derivative(self, t: float) -> np.ndarray:
-        """Diagonal of dH/dt for a ladder schedule."""
-        if self.frequency_dot is None:
-            return np.zeros_like(self.levels)
-        return self.frequency_dot(t) * self.levels
+        return self._scale(t) * self.levels
 
     def evaluate(self, t: float) -> np.ndarray:
-        if self.levels is None:
-            return self.evaluate_fn(t)
-        return np.diag(self.diagonal(t).astype(complex))
+        return self._scale(t) * self.matrix
+
+    def derivative(self, t: float) -> np.ndarray:
+        return self._scale(t, True) * self.matrix
 
     def trace_with(self, m: np.ndarray, t: float, derivative: bool = False) -> float:
         """Tr[m H(t)], or Tr[m dH/dt] with derivative=True; a ladder
         schedule reads only the diagonal of m."""
+        w = self._scale(t, derivative)
         if self.levels is not None:
-            d = self.diagonal_derivative(t) if derivative else self.diagonal(t)
-            return float((m.diagonal().real * d).sum())
-        h = self.derivative(t) if derivative else self.evaluate(t)
-        return float(np.einsum("ij,ji->", m, h).real)
-
-    def derivative(self, t: float) -> np.ndarray:
-        if self.levels is None:
-            return self.derivative_fn(t)
-        return np.diag(self.diagonal_derivative(t).astype(complex))
+            return float((m.diagonal().real * (w * self.levels)).sum())
+        return float((w * np.einsum("ij,ji->", m, self.matrix)).real)
 
 
 def constant_hamiltonian(op: Operator) -> HamiltonianSchedule:
-    m = op.matrix
-    if not np.any(m - np.diag(np.diagonal(m))):
-        return HamiltonianSchedule(
-            dim=op.dim, is_constant=True, levels=np.diagonal(m).real.copy()
-        )
-    zero = np.zeros_like(m)
-    return HamiltonianSchedule(
-        dim=op.dim,
-        evaluate_fn=lambda t: m,
-        derivative_fn=lambda t: zero,
-        is_constant=True,
-    )
+    return HamiltonianSchedule(dim=op.dim, matrix=op.matrix, is_constant=True)
 
 
 def oscillator_schedule(
@@ -182,9 +172,9 @@ def oscillator_schedule(
     d = as_dim(dim)
     return HamiltonianSchedule(
         dim=d,
+        matrix=np.diag(np.arange(d.cutoff, dtype=float)),
         frequency=frequency,
         frequency_dot=frequency_dot,
-        levels=np.arange(d.cutoff, dtype=float),
     )
 
 
@@ -240,8 +230,7 @@ class Generator:
         if self.kind == "thermal" and self.r:
             raise ValueError("a thermal generator has r = 0")
         sched = self.hamiltonian
-        ladder = (sched.levels, sched.frequency, sched.frequency_dot)
-        if self.kind != "custom" and any(part is None for part in ladder):
+        if self.kind != "custom" and (sched.levels is None or sched.frequency is None):
             raise ValueError(f"a {self.kind} bath needs levels and frequency metadata")
         # sigma and the ledger divide a swept occupation's heat by T
         if self.kind != "custom" and self.temperature is None and self.occupation_fn:
@@ -425,9 +414,10 @@ def bath_invariant_state(gen: Generator, t: float = 0.0) -> DensityMatrix:
 def conjugate_generator(gen: Generator, unitary: Operator) -> Generator:
     """Rotate the generator into the frame rho_tilde = U^dag rho U.
 
-    Every jump becomes U^dag L U and H(t) becomes U^dag H(t) U; rates and
-    picture are untouched. The result is tagged "custom": no analytic
-    shortcut is assumed for the rotated form.
+    Every jump becomes U^dag L U and H(t) = omega(t) M becomes
+    omega(t) U^dag M U, so the schedule keeps omega(t); rates and picture
+    are untouched. The result is tagged "custom": no analytic shortcut is
+    assumed for the rotated form.
     """
     if unitary.dim != gen.dim:
         raise ValueError("dimension mismatch")
@@ -439,16 +429,10 @@ def conjugate_generator(gen: Generator, unitary: Operator) -> Generator:
         JumpTerm(Operator(gen.dim, ud @ j.operator.matrix @ u), j.rate)
         for j in gen.jumps
     )
-    old = gen.hamiltonian
-    schedule = HamiltonianSchedule(
-        dim=gen.dim,
-        evaluate_fn=lambda t: ud @ old.evaluate(t) @ u,
-        derivative_fn=lambda t: ud @ old.derivative(t) @ u,
-        is_constant=old.is_constant,
-    )
+    sched = gen.hamiltonian
     return Generator(
         dim=gen.dim,
-        hamiltonian=schedule,
+        hamiltonian=dataclasses.replace(sched, matrix=ud @ sched.matrix @ u),
         jumps=new_jumps,
         kind="custom",
         picture=gen.picture,
@@ -515,7 +499,7 @@ def _warn_if_drive_fast(gen: Generator, samples) -> None:
     """Warn at the first (t, omega, d(omega)/dt) of samples, read in order,
     where |d(omega)/dt|/omega exceeds SLOW_DRIVE_FRAC * kappa."""
     sched = gen.hamiltonian
-    if sched.is_constant or None in (sched.frequency, sched.frequency_dot, gen.kappa):
+    if sched.is_constant or None in (sched.frequency, gen.kappa):
         return
     for t, w, wdot in samples:
         if w > 0 and abs(wdot) / w > SLOW_DRIVE_FRAC * gen.kappa:

@@ -379,12 +379,16 @@ def run_otto(spec: CycleSpec) -> CycleReport:
     stage_nbars = [
         bose_occupation(spec.omega_hot, st.temperature) for st in spec.mid_baths
     ]
+    # the energising contact's input: the last thermal state, squeezed by r
+    r = float(spec.r)
+    n_in = stage_nbars[-1] if stage_nbars else nbar_c
     if spec.cutoff is not None:
         n_dim = spec.cutoff
     else:
         n_dim = max(
             required_cutoff(nbar_c, 0.0),
-            required_cutoff(nbar_h, spec.r),
+            required_cutoff(nbar_h, r),
+            required_cutoff(n_in, r),
             *(required_cutoff(nb, 0.0) for nb in stage_nbars),
         )
     levels = np.arange(n_dim, dtype=float)
@@ -425,8 +429,6 @@ def run_otto(spec: CycleSpec) -> CycleReport:
         mid_flows.append((e_d, e_pas, t))
 
     # energising contact, in its squeezed frame: level k holds k cosh 2r + sinh^2 r
-    r = float(spec.r)
-    n_in = stage_nbars[-1] if stage_nbars else nbar_c
     v0 = squeezed_thermal_populations(n_in, r, n_dim)
     weights = levels * math.cosh(2.0 * r) + math.sinh(r) ** 2
     v_t, e_dh, e_dh_prime = contact(

@@ -202,44 +202,44 @@ def sigma_nonthermal(
     return relative_entropy(rotated, pi_ss)
 
 
-def _reference_frequency(gen: Generator) -> float:
+def _reference_frequency(gen: Generator, spectrum: np.ndarray) -> float:
+    """|omega(0)| (1 without a frequency) times the largest gap of the
+    ascending spectrum of H(t) = omega(t) M's matrix M; 1.0 where that is 0."""
     sched = gen.hamiltonian
-    if sched.frequency is not None:
-        w = abs(sched.frequency(0.0))
-        if w > 0:
-            return w
-    gaps = np.diff(_hamiltonian_eigensystem(Operator(gen.dim, sched.evaluate(0.0)))[0])
-    return float(gaps.max()) if len(gaps) and gaps.max() > 0 else 1.0
+    w = 1.0 if sched.frequency is None else abs(sched.frequency(0.0))
+    ref = w * float(np.diff(spectrum).max())
+    return ref if ref > 0 else 1.0
 
 
 def firstlaw_tolerance(delta_e: float, omega_ref: float) -> float:
     return TOL_FIRSTLAW_SCALE * max(abs(delta_e), abs(omega_ref))
 
 
-def _ledger_rows(gen: Generator, states: tuple, times: np.ndarray) -> tuple:
-    """Ledger columns of consecutive snapshots, each to the bit of its
-    per-state form: per snapshot the energy, passive energy, min_eig and
-    entropy; per interval the increments of Tr[rho H] and Tr[pi H] at its
-    midpoint."""
+def _ledger_rows(gen: Generator, states: tuple, times: np.ndarray,
+                 spectrum: np.ndarray) -> tuple:
+    """Ledger columns of consecutive snapshots: per snapshot the energy,
+    passive energy, min_eig and entropy; per interval the increments of
+    Tr[rho H] and Tr[pi H] at its midpoint. spectrum is the ascending
+    spectrum of M in H(t) = omega(t) M, so H(t)'s levels are
+    sort(omega(t) spectrum). Each column is its per-state form to the bit,
+    the passive energy of a non-diagonal M with a frequency to roundoff."""
     sched, m = gen.hamiltonian, len(states)
     ts = times.tolist() + (0.5 * (times[:-1] + times[1:])).tolist()  # + midpoints
     spectra = np.array([state._eigs for state in states])
     # descending populations pair with ascending levels in the passive state
     p_desc = np.clip(spectra[:, ::-1], 0.0, None)
-    if sched.levels is None:  # a general H: per-time traces and eigensystems
+    w = np.ones(len(ts)) if sched.frequency is None else list(map(sched.frequency, ts))
+    if sched.levels is None:  # a general H: per-time traces
         energy = [sched.trace_with(s.matrix, t) for s, t in zip(states, ts)]
         de = [sched.trace_with(b.matrix - a.matrix, t)
               for a, b, t in zip(states, states[1:], ts[m:])]
-        levels = np.array([_hamiltonian_eigensystem(  # as passive_energy reads them
-            Operator(gen.dim, sched.evaluate(t)))[0] for t in ts])
     else:  # a ladder reads the diagonals alone
         diag = np.array([s.matrix.diagonal().real for s in states])
         # sched.diagonal(t) at every t: the same product per entry
-        w = np.ones(len(ts)) if sched.frequency is None else list(map(sched.frequency, ts))
         h = np.multiply.outer(w, sched.levels)
         energy = (diag * h[:m]).sum(axis=1)
         de = (np.diff(diag, axis=0) * h[m:]).sum(axis=1)
-        levels = np.sort(h, axis=1)
+    levels = np.sort(np.multiply.outer(w, spectrum), axis=1)
     pas = (p_desc[:, None, :] @ levels[:m, :, None])[:, 0, 0]
     dpas = (np.diff(p_desc, axis=0)[:, None, :] @ levels[m:, :, None])[:, 0, 0]
     rows = [energy, pas, spectra[:, 0], _population_entropy(spectra)]
@@ -259,12 +259,14 @@ def accumulate_ledger(traj: Trajectory, gen: Generator) -> FirstLawLedger:
     is driven.
     """
     times, n = traj.times, len(traj.times)
+    # one eigensolve of M serves every snapshot, as passive_energy reads it
+    spectrum = _hamiltonian_eigensystem(Operator(gen.dim, gen.hamiltonian.matrix))[0]
     rows, intervals = [], []
     # _BLOCK intervals at a time bound the stacked rows; a block's last
     # snapshot opens the next block, so only the final block keeps it
     for i in range(0, max(n - 1, 1), _BLOCK):
         j = min(i + _BLOCK, n - 1) + 1
-        row, interval = _ledger_rows(gen, traj.states[i:j], times[i:j])
+        row, interval = _ledger_rows(gen, traj.states[i:j], times[i:j], spectrum)
         rows.append(row if j == n else row[:, :-1])
         intervals.append(interval)
     energy, pas, min_eigs, entropy = np.concatenate(rows, axis=1)
@@ -274,7 +276,7 @@ def accumulate_ledger(traj: Trajectory, gen: Generator) -> FirstLawLedger:
     ergo_d = traj.dissipated_cum - pas_d
 
     e_d, midpoint = traj.dissipated_cum[-1], de.sum()
-    tol = firstlaw_tolerance(energy[-1] - energy[0], _reference_frequency(gen))
+    tol = firstlaw_tolerance(energy[-1] - energy[0], _reference_frequency(gen, spectrum))
     mismatch = abs(e_d - midpoint)
     if mismatch > tol:
         raise LedgerInconsistent(

@@ -198,34 +198,50 @@ class TestBathValidation:
                         occupation_fn=occupation, temperature=5.0)
         assert gen.temperature == 5.0
 
-    @staticmethod
-    def general_ramp():
-        """linear_ramp_schedule's callables without its levels: a general
-        schedule that still carries omega(t)."""
-        ramp = linear_ramp_schedule(25.0, 20.0, 2.0, dim=20)
-        return ramp, HamiltonianSchedule(
-            dim=ramp.dim, evaluate_fn=ramp.evaluate, derivative_fn=ramp.derivative,
-            frequency=ramp.frequency, frequency_dot=ramp.frequency_dot,
-        )
-
     @pytest.mark.parametrize("build", BUILDERS)
     def test_tagged_bath_needs_a_ladder_schedule(self, build):
-        # it fails at construction, not inside evolve
-        _, general = self.general_ramp()
+        # a swept frequency on a non-diagonal M is no ladder; it fails at
+        # construction, not inside evolve
+        ramp = linear_ramp_schedule(25.0, 20.0, 2.0, dim=20)
+        u = squeeze_operator(0.2, 20).matrix
+        general = HamiltonianSchedule(
+            dim=ramp.dim, matrix=u.T @ ramp.matrix @ u,
+            frequency=ramp.frequency, frequency_dot=ramp.frequency_dot,
+        )
+        assert general.levels is None
         with pytest.raises(ValueError, match="levels and frequency metadata"):
             build(general, 1.0, None, 20, temperature=5.0)
 
-    def test_custom_generator_on_a_general_schedule_still_evolves(self):
-        # and matches the same jumps on the ladder form of the ramp
-        ramp, general = self.general_ramp()
-        jumps = thermal_generator(ramp, 1.0, dim=20, temperature=5.0).jumps
-        rho0 = thermal_state(bose_occupation(25.0, 5.0), 20)
-        runs = [evolve(Generator(ramp.dim, sched, jumps), rho0, 0.25)
-                for sched in (general, ramp)]
-        np.testing.assert_allclose(runs[0].final_state.matrix,
-                                   runs[1].final_state.matrix, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(runs[0].dissipated_cum, runs[1].dissipated_cum,
+    def test_rotated_sweep_keeps_its_frequency(self):
+        # U^dag omega(t) M U = omega(t) U^dag M U: the rotated schedule keeps
+        # omega(t), so the slow-drive check sees the sweep, and by trace
+        # invariance its flows from U^dag rho0 U are the unrotated clone's
+        # from rho0 at the same steps
+        n = 20
+        gen = squeezed_generator(linear_ramp_schedule(25, 20, 2, dim=n), 1, None, 0.2,
+                                 dim=n, temperature=5)
+        u = squeeze_operator(0.2, n)
+        rotated = conjugate_generator(gen, u)
+        sched, ramp = rotated.hamiltonian, gen.hamiltonian
+        assert sched.levels is None
+        assert sched.frequency is ramp.frequency
+        assert sched.frequency_dot is ramp.frequency_dot
+        assert sched.is_constant is ramp.is_constant is False
+        rho0 = squeezed_thermal_state(0.3, 0.1, n)
+        um = u.matrix
+        start = DensityMatrix(Operator(rho0.dim, um.conj().T @ rho0.matrix @ um))
+        with pytest.warns(SlowDriveViolation):
+            turned = evolve(rotated, start, 0.25, dt=2.5e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowDriveViolation)
+            lab = evolve(custom_clone(gen), rho0, 0.25, dt=2.5e-3)
+        np.testing.assert_array_equal(turned.times, lab.times)
+        assert np.abs(lab.work_cum).max() > 0.1
+        np.testing.assert_allclose(turned.dissipated_cum, lab.dissipated_cum,
                                    rtol=0, atol=1e-12)
+        np.testing.assert_allclose(turned.work_cum, lab.work_cum, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(um @ turned.final_state.matrix @ um.conj().T,
+                                   lab.final_state.matrix, rtol=0, atol=1e-12)
 
     def test_static_frequency_is_a_constant_ladder(self):
         gen = squeezed_generator(2.0, 1.0, None, 0.3, dim=6, temperature=1.5)
@@ -1067,10 +1083,7 @@ class TestSteadyStateOracle:
         n = 8
         rng = np.random.default_rng(3)
         h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        sched = HamiltonianSchedule(
-            dim=HilbertDim(n), evaluate_fn=lambda t: h,
-            derivative_fn=lambda t: np.zeros_like(h), is_constant=True,
-        )
+        sched = constant_hamiltonian(Operator(HilbertDim(n), h))
         gen = Generator(HilbertDim(n), sched, jumps=(JumpTerm(annihilation(n), 1.0),))
         with pytest.raises(ValueError, match="does not preserve Hermiticity"):
             steady_state(gen)
@@ -1239,7 +1252,7 @@ class TestSchedules:
         ladder = constant_hamiltonian(h)
         np.testing.assert_array_equal(ladder.levels, 2.0 * np.arange(5))
         np.testing.assert_array_equal(ladder.evaluate(1.0), h.matrix)
-        np.testing.assert_array_equal(ladder.diagonal_derivative(1.0), np.zeros(5))
+        np.testing.assert_array_equal(ladder.derivative(1.0), np.zeros((5, 5)))
         mixed = Operator(HilbertDim(5), h.matrix + annihilation(5).matrix
                          + annihilation(5).dagger().matrix)
         general = constant_hamiltonian(mixed)
@@ -1248,8 +1261,17 @@ class TestSchedules:
         ramp = linear_ramp_schedule(25.0, 20.0, 100.0, dim=6)
         np.testing.assert_array_equal(ramp.evaluate(40.0),
                                       np.diag(ramp.diagonal(40.0).astype(complex)))
-        np.testing.assert_array_equal(ramp.diagonal_derivative(40.0),
-                                      -0.05 * np.arange(6))
+        np.testing.assert_array_equal(ramp.derivative(40.0),
+                                      np.diag(-0.05 * np.arange(6)))
+
+    def test_matrix_is_validated_and_frequency_comes_with_its_derivative(self):
+        m = harmonic_hamiltonian(1.0, 5).matrix
+        with pytest.raises(ValueError, match="expected shape"):
+            HamiltonianSchedule(HilbertDim(5), m[:4, :4])
+        with pytest.raises(ValueError, match="finite"):
+            HamiltonianSchedule(HilbertDim(5), np.full((5, 5), np.nan))
+        with pytest.raises(ValueError, match="together"):
+            HamiltonianSchedule(HilbertDim(5), m, frequency=lambda t: 1.0)
 
     def test_oscillator_schedule_requires_positive_duration(self):
         with pytest.raises(ValueError):

@@ -231,6 +231,21 @@ class TestRunOtto:
                 assert getattr(rep, field.name) == getattr(otto_squeezed, field.name), \
                     field.name
 
+    @pytest.mark.parametrize("r", [0.5, 1.0])
+    @pytest.mark.parametrize("x", [0.05, 0.1, 0.2])
+    def test_automatic_cutoff_fits_the_squeezed_input(self, x, r):
+        # the energising contact starts from the cold thermal state squeezed
+        # by r; at these points its occupation exceeds the hot bath's, so
+        # that input, not the hot bath, sets the automatic cutoff
+        w_c, w_h = x * 0.3, 0.3
+        rep = run_otto(CycleSpec(1.0, 3.0, w_c, w_h, r=r))
+        assert rep.firstlaw_residual < 1e-12
+        assert rep.closure < 1e-9
+        n_c, n_h = bose_occupation(w_c, 1.0), bose_occupation(w_h, 3.0)
+        assert rep.E_dh == pytest.approx(
+            w_h * (n_h + squeezed_excess(n_h, r) - n_c), rel=0, abs=1e-12)
+        assert rep.E_dc == pytest.approx(w_c * (n_c - n_h), rel=0, abs=1e-12)
+
     def test_an_explicit_cutoff_too_small_for_the_hot_bath_leaks(self):
         with pytest.raises(CutoffLeak, match=r"tail mass 3\.059e-07 beyond cutoff 100$"):
             run_otto(CycleSpec(r=0.5, cutoff=100, **POINT))

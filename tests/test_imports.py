@@ -6,6 +6,9 @@ No linter ships with the test dependencies, so these AST checks stand in
 for one. The package __init__ is skipped by the import check: its imports
 are re-exports.
 
+Inside the package only constant_hamiltonian and oscillator_schedule call
+HamiltonianSchedule(...), so a second schedule form cannot come back
+unseen.
 Two import-time contracts ride along: importing the package and its CLI,
 and running the README cycle, otto-sweep and multibath configs, loads no
 scipy, and every public function the package re-exports lives,
@@ -209,6 +212,57 @@ def test_check_sees_dead_private_members():
         ("a.py", "A._gone"),
     ]
 
+
+
+# the two builders of H(t) = omega(t) M; every other schedule is one of
+# theirs, or one rotated by dataclasses.replace
+SCHEDULE_BUILDERS = ("constant_hamiltonian", "oscillator_schedule")
+
+
+def stray_schedule_calls(sources: dict) -> list:
+    """(module, top-level definition, or None at module level) per call of
+    HamiltonianSchedule(...) outside SCHEDULE_BUILDERS in the package's
+    modules (sources: module -> text)."""
+    stray = []
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            owner = getattr(stmt, "name", None)
+            if owner in SCHEDULE_BUILDERS:
+                continue
+            stray += [
+                (module, owner) for node in ast.walk(stmt)
+                if isinstance(node, ast.Call)
+                and _dotted(node.func).split(".")[-1] == "HamiltonianSchedule"
+            ]
+    return stray
+
+
+def test_schedules_are_built_only_by_their_builders():
+    package = Path(squeezedbath.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert stray_schedule_calls(sources) == []
+
+
+def test_check_sees_a_schedule_built_elsewhere():
+    sources = {
+        "a.py": (
+            "def constant_hamiltonian(op):\n"
+            "    return HamiltonianSchedule(op.dim, op.matrix, True)\n"
+            "def rotate(s, u):\n"
+            "    return dynamics.HamiltonianSchedule(s.dim, u.T @ s.matrix @ u)\n"
+            "class Bath:\n"
+            "    def schedule(self):\n"
+            "        return HamiltonianSchedule(self.dim, self.m)\n"
+        ),
+        "b.py": (
+            "import dataclasses\n"
+            "ZERO = HamiltonianSchedule(dim, m)\n"
+            "def turn(s, m):\n    return dataclasses.replace(s, matrix=m)\n"
+        ),
+    }
+    assert stray_schedule_calls(sources) == [
+        ("a.py", "rotate"), ("a.py", "Bath"), ("b.py", None)
+    ]
 
 
 LAYERS = ("fock", "passivity", "dynamics", "ledger", "engine", "cli")

@@ -344,6 +344,31 @@ class TestAccumulateLedger:
             sigma = (s - s[0]) + (cross - cross[0])
         np.testing.assert_array_equal(led.sigma_cum, sigma)
 
+    def test_rotated_sweep_levels_are_omega_times_the_spectrum_of_m(self):
+        # a driven rotated bath: H(t) = omega(t) U^dag n U is not diagonal,
+        # so the energy is Tr[rho H(t)] per snapshot and the passive levels
+        # sort(omega(t) spec(M)), from one eigensolve of M, not of each H(t)
+        n = 20
+        gen = squeezed_generator(linear_ramp_schedule(25, 20, 2, dim=n), 1, None, 0.2,
+                                 dim=n, temperature=5)
+        u = squeeze_operator(0.2, n).matrix
+        rotated = conjugate_generator(gen, Operator(HilbertDim(n), u))
+        rho0 = squeezed_thermal_state(0.3, 0.1, n)
+        start = DensityMatrix(Operator(rho0.dim, u.T @ rho0.matrix @ u))
+        with pytest.warns(SlowDriveViolation):
+            traj = evolve(rotated, start, 0.25, snapshot_stride=4)
+        assert len(traj.times) > ledger._BLOCK  # two blocks and a seam
+        led = accumulate_ledger(traj, rotated)
+        sched = rotated.hamiltonian
+        assert sched.levels is None and sched.frequency is not None
+        times = traj.times.tolist()
+        energy = [sched.trace_with(s.matrix, t) for s, t in zip(traj.states, times)]
+        np.testing.assert_array_equal(led.energy, energy)
+        passive = [passive_energy(s, Operator(rotated.dim, sched.evaluate(t)))
+                   for s, t in zip(traj.states, times)]
+        np.testing.assert_allclose(led.passive_energy, passive, rtol=0, atol=1e-12)
+        assert led.ergotropy.max() > 0.1
+
     def test_block_seams_drop_or_repeat_no_snapshot(self):
         # prefixes ending around block boundaries give the full run's
         # columns, down to the single snapshot of a run with no interval
