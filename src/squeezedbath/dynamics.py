@@ -71,14 +71,26 @@ _REAL_ROWS = 512
 
 
 def bose_occupation(omega: float, temperature: float) -> float:
-    """Planck occupation 1/(exp(omega/T) - 1); zero at T = 0."""
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    if temperature < 0:
-        raise ValueError(f"temperature must be nonnegative, got {temperature}")
+    """Planck occupation 1/(exp(omega/T) - 1); zero at T = 0.
+
+    Raises ValueError unless omega is positive and finite and T is
+    nonnegative and finite, and when omega/T is so small that the
+    occupation overflows.
+    """
+    if not 0 < omega < math.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega}")
+    if not 0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be nonnegative and finite, got {temperature}")
     if temperature == 0:
         return 0.0
-    return 1.0 / math.expm1(omega / temperature)
+    ratio = omega / temperature
+    if ratio > 700.0:  # expm1 would overflow; e^-ratio is exact to rounding
+        return math.exp(-ratio)
+    x = math.expm1(ratio)
+    occupation = 1.0 / x if x else math.inf
+    if occupation == math.inf:
+        raise ValueError(f"occupation overflows at omega={omega}, T={temperature}")
+    return occupation
 
 
 def _rate_at(rate: RateLike, t: float) -> float:

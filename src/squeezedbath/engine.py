@@ -306,10 +306,13 @@ def required_cutoff(nbar: float, r: float = 0.0) -> int:
     Uses the quadrature variance V = (2 nbar + 1) e^(2|r|) / 2; level
     populations fall off like ((2V-1)/(2V+1))^n and the bound keeps the
     clipped mass (with a generous polynomial safety factor) under
-    CUTOFF_TAIL_TOL. Never fewer than CUTOFF_FLOOR levels.
+    CUTOFF_TAIL_TOL. Never fewer than CUTOFF_FLOOR levels. A negative or
+    non-finite nbar, or a non-finite r, raises ValueError.
     """
-    if nbar < 0:
-        raise ValueError("nbar must be nonnegative")
+    if not 0 <= nbar < math.inf:
+        raise ValueError(f"nbar must be nonnegative and finite, got {nbar}")
+    if not math.isfinite(r):
+        raise ValueError(f"squeeze parameter r must be finite, got {r}")
     v = (2.0 * nbar + 1.0) * math.exp(2.0 * abs(r)) / 2.0
     lam = (2.0 * v - 1.0) / (2.0 * v + 1.0)
     n = CUTOFF_FLOOR

@@ -202,7 +202,9 @@ def squeeze_operator(r: float, dim: DimLike = DEFAULT_CUTOFF) -> Operator:
 
 
 def _scipy() -> tuple:
-    """scipy.linalg, .sparse and .sparse.linalg, all loaded on first need."""
+    """scipy.linalg, .sparse and .sparse.linalg, all loaded on first need:
+    a constant tagged bath's channel (expm) and the custom sparse route
+    (superoperator, steady_state, the quadrature sigma_series)."""
     import scipy.linalg
     import scipy.sparse
     import scipy.sparse.linalg
@@ -218,7 +220,7 @@ def _squeeze_matrix(r: float, n: int) -> np.ndarray:
     with off-diagonal b = (r/2) sqrt(m(m-1)) between levels m-2 and m. With
     D = diag(i^j) over the block index j, D^-1 T D = iB for the real
     symmetric tridiagonal B with zero diagonal and off-diagonal b, so one
-    tridiagonal eigensolve B = Q diag(lam) Q^T gives
+    dense symmetric eigensolve (numpy's eigh) B = Q diag(lam) Q^T gives
     exp(T) = D Q diag(e^(i lam)) Q^T D^-1. Its (j, k) entry is +C, -S, -C
     or +S for j - k = 0, 1, 2, 3 mod 4, with C = Q cos(lam) Q^T and
     S = Q sin(lam) Q^T. C vanishes at odd j - k and S at even j - k, so
@@ -226,19 +228,19 @@ def _squeeze_matrix(r: float, n: int) -> np.ndarray:
     between opposite ones are formed; with j = 2a or 2a + 1 the sign is
     (-1)^(a - b), folded into the rows of Q. Entries between levels of
     opposite parity are exactly zero. At r = 0 it is the identity, built
-    without an eigensolve or scipy.
+    without an eigensolve. A non-finite r raises ValueError.
     """
+    if not math.isfinite(r):
+        raise ValueError(f"squeeze parameter r must be finite, got {r}")
     if r == 0.0:
         out = np.eye(n)
         out.setflags(write=False)
         return out
     out = np.zeros((n, n))
     for parity in (0, 1):
-        size = len(range(parity, n, 2))
         m = np.arange(parity + 2, n, 2, dtype=float)
         b = 0.5 * r * np.sqrt(m * (m - 1.0))
-        lam, q = _scipy()[0].eigh_tridiagonal(np.zeros(size), b,
-                                              lapack_driver="stemr")
+        lam, q = np.linalg.eigh(np.diag(b, 1) + np.diag(b, -1))
         q[2::4] *= -1.0
         q[3::4] *= -1.0
         qe, qo = q[0::2], q[1::2]  # levels parity + 4a and parity + 2 + 4a
@@ -264,12 +266,15 @@ def squeezed_thermal_populations(nbar: float, r: float, dim: DimLike) -> np.ndar
     r = 0 this is the geometric law p_k ~ (nbar/(nbar+1))^k.
 
     Raises CutoffLeak when the mass past the cutoff or on the top two
-    levels exceeds TOL_LEAK.
+    levels exceeds TOL_LEAK, and ValueError for a negative or non-finite
+    nbar or a non-finite r.
     """
     d = as_dim(dim)
     n = d.cutoff
-    if nbar < 0:
-        raise ValueError(f"nbar must be nonnegative, got {nbar}")
+    if not 0 <= nbar < math.inf:
+        raise ValueError(f"nbar must be nonnegative and finite, got {nbar}")
+    if not math.isfinite(r):
+        raise ValueError(f"squeeze parameter r must be finite, got {r}")
     if nbar == 0 and r == 0:  # the exact vacuum fits any cutoff
         p = np.zeros(n)
         p[0] = 1.0

@@ -88,6 +88,25 @@ class TestBoseOccupation:
         with pytest.raises(ValueError):
             bose_occupation(1.0, -0.1)
 
+    @pytest.mark.parametrize(
+        "omega,temperature,match",
+        [(math.nan, 1.0, "omega"), (math.inf, 1.0, "omega"),
+         (1.0, math.nan, "temperature"), (1.0, math.inf, "temperature"),
+         (1e-320, 1.0, "overflows"), (1e-320, 1e10, "overflows")],
+    )
+    def test_non_finite_input_or_occupation_is_a_value_error(
+        self, omega, temperature, match
+    ):
+        with pytest.raises(ValueError, match=match):
+            bose_occupation(omega, temperature)
+
+    def test_a_cold_mode_is_empty_without_overflow(self):
+        # exp(omega/T) overflows past 709.78; the occupation is e^-(omega/T)
+        assert bose_occupation(700.0, 1.0) == pytest.approx(1.0 / math.expm1(700.0),
+                                                            rel=1e-15)
+        assert bose_occupation(710.0, 1.0) == math.exp(-710.0)
+        assert bose_occupation(1e6, 1e-3) == 0.0
+
 
 class TestThermalGenerator:
     def test_zero_occupation_single_channel(self):
@@ -1469,6 +1488,15 @@ class TestRequiredCutoff:
         # lam = 1 - 1e-6: the tail bound still exceeds the tolerance at 1e5
         with pytest.raises(ValueError, match="cutoff search did not converge"):
             required_cutoff(1e6)
+
+    @pytest.mark.parametrize(
+        "nbar,r", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, -math.inf)]
+    )
+    def test_non_finite_input_is_a_value_error(self, nbar, r):
+        # a NaN tail bound never exceeds the tolerance, so the search
+        # would stop at the floor
+        with pytest.raises(ValueError, match="must be nonnegative and finite|r must be finite"):
+            required_cutoff(nbar, r)
 
     def test_monotone(self):
         assert required_cutoff(1.0) <= required_cutoff(2.0)

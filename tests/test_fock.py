@@ -126,14 +126,28 @@ class TestSqueezeMatrixOracle:
         expected = scipy.linalg.expm(0.5 * r * (a @ a - a.T @ a.T))
         s = _squeeze_matrix(r, n)
         assert np.abs(s - expected).max() <= 1e-11
+        assert np.abs(s.T @ s - np.eye(n)).max() <= 1e-14
         odd = np.add.outer(np.arange(n), np.arange(n)) % 2 == 1
         assert np.all(s[odd] == 0.0)
         assert not s.flags.writeable
 
     def test_orthogonal_at_the_largest_otto_cutoff(self):
-        n = 1736  # the auto cutoff of the r = 1 otto-sweep points
+        # run_otto's automatic cutoff at the README's r = 1, x = 0.3 point;
+        # run_otto itself builds no S (it works from the populations), so
+        # this sizes the largest squeezed space the README runs ask for
+        n = 1928
         s = _squeeze_matrix(1.0, n)
-        assert np.abs(s.T @ s - np.eye(n)).max() <= 1e-12
+        assert np.abs(s.T @ s - np.eye(n)).max() <= 1e-14
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_non_finite_r_is_a_value_error(self, r):
+        # S is real orthogonal only for a finite r; no eigensolve is tried
+        with pytest.raises(ValueError, match="r must be finite"):
+            _squeeze_matrix(r, 20)
+        with pytest.raises(ValueError, match="r must be finite"):
+            squeeze_operator(r, 20)
+        with pytest.raises(ValueError, match="r must be finite"):
+            squeezed_thermal_state(0.2, r, 20)
 
 
 class TestThermalState:
@@ -205,6 +219,15 @@ class TestSqueezedThermalPopulations:
             squeezed_thermal_populations(2.0, 0.0, 40)
         with pytest.raises(ValueError, match="nbar must be nonnegative"):
             squeezed_thermal_populations(-0.1, 0.3, 40)
+
+    @pytest.mark.parametrize(
+        "nbar,r", [(math.nan, 0.3), (math.inf, 0.3), (0.3, math.nan),
+                   (0.3, math.inf), (0.0, -math.inf)]
+    )
+    def test_non_finite_input_is_a_value_error(self, nbar, r):
+        # both recurrence coefficients would be NaN, and so every population
+        with pytest.raises(ValueError, match="must be nonnegative and finite|r must be finite"):
+            squeezed_thermal_populations(nbar, r, 40)
 
     def test_top_levels_are_gated_too(self):
         # the tail past the cutoff of 3 is below TOL_LEAK, but the top two

@@ -10,7 +10,8 @@ Inside the package only constant_hamiltonian and oscillator_schedule call
 HamiltonianSchedule(...), so a second schedule form cannot come back
 unseen.
 Two import-time contracts ride along: importing the package and its CLI,
-and running the README cycle, otto-sweep and multibath configs, loads no
+running the README cycle, otto-sweep, multibath and short carnot-stroke
+configs and building a squeeze operator or a squeezed state loads no
 scipy, and every public function the package re-exports lives,
 under a unique name, in one of its six layer modules (the benchmark's
 perfbench/spans.library_api collects them from there).
@@ -293,34 +294,48 @@ def test_public_functions_live_in_the_layer_modules():
 
 STARTUP = """
 import sys
-import squeezedbath, squeezedbath.cli
+import warnings
+import squeezedbath as sb, squeezedbath.cli
 
 def scipy_loaded():
     return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
 
-data, out = sys.argv[1:]
+data, out, need = sys.argv[1:]
 assert not scipy_loaded(), "import"
-for name in ("cycle", "otto-sweep", "multibath"):
+warnings.simplefilter("ignore", sb.SlowDriveViolation)  # the short strokes
+for name in ("cycle", "otto-sweep", "multibath", "carnot-stroke"):
     argv = [name, "--config", f"{data}/{name}.ini", "--out", f"{out}/{name}.csv"]
     assert squeezedbath.cli.main(argv) == 0, name
     assert not scipy_loaded(), name
-squeezedbath.squeeze_operator(0.3, 20)
-assert scipy_loaded(), "squeeze_operator"
+sb.squeeze_operator(0.3, 20)
+sb.squeezed_thermal_state(0.3, 0.2)
+assert not scipy_loaded(), "squeezed states"
+gen = sb.thermal_generator(2.0, 1.0, nbar=0.3, dim=20)
+if need == "steady_state":
+    sb.steady_state(gen)
+else:  # a constant bath's channel
+    sb.evolve(gen, sb.thermal_state(0.3, 20), 0.5)
+assert scipy_loaded(), need
 """
 
 
 def test_scipy_loads_on_first_need(tmp_path):
-    # a fresh interpreter: this one has loaded scipy already; the README
-    # cycle, otto-sweep and multibath runs need none of it
+    # a fresh interpreter per first need: this one has loaded scipy
+    # already; the README cycle, otto-sweep, multibath and short
+    # carnot-stroke runs (a squeezed frame), a squeeze operator and a
+    # squeezed state need none of it
     data = Path(__file__).parent / "data" / "readme"
     src = Path(squeezedbath.__file__).parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    subprocess.run([sys.executable, "-c", STARTUP, str(data), str(tmp_path)],
-                   env=env, check=True, timeout=120)
-    for name in ("cycle", "otto-sweep", "multibath"):
-        csv = f"{name}.csv"
-        assert (tmp_path / csv).read_bytes() == (data / csv).read_bytes(), name
+    for need in ("steady_state", "evolve"):
+        out = tmp_path / need
+        out.mkdir()
+        subprocess.run([sys.executable, "-c", STARTUP, str(data), str(out), need],
+                       env=env, check=True, timeout=120)
+        for name in ("cycle", "otto-sweep", "multibath", "carnot-stroke"):
+            csv = f"{name}.csv"
+            assert (out / csv).read_bytes() == (data / csv).read_bytes(), name
 
 
 SWEPT_THERMAL = """
