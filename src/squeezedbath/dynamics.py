@@ -697,22 +697,68 @@ def _band_terms(k: np.ndarray, i: np.ndarray, n: int) -> tuple:
     return 2 * i + k, c[i] + c[i + k], 2.0 * np.sqrt(i * (i + k))
 
 
+# Pade-13 coefficients b_0..b_13 of exp and the 1-norm up to which they need
+# no scaling (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+           16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm_bordered(blocks: np.ndarray) -> np.ndarray:
+    """exp of each bordered block [[A, c], [0, 0]] of a (b, n+1, n+1) stack,
+    by Pade-13 scaling and squaring.
+
+    Each block takes its own s, from the 1-norm of its own A: short bands
+    are not squared as often as the longest, and the border column, which
+    exp carries linearly (as phi_1(A) c), does not raise s however large c
+    is. A row that is zero in a block (the border row, a band's padding)
+    is a unit row of its exp; the Pade quotient gets those only to
+    roundoff, which 2^s squarings would blow up or wipe out, so they are
+    set exactly before squaring.
+    """
+    n = blocks.shape[-1] - 1
+    norm = np.abs(blocks[:, :n, :n]).sum(axis=1).max(axis=1)
+    s = np.maximum(0, np.ceil(np.log2(norm / _THETA13))).astype(int)
+    x = blocks * np.ldexp(1.0, -s)[:, None, None]
+    b, eye = _PADE13, np.eye(n + 1)
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+    v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+         + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
+    e = np.linalg.solve(v - u, v + u)
+    which, row = np.nonzero(~blocks.any(axis=2))
+    e[which, row] = 0.0
+    e[which, row, row] = 1.0
+    for j in range(s.max()):
+        sq = s > j
+        e[sq] = e[sq] @ e[sq]
+    return e
+
+
 def _band_channel(gen: Generator, s: np.ndarray, interval: float,
                   bands: np.ndarray) -> tuple:
     """Exact propagator of a constant-rate tagged bath over one interval.
 
-    One batched expm of the blocks T_k^T t of _band_terms, each bordered by
-    the column T_k^T h_k t (h_k the band-k entries of S^T H S, S = s), gives
-    exp(T_k t) and weights f_k whose dot with x_k(0) is band k's share of
-    the bath flow, the integral of Tr[L(rho) H] over the interval.
+    One batched exponential (_expm_bordered) of the blocks T_k^T t of
+    _band_terms, each bordered by the column T_k^T h_k t (h_k the band-k
+    entries of S^T H S, S = s), gives exp(T_k t) and weights f_k whose dot
+    with x_k(0) is band k's share of the bath flow, the integral of
+    Tr[L(rho) H] over the interval.
 
     Band 0 keeps the trace, so its block has the stationary populations p
-    (geometric, ratio N/(N+1)) with 1^T T_0 = 0. Squaring in expm doubles
-    any roundoff on that conserved mode at each step, so the block is
-    deflated to T_0 - sigma p 1^T (sigma = 2 kappa), whose modes all decay,
-    and p 1^T is added back. Past an interval of 1e20 over the largest rate
-    every decaying mode has underflowed, so longer intervals are capped
-    there; expm's norm estimates would overflow near 1e77.
+    (geometric, ratio N/(N+1)) with 1^T T_0 = 0. Squaring doubles any
+    roundoff on that conserved mode at each step, so the block is deflated
+    to T_0 - sigma p 1^T (sigma = 2 kappa), whose modes all decay, and
+    p 1^T is added back. Past an interval of 1e20 over the largest rate
+    every decaying mode has underflowed and the channel no longer changes,
+    so longer intervals are capped there: s grows as the log of the
+    interval, so the cap holds it near 66 squarings, each adding roundoff,
+    and keeps the entries t rates h far from overflow.
 
     Returns the propagators and weights of the given bands as (b, n, n)
     and (b, n) arrays; rows past a band's length are padding.
@@ -738,7 +784,7 @@ def _band_channel(gen: Generator, s: np.ndarray, interval: float,
     p /= p.sum()
     sigma_t = 2.0 * gen.kappa * t
     blocks[0, :n, :n] -= sigma_t * p  # (T_0 - sigma p 1^T)^T t
-    e = _scipy()[0].expm(blocks)
+    e = _expm_bordered(blocks)
     prop = e[:, :n, :n].transpose(0, 2, 1).copy()
     prop[0] += -math.expm1(-sigma_t) * p[:, None]
     weights = e[:, :n, n].copy()
@@ -857,7 +903,7 @@ def _frame_run(gen: Generator, rho0: DensityMatrix, dt: float, marks: list):
 def _sides(a):
     """a (x) 1 and 1 (x) a^T: rho -> a rho and rho -> rho a as scipy.sparse
     CSR superoperators on row-major vec(rho), a being CSR."""
-    sparse = _scipy()[1]
+    sparse = _scipy()[0]
     eye = sparse.identity(a.shape[0], format="csr", dtype=complex)
     return sparse.kron(a, eye, format="csr"), sparse.kron(eye, a.T, format="csr")
 
@@ -865,7 +911,7 @@ def _sides(a):
 def _jump_piece(jump: JumpTerm):
     """2 L (x) conj(L) - L^dag L (x) 1 - 1 (x) (L^dag L)^T, the superoperator
     of one jump at unit rate, as scipy.sparse CSR on row-major vec(rho)."""
-    sparse = _scipy()[1]
+    sparse = _scipy()[0]
     lm = sparse.csr_matrix(jump.operator.matrix)
     left, right = _sides(lm.conj().T @ lm)
     return 2.0 * sparse.kron(lm, lm.conj(), format="csr") - left - right
@@ -877,7 +923,7 @@ def _fold(gen: Generator, t: float, piece: Callable):
     the next is asked for, which keeps a streamed fold's peak at one
     piece. The sum comes back as a compact copy: scipy's sparse add can
     leave its entries in buffers up to twice their size."""
-    n, sparse = gen.dim.cutoff, _scipy()[1]
+    n, sparse = gen.dim.cutoff, _scipy()[0]
     total = sparse.csr_matrix((n * n, n * n), dtype=complex)
     if gen.picture == "schroedinger":
         left, right = _sides(sparse.csr_matrix(gen.hamiltonian.evaluate(t)))
@@ -937,7 +983,7 @@ def _hermitian_basis(n: int):
     sqrt(2) (column j*n + i) for i < j, as scipy.sparse CSR (cached; treat
     as read-only). U^H vec(X) is real for a Hermitian X, and U^H vec(1) =
     vec(1)."""
-    sparse = _scipy()[1]
+    sparse = _scipy()[0]
     i, j = np.triu_indices(n, 1)
     upper, lower, diag = i * n + j, j * n + i, np.arange(n) * (n + 1)
     h = math.sqrt(0.5)
@@ -956,7 +1002,7 @@ def _real_form(lmat, u, t: float):
     scipy.sparse CSR, formed _REAL_ROWS rows at a time so that the complex
     products stay a few MB; ValueError when an imaginary part exceeds 1e-12
     of R's largest entry, as it does when L breaks Hermiticity."""
-    sparse = _scipy()[1]
+    sparse = _scipy()[0]
     uh = u.conj().T.tocsr()
     drift = scale = 0.0
     rows = []
@@ -977,7 +1023,7 @@ def _kernel_state(gen: Generator, lmat, t: float) -> DensityMatrix:
     through its real form R = Re(U^H L U)."""
     n = gen.dim.cutoff
     size = n * n
-    _, sparse, splinalg = _scipy()
+    sparse, splinalg = _scipy()
     u = _hermitian_basis(n)
     rmat = _real_form(lmat, u, t)
     y = np.eye(n).reshape(-1) / math.sqrt(n)

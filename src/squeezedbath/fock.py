@@ -202,13 +202,11 @@ def squeeze_operator(r: float, dim: DimLike = DEFAULT_CUTOFF) -> Operator:
 
 
 def _scipy() -> tuple:
-    """scipy.linalg, .sparse and .sparse.linalg, all loaded on first need:
-    a constant tagged bath's channel (expm) and the custom sparse route
-    (superoperator, steady_state, the quadrature sigma_series)."""
-    import scipy.linalg
+    """scipy.sparse and scipy.sparse.linalg, loaded on first need: the custom
+    sparse route (superoperator, steady_state, the quadrature sigma_series)."""
     import scipy.sparse
     import scipy.sparse.linalg
-    return scipy.linalg, scipy.sparse, scipy.sparse.linalg
+    return scipy.sparse, scipy.sparse.linalg
 
 
 @functools.lru_cache(maxsize=8)
@@ -262,12 +260,17 @@ def squeezed_thermal_populations(nbar: float, r: float, dim: DimLike) -> np.ndar
     generating function [(1 + n_b(1 - z))^2 - m_b^2 (1 - z)^2]^(-1/2) gives
     (k + 1) a p_{k+1} = -b (k + 1/2) p_k - c k p_{k-1} from p_0 = a^(-1/2),
     with a = (1 + n_b)^2 - m_b^2, b = 2(m_b^2 - (1 + n_b) n_b) and
-    c = n_b^2 - m_b^2. A squeezed vacuum's odd levels are exactly zero. At
-    r = 0 this is the geometric law p_k ~ (nbar/(nbar+1))^k.
+    c = n_b^2 - m_b^2. Those differences cancel; with nu = nbar + 1/2 and
+    w = nu (cosh 2r - 1) = 2 nu sinh^2 r they are exactly
+    a = (nbar + 1)^2 + w, b = -2 nbar (nbar + 1) and c = nbar^2 - w, which
+    is how they are formed. So b does not depend on r, and a squeezed
+    vacuum's odd levels come out exactly zero. At r = 0 this is the
+    geometric law p_k ~ (nbar/(nbar+1))^k.
 
     Raises CutoffLeak when the mass past the cutoff or on the top two
-    levels exceeds TOL_LEAK, and ValueError for a negative or non-finite
-    nbar or a non-finite r.
+    levels exceeds TOL_LEAK, or when w overflows (no cutoff holds that
+    state), and ValueError for a negative or non-finite nbar or a
+    non-finite r.
     """
     d = as_dim(dim)
     n = d.cutoff
@@ -275,6 +278,7 @@ def squeezed_thermal_populations(nbar: float, r: float, dim: DimLike) -> np.ndar
         raise ValueError(f"nbar must be nonnegative and finite, got {nbar}")
     if not math.isfinite(r):
         raise ValueError(f"squeeze parameter r must be finite, got {r}")
+    what = f"squeezed_thermal_populations(nbar={nbar}, r={r})"
     if nbar == 0 and r == 0:  # the exact vacuum fits any cutoff
         p = np.zeros(n)
         p[0] = 1.0
@@ -283,18 +287,19 @@ def squeezed_thermal_populations(nbar: float, r: float, dim: DimLike) -> np.ndar
         q = nbar / (nbar + 1.0)
         p = (1.0 - q) * q ** np.arange(n)
     else:
-        n_b = nbar * math.cosh(2.0 * r) + math.sinh(r) ** 2
-        m_b2 = ((nbar + 0.5) * math.sinh(2.0 * r)) ** 2
-        a = (1.0 + n_b) ** 2 - m_b2
-        b = 2.0 * (m_b2 - (1.0 + n_b) * n_b)
-        c = n_b**2 - m_b2
+        try:
+            w = 2.0 * (nbar + 0.5) * math.sinh(r) ** 2
+        except OverflowError:
+            w = math.inf
+        a = (nbar + 1.0) * (nbar + 1.0) + w
+        if a == math.inf:
+            raise CutoffLeak(f"{what}: the squeezing overflows; no cutoff holds it")
+        b = -2.0 * nbar * (nbar + 1.0) / a  # b/a and c/a are bounded: no overflow
+        c = (nbar * nbar - w) / a
         p = [0.0, a**-0.5]  # p_{-1}, p_0
         for k in range(n - 1):
-            p.append(-(b * (k + 0.5) * p[-1] + c * k * p[-2]) / ((k + 1) * a))
+            p.append(-(b * (k + 0.5) * p[-1] + c * k * p[-2]) / (k + 1))
         p = np.array(p[1:])
-        if nbar == 0:
-            p[1::2] = 0.0
-    what = f"squeezed_thermal_populations(nbar={nbar}, r={r})"
     tail = 1.0 - p.sum()  # the mass past the cutoff
     if tail > TOL_LEAK:
         raise CutoffLeak(f"{what}: tail mass {tail:.3e} beyond cutoff {n}")

@@ -49,7 +49,7 @@ from squeezedbath import (
     von_neumann_entropy,
     relative_entropy,
 )
-from squeezedbath import dynamics
+from squeezedbath import dynamics, fock
 from squeezedbath.engine import CUTOFF_FLOOR
 
 
@@ -929,6 +929,107 @@ class TestChannelRoute:
             exact = expm_evolved(gen, rho0, t)
             np.testing.assert_allclose(state.matrix, exact, rtol=0, atol=1e-12)
             assert state.min_eig >= 0.0
+
+
+def scipy_bordered_expm(blocks):
+    """scipy.linalg.expm of bordered blocks [[A, c], [0, 0]], with c scaled
+    down to A's 1-norm before and back after (exp is linear in c). Left at
+    full size, c raises scipy's squaring count: its E_d weights then drift
+    by up to 1e-8 at an interval of 1e3, and turn NaN at the interval cap."""
+    n = blocks.shape[-1] - 1
+    x = blocks.copy()
+    inner = np.abs(x[:, :n, :n]).sum(axis=1).max(axis=1)
+    col = np.abs(x[:, :n, n]).sum(axis=1)
+    scale = np.where(col > inner, inner / np.where(col > 0, col, 1.0), 1.0)
+    x[:, :n, n] *= scale[:, None]
+    e = scipy.linalg.expm(x)
+    e[:, :n, n] /= scale[:, None]
+    return e
+
+
+class TestBandChannelOracle:
+    """_band_channel's tables, the band propagators and E_d weights, against
+    the same bordered blocks exponentiated by scipy.linalg.expm up to an
+    interval of 30, and against the fully relaxed channel in closed form at
+    1e3 and at the interval cap, where every decaying mode has underflowed.
+
+    Measured worst cases on this grid: propagators 8.2e-15 from scipy's,
+    weights 4.3e-14 of the largest |weight|, band-0 column sums 1.3e-14
+    from 1 at cutoff 60 and 9.3e-15 up to cutoff 40; the relaxed
+    channel's propagators exact and its weights 1.5e-14.
+    """
+
+    GRID = [(n, nbar, r) for n in (2, 3, 10, 40, 60)
+            for nbar in (0.0, 0.3, 2.0) for r in (0.0, 0.4)]
+    SHORT = (1e-4, 1e-3, 1e-2, 0.25, 1.0, 5.0, 30.0)
+    LONG = (1e3, 1e30)  # 1e30 is past the cap, 1e20 over the largest rate
+
+    @staticmethod
+    def tables(n, nbar, r, interval):
+        if r:
+            gen = squeezed_generator(10.0, 1.0, nbar, r, dim=n)
+        else:
+            gen = thermal_generator(10.0, 1.0, nbar=nbar, dim=n)
+        s = fock._squeeze_matrix(gen.r, n)
+        prop, weights = dynamics._band_channel(gen, s, interval, np.arange(n))
+        return gen, s, prop, weights
+
+    @pytest.mark.parametrize("n, nbar, r", GRID)
+    def test_matches_scipy_expm_of_the_same_blocks(self, n, nbar, r, monkeypatch):
+        ours = [self.tables(n, nbar, r, t)[2:] for t in self.SHORT]
+        monkeypatch.setattr(dynamics, "_expm_bordered", scipy_bordered_expm)
+        for t, (prop, weights) in zip(self.SHORT, ours):
+            ref_prop, ref_weights = self.tables(n, nbar, r, t)[2:]
+            np.testing.assert_allclose(prop, ref_prop, rtol=0, atol=2e-14, err_msg=t)
+            np.testing.assert_allclose(weights, ref_weights, rtol=0,
+                                       atol=1e-13 * np.abs(ref_weights).max(),
+                                       err_msg=t)
+
+    @pytest.mark.parametrize("n, nbar, r", GRID)
+    def test_relaxed_channel_in_closed_form(self, n, nbar, r):
+        # band 0 maps every start to the stationary p, the other bands to
+        # zero; so E_d = h.(p - x_0) - 2 h_k.x_k, h_k the band-k entries of
+        # S^T H S
+        for t in self.LONG:
+            gen, s, prop, weights = self.tables(n, nbar, r, t)
+            q = gen.nbar / (gen.nbar + 1.0)
+            p = q ** np.arange(n)
+            p /= p.sum()
+            h = (s.T * gen.hamiltonian.diagonal(0.0)) @ s
+            for k in range(n):
+                rows = n - k  # entries past them are padding
+                if k == 0:
+                    np.testing.assert_allclose(prop[0], np.outer(p, np.ones(n)),
+                                               rtol=0, atol=1e-15)
+                    expected = p @ np.diagonal(h) - np.diagonal(h)
+                else:
+                    np.testing.assert_allclose(prop[k, :rows, :rows], 0.0,
+                                               rtol=0, atol=1e-15)
+                    expected = -2.0 * np.diagonal(h, -k)
+                np.testing.assert_allclose(
+                    weights[k, :rows], expected, rtol=0,
+                    atol=3e-14 * np.abs(weights).max(), err_msg=(t, k))
+
+    @pytest.mark.parametrize("n, nbar, r", GRID)
+    def test_band_zero_keeps_the_trace(self, n, nbar, r):
+        bound = 1e-14 if n <= 40 else 2e-14
+        for t in self.SHORT + self.LONG:
+            prop = self.tables(n, nbar, r, t)[2]
+            assert np.abs(prop[0].sum(axis=0) - 1.0).max() <= bound, t
+
+    @pytest.mark.parametrize("n", [10, 40])
+    def test_runaway_steps_at_a_large_frequency(self, n):
+        # omega = 10: scipy's expm of these blocks turned NaN at the cap
+        gen = thermal_generator(10.0, 1.0, nbar=0.3, dim=n)
+        rho0 = coherent_state(0.5, n)
+        with np.errstate(over="raise", invalid="raise"):
+            traj = evolve(gen, rho0, 2e30, dt=1e30, snapshot_stride=1)
+        steady = steady_state(gen)
+        h = gen.hamiltonian.diagonal(0.0)
+        de = float((np.diagonal(steady.matrix - rho0.matrix).real * h).sum())
+        for state, e_d in zip(traj.states[1:], traj.dissipated_cum[1:]):
+            assert trace_distance(state, steady) < 1e-12
+            assert e_d == pytest.approx(de, rel=0, abs=1e-12)
 
 
 class TestFrameOracle:

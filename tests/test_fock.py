@@ -229,6 +229,17 @@ class TestSqueezedThermalPopulations:
         with pytest.raises(ValueError, match="must be nonnegative and finite|r must be finite"):
             squeezed_thermal_populations(nbar, r, 40)
 
+    @pytest.mark.parametrize(
+        "nbar,r", [(0.3, 20.0), (0.3, 50.0), (0.0, 179.0), (0.3, 355.0),
+                   (0.3, 400.0), (2.0, -1e6), (1e200, 0.5)]
+    )
+    def test_strong_squeezing_is_a_cutoff_leak(self, nbar, r):
+        # where a = (1 + n_b)^2 - m_b^2, formed as a difference, would cancel
+        # to 0 (r = 20) or below (r = 50) and m_b^2 would overflow (r > 178),
+        # and where sinh^2 r itself overflows: every one is a clipped tail
+        with pytest.raises(CutoffLeak, match=r"tail mass 1\.000e\+00 |overflows"):
+            squeezed_thermal_populations(nbar, r, 40)
+
     def test_top_levels_are_gated_too(self):
         # the tail past the cutoff of 3 is below TOL_LEAK, but the top two
         # levels carry more

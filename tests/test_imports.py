@@ -298,44 +298,44 @@ import warnings
 import squeezedbath as sb, squeezedbath.cli
 
 def scipy_loaded():
-    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-data, out, need = sys.argv[1:]
+data, out, names = sys.argv[1], sys.argv[2], sys.argv[3:]
 assert not scipy_loaded(), "import"
 warnings.simplefilter("ignore", sb.SlowDriveViolation)  # the short strokes
-for name in ("cycle", "otto-sweep", "multibath", "carnot-stroke"):
+for name in names:
     argv = [name, "--config", f"{data}/{name}.ini", "--out", f"{out}/{name}.csv"]
     assert squeezedbath.cli.main(argv) == 0, name
-    assert not scipy_loaded(), name
+    assert not scipy_loaded(), (name, scipy_loaded())
 sb.squeeze_operator(0.3, 20)
 sb.squeezed_thermal_state(0.3, 0.2)
 assert not scipy_loaded(), "squeezed states"
 gen = sb.thermal_generator(2.0, 1.0, nbar=0.3, dim=20)
-if need == "steady_state":
-    sb.steady_state(gen)
-else:  # a constant bath's channel
-    sb.evolve(gen, sb.thermal_state(0.3, 20), 0.5)
-assert scipy_loaded(), need
+sb.evolve(gen, sb.thermal_state(0.3, 20), 0.5)
+sb.evolve(sb.squeezed_generator(2.0, 1.0, 0.3, 0.4, dim=20),
+          sb.coherent_state(0.5 + 0.2j, 20), 0.5)
+assert not scipy_loaded(), ("a constant bath's channel", scipy_loaded())
+sb.steady_state(gen)
+assert scipy_loaded(), "steady_state"
 """
 
 
 def test_scipy_loads_on_first_need(tmp_path):
-    # a fresh interpreter per first need: this one has loaded scipy
-    # already; the README cycle, otto-sweep, multibath and short
-    # carnot-stroke runs (a squeezed frame), a squeeze operator and a
-    # squeezed state need none of it
+    # a fresh interpreter, since this one has loaded scipy already: the six
+    # README runs (the short carnot-stroke, a squeezed frame), a squeeze
+    # operator, a squeezed state and a constant thermal or squeezed bath's
+    # exact channel need none of it; a first steady_state does
     data = Path(__file__).parent / "data" / "readme"
     src = Path(squeezedbath.__file__).parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    for need in ("steady_state", "evolve"):
-        out = tmp_path / need
-        out.mkdir()
-        subprocess.run([sys.executable, "-c", STARTUP, str(data), str(out), need],
-                       env=env, check=True, timeout=120)
-        for name in ("cycle", "otto-sweep", "multibath", "carnot-stroke"):
-            csv = f"{name}.csv"
-            assert (out / csv).read_bytes() == (data / csv).read_bytes(), name
+    names = ("decay", "squeezed-relax", "carnot-stroke", "otto-sweep", "cycle",
+             "multibath")
+    subprocess.run([sys.executable, "-c", STARTUP, str(data), str(tmp_path), *names],
+                   env=env, check=True, timeout=120)
+    for name in names:
+        csv = f"{name}.csv"
+        assert (tmp_path / csv).read_bytes() == (data / csv).read_bytes(), name
 
 
 SWEPT_THERMAL = """
