@@ -66,8 +66,9 @@ _RK4_TABLEAU = ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
 _BLOCK = 32  # snapshots stacked at once, which bounds the temporaries
 # levels per chunk of relax_populations' channels: one Pascal table this size
 _PASCAL_CHUNK = 64
-# rows of U^H L U formed at once by steady_state, which bounds its temporaries
-_REAL_ROWS = 512
+# levels p of K's rows (p, r >= p) formed at once by _real_piece, which
+# bounds its temporaries
+_PIECE_LEVELS = 8
 
 
 def bose_occupation(omega: float, temperature: float) -> float:
@@ -126,8 +127,10 @@ class HamiltonianSchedule:
     """H(t) = frequency(t) * matrix and dH/dt = frequency_dot(t) * matrix,
     a fixed matrix M under a swept frequency (M itself without one).
 
-    M is validated once through Operator. levels is M's real diagonal when
-    M is diagonal (a ladder, read by diagonal), else None.
+    M is validated once through Operator, and must be Hermitian: ValueError
+    when max|M - M^dag| exceeds 1e-12 max(max|M|, 1), as -i[H, .] would
+    then not preserve Hermiticity. levels is M's real diagonal when M is
+    diagonal (a ladder, read by diagonal), else None.
     """
 
     dim: HilbertDim
@@ -141,6 +144,11 @@ class HamiltonianSchedule:
         if (self.frequency is None) != (self.frequency_dot is None):
             raise ValueError("give frequency and frequency_dot together")
         m = Operator(self.dim, self.matrix).matrix
+        drift, scale = float(np.abs(m - m.conj().T).max()), float(np.abs(m).max())
+        if drift > 1e-12 * max(scale, 1.0):
+            raise ValueError(f"M is not Hermitian, so -i[H(t), .] does not preserve "
+                             f"Hermiticity: max|M - M^dag| = {drift:.3e} against "
+                             f"max|M| = {scale:.3e}")
         diagonal = not np.any(m - np.diag(np.diagonal(m)))
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "levels", np.diagonal(m).real.copy() if diagonal else None)
@@ -945,12 +953,122 @@ def superoperator(gen: Generator, t: float = 0.0):
     return _fold(gen, t, lambda k: _jump_piece(gen.jumps[k]))
 
 
+def _real_piece(f: np.ndarray, lm: Optional[np.ndarray] = None):
+    """R_K = Re(U^H K U), U = _hermitian_basis(n), as real scipy.sparse CSR
+    for the piece K rho = F rho + rho F^dag + 2 L rho L^dag (no L term
+    without lm), which maps Hermitian matrices to Hermitian ones.
+
+    On row-major vec(rho), K = F (x) 1 + 1 (x) conj(F) + 2 L (x) conj(L).
+    Only K's rows (p, r >= p) are formed, as krons of the real and
+    imaginary parts of the factors (a part that is exactly zero is
+    skipped), _PIECE_LEVELS values of p at a time, which bounds the
+    temporaries. Row (r, p) of K U is the conjugate of row (p, r), so row
+    (p, r) gives R's rows p n + r, sqrt(2) Re (K U)[pr] (Re alone when
+    r = p), and r n + p, sqrt(2) Im (K U)[pr] when r > p.
+    """
+    sparse = _scipy()[0]
+    n = f.shape[0]
+    eye = np.eye(n)
+    # (coefficient, A, B, into Im K) of each real kron A (x) B
+    terms = [(1.0, f.real, eye, 0), (1.0, eye, f.real, 0),
+             (1.0, f.imag, eye, 1), (-1.0, eye, f.imag, 1)]
+    if lm is not None:
+        terms += [(2.0, lm.real, lm.real, 0), (2.0, lm.imag, lm.imag, 0),
+                  (2.0, lm.imag, lm.real, 1), (-2.0, lm.real, lm.imag, 1)]
+    terms = [(c, sparse.csr_matrix(a), sparse.csr_matrix(b), im)
+             for c, a, b, im in terms if a.any() and b.any()]
+    to_re, to_im = _coordinate_maps(n)
+    blocks, targets = [], []
+    for p0 in range(0, n, _PIECE_LEVELS):
+        p1 = min(n, p0 + _PIECE_LEVELS)
+        # [Re K, Im K] on rows (p, r) with p0 <= p < p1 and r >= p0
+        k = sparse.csr_matrix(((p1 - p0) * (n - p0), 2 * n * n))
+        for c, a, b, im in terms:
+            part = sparse.kron(a[p0:p1], b[p0:], format="csr")
+            k = k + sparse.csr_matrix(
+                (c * part.data, part.indices + im * n * n, part.indptr), shape=k.shape
+            )
+        blocks += [k @ to_re, k @ to_im]
+        # rows r < p repeat rows (r, p) of this block; -1 drops them
+        p, r = np.divmod(np.arange(k.shape[0]), n - p0)
+        p, r = p + p0, r + p0
+        targets += [np.where(r >= p, p * n + r, -1), np.where(r > p, r * n + p, -1)]
+    target = np.concatenate(targets)
+    keep = target >= 0
+    rows = np.empty(n * n, dtype=np.intp)
+    rows[target[keep]] = np.flatnonzero(keep)
+    stacked = sparse.vstack(blocks, format="csr")
+    blocks.clear()  # so that at most two copies of the piece are alive
+    out = stacked[rows]
+    del stacked
+    scale = np.full(n * n, math.sqrt(2.0))
+    scale[np.arange(n) * (n + 1)] = 1.0
+    out.data *= np.repeat(scale, np.diff(out.indptr))
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _coordinate_maps(n: int) -> tuple:
+    """[U_re; -U_im] and [U_im; U_re] for U = _hermitian_basis(n), as real
+    scipy.sparse CSR (cached; treat as read-only): [Re K, Im K] times them
+    gives Re(K U) and Im(K U)."""
+    sparse = _scipy()[0]
+    u = _hermitian_basis(n)
+    u_re, u_im = u.real.copy(), u.imag.copy()
+    u_re.eliminate_zeros()
+    u_im.eliminate_zeros()
+    maps = (sparse.vstack([u_re, -u_im], format="csr"),
+            sparse.vstack([u_im, u_re], format="csr"))
+    for m in maps:
+        for part in (m.data, m.indices, m.indptr):
+            part.setflags(write=False)
+    return maps
+
+
+def _real_jump_piece(jump: JumpTerm):
+    """R_j, the real piece (_real_piece) of one jump's dissipator at unit
+    rate, 2 L rho L^dag - L^dag L rho - rho L^dag L."""
+    lm = jump.operator.matrix
+    return _real_piece(-(lm.conj().T @ lm), lm)
+
+
+def _real_pieces(gen: Generator) -> list:
+    """(weight, build) for each piece of the generator's real matrix:
+    -i[M, .] of a schroedinger-picture H(t) = omega(t) M, weighted by
+    omega(t), and each jump's R_j, weighted by its rate; build() makes the
+    piece, weight(t) its factor at t."""
+    pieces = []
+    if gen.picture == "schroedinger":
+        sched = gen.hamiltonian
+        pieces.append((sched._scale, lambda: _real_piece(-1j * sched.matrix)))
+    for j in gen.jumps:
+        pieces.append((j.rate_at, functools.partial(_real_jump_piece, j)))
+    return pieces
+
+
+def _real_fold(gen: Generator, t: float, pieces: list):
+    """R(t) = omega(t) R_M + sum_j g_j(t) R_j from the (weight, build) pairs
+    of _real_pieces, as real scipy.sparse CSR. A piece whose weight is zero
+    at t is not built, and each piece and its scaled copy die before the
+    next is built, so a streamed fold holds one piece at a time. The sum
+    comes back as a compact copy (scipy's sparse add can leave its entries
+    in buffers up to twice their size)."""
+    n, sparse = gen.dim.cutoff, _scipy()[0]
+    total = sparse.csr_matrix((n * n, n * n))
+    for weight, build in pieces:
+        g = weight(t)
+        if g != 0.0:
+            total = total + g * build()
+    return total.copy()
+
+
 def _steady_states(gen: Generator, times) -> Iterator[DensityMatrix]:
-    """steady_state(gen, t=t) for each t, to the bit, with every jump's
-    piece built once for all of them (they live until the last is done)."""
-    pieces = [_jump_piece(j) for j in gen.jumps]
+    """steady_state(gen, t=t) for each t, to the bit, with every piece of
+    the real matrix built at most once for all of them, when first needed
+    (they live until the last is done)."""
+    pieces = [(weight, functools.cache(build)) for weight, build in _real_pieces(gen)]
     for t in times:
-        yield _kernel_state(gen, _fold(gen, t, pieces.__getitem__), t)
+        yield _kernel_state(gen, _real_fold(gen, t, pieces), t)
 
 
 def steady_state(gen: Generator, *, t: float = 0.0) -> DensityMatrix:
@@ -958,22 +1076,25 @@ def steady_state(gen: Generator, *, t: float = 0.0) -> DensityMatrix:
 
     L preserves Hermiticity, so in the orthonormal Hermitian basis U of
     _hermitian_basis its matrix R = U^H L U is real (the coherence-vector
-    picture; Alicki & Lendi, LNP 286 (1987)). One real sparse LU factors R
-    bordered by the unit trace vector y = vec(1)/sqrt(n), which U leaves
-    unchanged: M = [[R, y], [y^T, 0]]. As y^T R = 0, the solve M [w; mu] =
-    [0; 1] gives the kernel coordinates w, and x = U w. U is unitary, so
-    ||R w|| = ||L x|| and R has L's singular values: the same factors apply
-    the pseudo-inverse R^+ (input projected off y, output off w) and its
+    picture; Alicki & Lendi, LNP 286 (1987)). R is built from real pieces,
+    never from L: R(t) = omega(t) R_M + sum_j g_j(t) R_j, one piece per
+    jump and one for -i[M, .] of a schroedinger-picture H(t) = omega(t) M,
+    each formed in real arithmetic from its factors (_real_piece) and
+    folded in one at a time. One real sparse LU factors R bordered by the
+    unit trace vector y = vec(1)/sqrt(n), which U leaves unchanged: M =
+    [[R, y], [y^T, 0]]. As y^T R = 0, the solve M [w; mu] = [0; 1] gives
+    the kernel coordinates w, and x = U w. U is unitary, so ||R w|| =
+    ||L x|| and R has L's singular values: the same factors apply the
+    pseudo-inverse R^+ (input projected off y, output off w) and its
     transpose, and one real svds gives the gap sigma_2(L) = 1 / ||R^+||_2.
-    ValueError is raised when U^H L U is not real to 1e-12 of its largest
-    entry (a non-Hermitian H(t), say). NonUniqueSteadyState is raised for
-    an exactly singular M (degenerate or traceless kernel), for ||R w||
-    above RESIDUAL_TOL or NaN at the unit solve vector w (no kernel; never
-    below sigma_min), for sigma_2 < GAP_TOL (kernel not isolated) and for
-    a unit x with trace below 1e-8. SteadyStateResidual is raised when
-    apply() leaves more than RESIDUAL_TOL on the normalised state.
+    NonUniqueSteadyState is raised for an exactly singular M (degenerate or
+    traceless kernel), for ||R w|| above RESIDUAL_TOL or NaN at the unit
+    solve vector w (no kernel; never below sigma_min), for sigma_2 <
+    GAP_TOL (kernel not isolated) and for a unit x with trace below 1e-8.
+    SteadyStateResidual is raised when apply() leaves more than
+    RESIDUAL_TOL on the normalised state.
     """
-    return _kernel_state(gen, superoperator(gen, t=t), t)
+    return _kernel_state(gen, _real_fold(gen, t, _real_pieces(gen)), t)
 
 
 @functools.lru_cache(maxsize=8)
@@ -997,35 +1118,13 @@ def _hermitian_basis(n: int):
     return u
 
 
-def _real_form(lmat, u, t: float):
-    """R = U^H L U for lmat = L and u = _hermitian_basis(n), as real
-    scipy.sparse CSR, formed _REAL_ROWS rows at a time so that the complex
-    products stay a few MB; ValueError when an imaginary part exceeds 1e-12
-    of R's largest entry, as it does when L breaks Hermiticity."""
-    sparse = _scipy()[0]
-    uh = u.conj().T.tocsr()
-    drift = scale = 0.0
-    rows = []
-    for start in range(0, u.shape[0], _REAL_ROWS):
-        k = (uh[start:start + _REAL_ROWS] @ lmat) @ u
-        drift = max(drift, np.abs(k.data.imag).max(initial=0.0))
-        scale = max(scale, np.abs(k.data.real).max(initial=0.0))
-        rows.append(k.real.copy())  # contiguous, so k's imaginary half is freed
-    if drift > 1e-12 * scale:
-        raise ValueError(f"generator does not preserve Hermiticity at t={t:g}: "
-                         f"U^H L U has imaginary entries up to {drift:.3e} against "
-                         f"{scale:.3e}; is H(t) Hermitian?")
-    return rows[0] if len(rows) == 1 else sparse.vstack(rows, format="csr")
-
-
-def _kernel_state(gen: Generator, lmat, t: float) -> DensityMatrix:
-    """steady_state's solve and gates on lmat, the superoperator at t,
-    through its real form R = Re(U^H L U)."""
+def _kernel_state(gen: Generator, rmat, t: float) -> DensityMatrix:
+    """steady_state's solve and gates on rmat, the generator's real matrix
+    R = U^H L U at t (_real_fold), U = _hermitian_basis(n)."""
     n = gen.dim.cutoff
     size = n * n
     sparse, splinalg = _scipy()
     u = _hermitian_basis(n)
-    rmat = _real_form(lmat, u, t)
     y = np.eye(n).reshape(-1) / math.sqrt(n)
     # M from R's CSR arrays (bmat costs more than the LU at cutoff 20): y's
     # entry closes the row of each diagonal coordinate, and y^T is the last row

@@ -95,12 +95,17 @@ class CycleSpec:
 
 @dataclasses.dataclass(frozen=True)
 class StrokeLedger:
+    """One stroke's energy flows. steady_residual is a run_otto contact's
+    end distance from its fixed point (trace distance of the populations,
+    gated at STEADY_TOL); None on every other stroke."""
+
     label: str
     work_on: float
     dissipated: float
     energy_start: float
     energy_end: float
     temperature: Optional[float] = None
+    steady_residual: Optional[float] = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -374,7 +379,8 @@ def run_otto(spec: CycleSpec) -> CycleReport:
     """Simulate one converged Otto cycle and assemble its report.
 
     Every bath contact must end at its fixed point within STEADY_TOL or
-    NotSteady is raised; the cycle closure (population distance between
+    NotSteady is raised, and its stroke keeps that residual as
+    steady_residual; the cycle closure (population distance between
     final and initial cold states) is reported, not enforced.
     """
     nbar_c = bose_occupation(spec.omega_cold, spec.temp_cold)
@@ -413,12 +419,12 @@ def run_otto(spec: CycleSpec) -> CycleReport:
         n_start = mean_n(p)
         v = relax_populations(p if v0 is None else v0, nbar, spec.kappa,
                               spec.stroke_time)
-        _check_steady(v, thermal_populations(nbar, n_dim), label)
+        resid = _check_steady(v, thermal_populations(nbar, n_dim), label)
         n_end = float(weights @ v)
         e_d = omega * (n_end - n_start)
         e_pas = omega * (passive_n(v) - passive_n(p))
         e_a, e_b = omega * n_start, omega * n_end
-        strokes.append(StrokeLedger(label, 0.0, e_d, e_a, e_b, temperature))
+        strokes.append(StrokeLedger(label, 0.0, e_d, e_a, e_b, temperature, resid))
         return v, e_d, e_pas
 
     p0 = thermal_populations(nbar_c, n_dim)

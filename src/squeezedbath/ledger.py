@@ -162,8 +162,9 @@ def _sigma_by_quadrature(traj: Trajectory, gen: Generator,
     """Trapezoid quadrature of the Spohn rate for a custom driven generator.
 
     The frozen-time invariant at each snapshot is steady_state's, to the
-    bit; the jumps' superoperator pieces are built once per call and only
-    their rates change from one snapshot's solve to the next. first, the
+    bit; the real pieces of its solves (one per jump, and one for a
+    schroedinger-picture H) are built once per call, and only their
+    weights change from one snapshot's solve to the next. first, the
     invariant at t = 0 when given, is read in place of that solve.
     """
     rates = np.empty(len(traj.states))

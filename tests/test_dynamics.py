@@ -1102,11 +1102,13 @@ class TestSteadyState:
         assert np.abs(apply(gen, ss)).max() < 1e-10
 
     def test_steady_state_peak_memory_stays_under_the_build(self):
-        # TestSuperoperator's memory input at cutoff 40: U^H L U is formed
-        # _REAL_ROWS rows at a time, so the superoperator's build (56.2 MB)
-        # is steady_state's tracemalloc peak too; forming it whole would
-        # reach about 69 MB. SuperLU's factors are not traced: they show in
-        # RSS only
+        # TestSuperoperator's memory input at cutoff 40, whose complex
+        # superoperator alone peaks at 56.3 MB: steady_state never forms it.
+        # The real matrix R is folded from one real piece per jump (6.1 MB
+        # each) built _PIECE_LEVELS levels at a time, and the peak, 24.5 MB,
+        # is the second piece's add: the old sum, the scaled piece and the
+        # new sum's buffer, which scipy sizes for both. SuperLU's factors
+        # are not traced: they show in RSS only
         gen = conjugate_generator(
             thermal_generator(1, 1, nbar=0.3, dim=40), squeeze_operator(-0.5, 40)
         )
@@ -1117,7 +1119,7 @@ class TestSteadyState:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * 56.2e6
+        assert peak <= 1.05 * 24.5e6
 
 
 def _rotated_thermal(n, nbar=0.3, r=0.25):
@@ -1198,15 +1200,25 @@ class TestSteadyStateOracle:
         steady_state(gen)
 
     def test_non_hermitian_hamiltonian_is_a_value_error(self):
-        # such an H breaks the real form; the residual gate alone would
-        # only report a SteadyStateResidual
+        # such an H breaks the real form R, and evolve would only report a
+        # PositivityLoss (at t = 0.0089) whose remedy does not apply; the
+        # schedule rejects it before either route runs
         n = 8
         rng = np.random.default_rng(3)
         h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        sched = constant_hamiltonian(Operator(HilbertDim(n), h))
-        gen = Generator(HilbertDim(n), sched, jumps=(JumpTerm(annihilation(n), 1.0),))
+        for run in (steady_state, lambda gen: evolve(gen, thermal_state(0.3, n), 0.05)):
+            with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+                sched = constant_hamiltonian(Operator(HilbertDim(n), h))
+                run(Generator(HilbertDim(n), sched, jumps=(JumpTerm(annihilation(n), 1.0),)))
+
+    def test_hermiticity_gate_is_relative_to_the_matrix_scale(self):
+        # roundoff of a rotated M passes; 1e-12 above the scale fails
+        m = np.diag(np.arange(6.0)) * 1e3
+        m[0, 1] = 1e-10
+        HamiltonianSchedule(HilbertDim(6), m)
+        m[0, 1] = 1e-8
         with pytest.raises(ValueError, match="does not preserve Hermiticity"):
-            steady_state(gen)
+            HamiltonianSchedule(HilbertDim(6), m)
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_hermitian_basis_is_unitary_and_real_on_hermitian_states(self, n):
@@ -1248,6 +1260,60 @@ class TestSteadyStateOracle:
         )
         with pytest.raises(SteadyStateResidual):
             steady_state(gen)
+
+
+def _swept_complex_drive(n):
+    """Custom schroedinger-picture generator under H(t) = omega(t) M, a
+    complex M under a linear sweep of omega."""
+    a = annihilation(n)
+    am, ad = a.matrix, a.dagger().matrix
+    m = ad @ am + 0.3j * (am - ad) + 0.2 * (am @ am + ad @ ad)
+    sched = HamiltonianSchedule(HilbertDim(n), m, frequency=lambda t: 2.0 - 0.5 * t,
+                                frequency_dot=lambda t: -0.5)
+    return Generator(HilbertDim(n), sched, jumps=(JumpTerm(a, 0.7),))
+
+
+def _switched_on(n):
+    """Damping plus an a^dag channel whose rate 0.4 t is zero at t = 0."""
+    a = annihilation(n)
+    return Generator(
+        HilbertDim(n),
+        constant_hamiltonian(harmonic_hamiltonian(1.0, n)),
+        jumps=(JumpTerm(a, 1.0), JumpTerm(a.dagger(), lambda t: 0.4 * t)),
+    )
+
+
+class TestRealPieces:
+    """The real matrix steady_state solves, folded from real per-jump
+    pieces, against U^H L U of the complex superoperator."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.8])
+    @pytest.mark.parametrize("n", [2, 7, 12])
+    @pytest.mark.parametrize("build", [_rotated_thermal, _swept_complex_drive,
+                                       _complex_drive, _switched_on])
+    def test_matches_the_rotated_superoperator(self, build, n, t):
+        gen = build(n)
+        u = dynamics._hermitian_basis(n).toarray()
+        want = u.conj().T @ superoperator(gen, t).toarray() @ u
+        got = dynamics._real_fold(gen, t, dynamics._real_pieces(gen)).toarray()
+        scale = np.abs(want).max()
+        assert np.abs(want.imag).max() <= 1e-13 * scale
+        assert np.abs(got - want.real).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_piece_matches_the_dense_kron(self, n):
+        # rho -> F rho + rho F^dag + 2 L rho L^dag preserves Hermiticity for
+        # any F and L, and _real_piece takes a single level, which no
+        # Generator has
+        rng = np.random.default_rng(n)
+        f, lm = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                 for _ in range(2))
+        eye = np.eye(n)
+        k = np.kron(f, eye) + np.kron(eye, f.conj()) + 2.0 * np.kron(lm, lm.conj())
+        u = dynamics._hermitian_basis(n).toarray()
+        want = u.conj().T @ k @ u
+        got = dynamics._real_piece(f, lm).toarray()
+        assert np.abs(got - want.real).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestSuperoperator:

@@ -33,7 +33,7 @@ from squeezedbath import (
     thermal_populations,
     thermal_state,
 )
-from squeezedbath.engine import _check_steady, _isotherm
+from squeezedbath.engine import STEADY_TOL, _check_steady, _isotherm
 
 # reference working point: T_c=1, T_h=3, omega_h = 0.1 T_h, omega ratio 1/2
 POINT = dict(temp_cold=1.0, temp_hot=3.0, omega_cold=0.15, omega_hot=0.3)
@@ -195,6 +195,17 @@ class TestRunOtto:
         assert all(s.work_on == 0.0 for s in contacts)
         moves = [s for s in rep.strokes if s.temperature is None]
         assert all(s.dissipated == 0.0 for s in moves)
+
+    def test_every_contact_keeps_its_steady_residual(self, otto_squeezed):
+        # the residual each contact's gate read, on the mid contact too;
+        # a work stroke has none
+        multibath = run_otto(CycleSpec(r=0.5, mid_baths=(BathStage(1.5),), **POINT))
+        for rep in (otto_squeezed, multibath):
+            for s in rep.strokes:
+                if s.temperature is None:
+                    assert s.steady_residual is None, s.label
+                else:
+                    assert 0.0 <= s.steady_residual <= STEADY_TOL, s.label
 
     def test_entropy_balance_of_the_converged_cycle(self, otto_squeezed):
         rep = otto_squeezed

@@ -140,12 +140,12 @@ class TestSigmaSeries:
         assert np.abs(sa - sb).max() < 1e-8
 
     def test_quadrature_invariants_are_steady_states(self, monkeypatch):
-        # the route builds each jump's superoperator piece once per call,
-        # and every invariant it reads is steady_state's to the bit
+        # the route builds each jump's real piece once per call, and every
+        # invariant it reads is steady_state's to the bit
         gen, traj = _driven_stroke(stride=40)
         clone = _custom_clone(gen)
         seen, built = [], []
-        steady_states, piece = ledger._steady_states, dynamics._jump_piece
+        steady_states, piece = ledger._steady_states, dynamics._real_jump_piece
 
         def spy(gen, times):
             times = list(times)
@@ -154,13 +154,24 @@ class TestSigmaSeries:
                 yield inv
 
         monkeypatch.setattr(ledger, "_steady_states", spy)
-        monkeypatch.setattr(dynamics, "_jump_piece", lambda j: built.append(j) or piece(j))
+        monkeypatch.setattr(dynamics, "_real_jump_piece",
+                            lambda j: built.append(j) or piece(j))
         sigma_series(traj, clone)
         assert built == list(clone.jumps)
         assert [t for t, _inv in seen] == traj.times.tolist()
         for t, inv in seen:
             want = dynamics.steady_state(clone, t=t).matrix
             assert inv.matrix.tobytes() == want.tobytes()
+
+    def test_quadrature_route_rejects_a_non_hermitian_hamiltonian(self):
+        # the stroke's swept schedule on a non-Hermitian M: the schedule
+        # raises before the route solves for any invariant
+        gen, traj = _driven_stroke(stride=40)
+        m = gen.hamiltonian.matrix.copy()
+        m[0, 1] = 0.5
+        with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+            sched = dataclasses.replace(gen.hamiltonian, matrix=m)
+            sigma_series(traj, Generator(gen.dim, sched, gen.jumps, picture="schroedinger"))
 
     def test_driven_squeezed_stroke_reads_sigma_off_the_trajectory(self, monkeypatch):
         gen, traj = _driven_squeezed_stroke()
