@@ -1,12 +1,19 @@
 """Markovian dissipators, time evolution and steady states.
 
-Jump convention: a JumpTerm (L, rate) contributes
+Every generator has one standard form (Alicki & Lendi, LNP 286 (1987)),
+
+    L(rho) = sum_k w_k(t) [F_k rho + rho F_k^dag + 2 L_k rho L_k^dag],
+
+a list of (weight, F, L) terms (Generator._terms) that apply,
+superoperator and steady_state all read. A JumpTerm (L, rate) is the term
+F = -L^dag L with that L, weighted by its rate, so it contributes
 
     rate * (2 L rho L^dag - L^dag L rho - rho L^dag L)
 
-to d(rho)/dt. With the damping pair {(a, kappa(nbar+1)), (a^dag, kappa nbar)}
-this makes amplitudes decay at kappa and populations relax toward nbar at
-2*kappa.
+to d(rho)/dt; a schroedinger-picture H(t) = omega(t) M is the term
+F = -i M with no L, weighted by omega(t). With the damping pair
+{(a, kappa(nbar+1)), (a^dag, kappa nbar)} this makes amplitudes decay at
+kappa and populations relax toward nbar at 2*kappa.
 
 Built-in bath generators are tagged interaction picture: the coherent
 commutator is dropped from the equation of motion (it only rotates phases
@@ -94,16 +101,6 @@ def bose_occupation(omega: float, temperature: float) -> float:
     return occupation
 
 
-def _rate_at(rate: RateLike, t: float) -> float:
-    """A jump rate at time t; a callable must give a finite, nonnegative value."""
-    if not callable(rate):
-        return rate
-    g = float(rate(t))
-    if not (math.isfinite(g) and g >= 0):
-        raise ValueError(f"jump rate is {g} at t={t}; must be finite and >= 0")
-    return g
-
-
 @dataclasses.dataclass(frozen=True)
 class JumpTerm:
     """Dissipation channel: operator plus a constant or time-dependent rate."""
@@ -119,7 +116,13 @@ class JumpTerm:
             object.__setattr__(self, "rate", r)
 
     def rate_at(self, t: float) -> float:
-        return _rate_at(self.rate, t)
+        """The rate at time t; a callable must give a finite, nonnegative value."""
+        if not callable(self.rate):
+            return self.rate
+        g = float(self.rate(t))
+        if not (math.isfinite(g) and g >= 0):
+            raise ValueError(f"jump rate is {g} at t={t}; must be finite and >= 0")
+        return g
 
 
 @dataclasses.dataclass(frozen=True)
@@ -274,36 +277,41 @@ class Generator:
 
     @functools.cached_property
     def _terms(self) -> tuple:
-        """Per-jump dense factors (L, L^dag, L^dag L, rate), built once."""
+        """(weight, F, L) of each term of the standard form, built once:
+        F = -i M with L None for a schroedinger-picture H(t) = omega(t) M,
+        weighted by omega(t), then F = -L^dag L and L for each jump,
+        weighted by its rate; weight(t) is the term's factor at t."""
         terms = []
+        if self.picture == "schroedinger":
+            sched = self.hamiltonian
+            terms.append((sched._scale, -1j * sched.matrix, None))
         for j in self.jumps:
-            lm, ld = j.operator.matrix, j.operator.matrix.conj().T.copy()
-            terms.append((lm, ld, ld @ lm, j.rate))
+            lm = j.operator.matrix
+            terms.append((j.rate_at, -(lm.conj().T @ lm), lm))
         return tuple(terms)
 
 
 def apply(gen: Generator, rho, t: float = 0.0, *, hermitian: bool = False) -> np.ndarray:
     """Action of the generator on a state (ndarray or DensityMatrix), as a
-    complex array.
+    complex array: the weighted F terms summed into one matrix f give
+    f rho + rho f^dag, and each L term 2 g L rho L^dag.
 
-    hermitian=True promises the input is Hermitian, letting the
-    anticommutator half be mirrored instead of recomputed; the lab-matrix
-    RK4 of a custom generator uses this on its stage values.
+    hermitian=True promises the input is Hermitian, letting rho f^dag be
+    mirrored from f rho instead of recomputed; the lab-matrix RK4 of a
+    custom generator uses this on its stage values.
     """
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     out = np.zeros(m.shape, dtype=complex)
-    csum = np.zeros(m.shape, dtype=complex)
-    for lm, ld, ldl, rate in gen._terms:
-        g = _rate_at(rate, t)
+    f = np.zeros(m.shape, dtype=complex)
+    for weight, fk, lm in gen._terms:
+        g = weight(t)
         if g != 0.0:
-            out += (2.0 * g) * ((lm @ m) @ ld)
-            csum += g * ldl
-    left = csum @ m
-    out -= left
-    out -= left.conj().T if hermitian else m @ csum
-    if gen.picture == "schroedinger":
-        h = gen.hamiltonian.evaluate(t)
-        out += -1j * (h @ m - m @ h)
+            f += g * fk
+            if lm is not None:
+                out += (2.0 * g) * ((lm @ m) @ lm.conj().T)
+    left = f @ m
+    out += left
+    out += left.conj().T if hermitian else m @ f.conj().T
     return out
 
 
@@ -908,55 +916,54 @@ def _frame_run(gen: Generator, rho0: DensityMatrix, dt: float, marks: list):
 # steady states
 
 
-def _sides(a):
-    """a (x) 1 and 1 (x) a^T: rho -> a rho and rho -> rho a as scipy.sparse
-    CSR superoperators on row-major vec(rho), a being CSR."""
-    sparse = _scipy()[0]
-    eye = sparse.identity(a.shape[0], format="csr", dtype=complex)
-    return sparse.kron(a, eye, format="csr"), sparse.kron(eye, a.T, format="csr")
+def _pieces(gen: Generator, piece: Callable) -> list:
+    """(weight, build) of each term of gen._terms: build() makes the
+    term's piece(F, L), weight(t) its factor at t."""
+    return [(weight, functools.partial(piece, f, lm)) for weight, f, lm in gen._terms]
 
 
-def _jump_piece(jump: JumpTerm):
-    """2 L (x) conj(L) - L^dag L (x) 1 - 1 (x) (L^dag L)^T, the superoperator
-    of one jump at unit rate, as scipy.sparse CSR on row-major vec(rho)."""
-    sparse = _scipy()[0]
-    lm = sparse.csr_matrix(jump.operator.matrix)
-    left, right = _sides(lm.conj().T @ lm)
-    return 2.0 * sparse.kron(lm, lm.conj(), format="csr") - left - right
-
-
-def _fold(gen: Generator, t: float, piece: Callable):
-    """The superoperator at t as the rate-weighted sum of the jump pieces,
-    piece(k) giving jump k's. Each piece and its scaled copy die before
-    the next is asked for, which keeps a streamed fold's peak at one
-    piece. The sum comes back as a compact copy: scipy's sparse add can
-    leave its entries in buffers up to twice their size."""
+def _fold(gen: Generator, t: float, pieces: list):
+    """sum_k w_k(t) K_k from the (weight, build) pairs of _pieces, as
+    scipy.sparse CSR. A piece whose weight is zero at t is not built, and
+    each piece and its scaled copy die before the next is built, so a
+    streamed fold holds one piece at a time. The sum comes back as a
+    compact copy (scipy's sparse add can leave its entries in buffers up
+    to twice their size)."""
     n, sparse = gen.dim.cutoff, _scipy()[0]
-    total = sparse.csr_matrix((n * n, n * n), dtype=complex)
-    if gen.picture == "schroedinger":
-        left, right = _sides(sparse.csr_matrix(gen.hamiltonian.evaluate(t)))
-        total = total - 1j * (left - right)
-    for k, j in enumerate(gen.jumps):
-        g = _rate_at(j.rate, t)
+    total = sparse.csr_matrix((n * n, n * n))
+    for weight, build in pieces:
+        g = weight(t)
         if g != 0.0:
-            total = total + g * piece(k)
+            total = total + g * build()
     return total.copy()
+
+
+def _complex_piece(f: np.ndarray, lm: Optional[np.ndarray]):
+    """K = F (x) 1 + 1 (x) conj(F) + 2 L (x) conj(L), the superoperator of
+    rho -> F rho + rho F^dag + 2 L rho L^dag (no L term if lm is None), as
+    scipy.sparse CSR on row-major vec(rho). The L term, the largest, is
+    formed last and added once, so at most two copies of it are alive."""
+    sparse = _scipy()[0]
+    eye = sparse.identity(f.shape[0], format="csr", dtype=complex)
+    fs = sparse.csr_matrix(f)
+    k = sparse.kron(fs, eye, format="csr") + sparse.kron(eye, fs.conj(), format="csr")
+    return k if lm is None else 2.0 * sparse.kron(lm, lm.conj(), format="csr") + k
 
 
 def superoperator(gen: Generator, t: float = 0.0):
     """scipy.sparse CSR matrix of the generator on row-major vec(rho).
 
-    A fold over the jumps: each jump's piece (_jump_piece) is built, scaled
-    by its rate at t and added, one at a time; a jump with zero rate at t
-    builds none.
+    A fold over gen._terms: each term's piece (_complex_piece) is built,
+    scaled by its weight at t and added, one at a time; a term with zero
+    weight at t builds none.
     """
-    return _fold(gen, t, lambda k: _jump_piece(gen.jumps[k]))
+    return _fold(gen, t, _pieces(gen, _complex_piece))
 
 
-def _real_piece(f: np.ndarray, lm: Optional[np.ndarray] = None):
+def _real_piece(f: np.ndarray, lm: Optional[np.ndarray]):
     """R_K = Re(U^H K U), U = _hermitian_basis(n), as real scipy.sparse CSR
-    for the piece K rho = F rho + rho F^dag + 2 L rho L^dag (no L term
-    without lm), which maps Hermitian matrices to Hermitian ones.
+    for the piece K rho = F rho + rho F^dag + 2 L rho L^dag (no L term if
+    lm is None), which maps Hermitian matrices to Hermitian ones.
 
     On row-major vec(rho), K = F (x) 1 + 1 (x) conj(F) + 2 L (x) conj(L).
     Only K's rows (p, r >= p) are formed, as krons of the real and
@@ -1025,50 +1032,13 @@ def _coordinate_maps(n: int) -> tuple:
     return maps
 
 
-def _real_jump_piece(jump: JumpTerm):
-    """R_j, the real piece (_real_piece) of one jump's dissipator at unit
-    rate, 2 L rho L^dag - L^dag L rho - rho L^dag L."""
-    lm = jump.operator.matrix
-    return _real_piece(-(lm.conj().T @ lm), lm)
-
-
-def _real_pieces(gen: Generator) -> list:
-    """(weight, build) for each piece of the generator's real matrix:
-    -i[M, .] of a schroedinger-picture H(t) = omega(t) M, weighted by
-    omega(t), and each jump's R_j, weighted by its rate; build() makes the
-    piece, weight(t) its factor at t."""
-    pieces = []
-    if gen.picture == "schroedinger":
-        sched = gen.hamiltonian
-        pieces.append((sched._scale, lambda: _real_piece(-1j * sched.matrix)))
-    for j in gen.jumps:
-        pieces.append((j.rate_at, functools.partial(_real_jump_piece, j)))
-    return pieces
-
-
-def _real_fold(gen: Generator, t: float, pieces: list):
-    """R(t) = omega(t) R_M + sum_j g_j(t) R_j from the (weight, build) pairs
-    of _real_pieces, as real scipy.sparse CSR. A piece whose weight is zero
-    at t is not built, and each piece and its scaled copy die before the
-    next is built, so a streamed fold holds one piece at a time. The sum
-    comes back as a compact copy (scipy's sparse add can leave its entries
-    in buffers up to twice their size)."""
-    n, sparse = gen.dim.cutoff, _scipy()[0]
-    total = sparse.csr_matrix((n * n, n * n))
-    for weight, build in pieces:
-        g = weight(t)
-        if g != 0.0:
-            total = total + g * build()
-    return total.copy()
-
-
 def _steady_states(gen: Generator, times) -> Iterator[DensityMatrix]:
     """steady_state(gen, t=t) for each t, to the bit, with every piece of
     the real matrix built at most once for all of them, when first needed
     (they live until the last is done)."""
-    pieces = [(weight, functools.cache(build)) for weight, build in _real_pieces(gen)]
+    pieces = [(weight, functools.cache(build)) for weight, build in _pieces(gen, _real_piece)]
     for t in times:
-        yield _kernel_state(gen, _real_fold(gen, t, pieces), t)
+        yield _kernel_state(gen, _fold(gen, t, pieces), t)
 
 
 def steady_state(gen: Generator, *, t: float = 0.0) -> DensityMatrix:
@@ -1077,13 +1047,12 @@ def steady_state(gen: Generator, *, t: float = 0.0) -> DensityMatrix:
     L preserves Hermiticity, so in the orthonormal Hermitian basis U of
     _hermitian_basis its matrix R = U^H L U is real (the coherence-vector
     picture; Alicki & Lendi, LNP 286 (1987)). R is built from real pieces,
-    never from L: R(t) = omega(t) R_M + sum_j g_j(t) R_j, one piece per
-    jump and one for -i[M, .] of a schroedinger-picture H(t) = omega(t) M,
-    each formed in real arithmetic from its factors (_real_piece) and
-    folded in one at a time. One real sparse LU factors R bordered by the
-    unit trace vector y = vec(1)/sqrt(n), which U leaves unchanged: M =
-    [[R, y], [y^T, 0]]. As y^T R = 0, the solve M [w; mu] = [0; 1] gives
-    the kernel coordinates w, and x = U w. U is unitary, so ||R w|| =
+    never from L: R(t) = sum_k w_k(t) R_k, one piece per (F, L) term of
+    gen._terms, each formed in real arithmetic from its factors
+    (_real_piece) and folded in one at a time. One real sparse LU factors
+    R bordered by the unit trace vector y = vec(1)/sqrt(n), which U leaves
+    unchanged: M = [[R, y], [y^T, 0]]. As y^T R = 0, the solve
+    M [w; mu] = [0; 1] gives the kernel coordinates w, and x = U w. U is unitary, so ||R w|| =
     ||L x|| and R has L's singular values: the same factors apply the
     pseudo-inverse R^+ (input projected off y, output off w) and its
     transpose, and one real svds gives the gap sigma_2(L) = 1 / ||R^+||_2.
@@ -1094,7 +1063,7 @@ def steady_state(gen: Generator, *, t: float = 0.0) -> DensityMatrix:
     SteadyStateResidual is raised when apply() leaves more than
     RESIDUAL_TOL on the normalised state.
     """
-    return _kernel_state(gen, _real_fold(gen, t, _real_pieces(gen)), t)
+    return _kernel_state(gen, _fold(gen, t, _pieces(gen, _real_piece)), t)
 
 
 @functools.lru_cache(maxsize=8)
@@ -1120,7 +1089,7 @@ def _hermitian_basis(n: int):
 
 def _kernel_state(gen: Generator, rmat, t: float) -> DensityMatrix:
     """steady_state's solve and gates on rmat, the generator's real matrix
-    R = U^H L U at t (_real_fold), U = _hermitian_basis(n)."""
+    R = U^H L U at t (_fold of _real_piece), U = _hermitian_basis(n)."""
     n = gen.dim.cutoff
     size = n * n
     sparse, splinalg = _scipy()

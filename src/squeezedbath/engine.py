@@ -32,7 +32,7 @@ from .dynamics import (
     relax_populations,
     thermal_generator,
 )
-from .errors import NotSteady, OpenCycle, RegimeViolation
+from .errors import CutoffLeak, NotSteady, OpenCycle, RegimeViolation
 from .fock import DEFAULT_CUTOFF, squeezed_thermal_populations, thermal_populations
 from .passivity import _population_entropy
 
@@ -175,13 +175,17 @@ def eta_sigma(
     frame_flow is the energising-bath flow evaluated in the frame in which
     that bath is thermal. It can go negative for strong squeezing, in
     which case the returned value is above 1 and carries no information
-    beyond the trivial cap.
+    beyond the trivial cap. A frame_flow/dissipated_flow that is not
+    finite raises RegimeViolation, like a non-positive dissipated_flow.
     """
     if not 0 < temp_cold <= temp_hot:
         raise ValueError("need 0 < temp_cold <= temp_hot")
     if dissipated_flow <= 0:
         raise RegimeViolation("bound needs a positive energising flow")
-    return 1.0 - (temp_cold / temp_hot) * (frame_flow / dissipated_flow)
+    ratio = frame_flow / dissipated_flow
+    if not math.isfinite(ratio):
+        raise RegimeViolation(f"flow ratio {frame_flow}/{dissipated_flow} is not finite")
+    return 1.0 - (temp_cold / temp_hot) * ratio
 
 
 def _caps(passive_flow, frame_flow, dissipated_flow, temp_cold, temp_hot) -> tuple:
@@ -251,8 +255,16 @@ class OttoClosedForm:
 
 
 def squeezed_excess(nbar: float, r: float) -> float:
-    """Occupation added by squeezing a thermal state: (2 nbar + 1) sinh^2 r."""
-    return (2.0 * nbar + 1.0) * math.sinh(r) ** 2
+    """Occupation added by squeezing a thermal state: (2 nbar + 1) sinh^2 r.
+
+    Raises ValueError when it overflows."""
+    try:
+        excess = (2.0 * nbar + 1.0) * math.sinh(r) ** 2
+    except OverflowError:
+        excess = math.inf
+    if excess == math.inf:
+        raise ValueError(f"squeezed excess overflows at nbar={nbar}, r={r}")
+    return excess
 
 
 def closed_form_otto(
@@ -311,22 +323,31 @@ def required_cutoff(nbar: float, r: float = 0.0) -> int:
     Uses the quadrature variance V = (2 nbar + 1) e^(2|r|) / 2; level
     populations fall off like ((2V-1)/(2V+1))^n and the bound keeps the
     clipped mass (with a generous polynomial safety factor) under
-    CUTOFF_TAIL_TOL. Never fewer than CUTOFF_FLOOR levels. A negative or
-    non-finite nbar, or a non-finite r, raises ValueError.
+    CUTOFF_TAIL_TOL. The bound rises up to n = -1/ln(lam) < V + 1/2 and
+    falls after it, so the search starts at V + 1/2, never below
+    CUTOFF_FLOOR levels, and raises ValueError past 100,000 levels. A
+    negative or non-finite nbar, or a non-finite r, raises ValueError, and
+    a V that overflows (no cutoff holds that state) CutoffLeak.
     """
     if not 0 <= nbar < math.inf:
         raise ValueError(f"nbar must be nonnegative and finite, got {nbar}")
     if not math.isfinite(r):
         raise ValueError(f"squeeze parameter r must be finite, got {r}")
-    v = (2.0 * nbar + 1.0) * math.exp(2.0 * abs(r)) / 2.0
+    try:
+        v = (2.0 * nbar + 1.0) * math.exp(2.0 * abs(r)) / 2.0
+    except OverflowError:
+        v = math.inf
+    if v == math.inf:
+        raise CutoffLeak(f"required_cutoff(nbar={nbar}, r={r}): the squeezing "
+                         f"overflows; no cutoff holds it")
     lam = (2.0 * v - 1.0) / (2.0 * v + 1.0)
-    n = CUTOFF_FLOOR
+    n = max(CUTOFF_FLOOR, math.ceil(v + 0.5))
     power = lam**n
-    while 2.0 * n * (1.0 - lam) * power > CUTOFF_TAIL_TOL:
+    while 2.0 * n * (1.0 - lam) * power > CUTOFF_TAIL_TOL and n <= 100_000:
         n += 1
         power *= lam
-        if n > 100_000:
-            raise ValueError("cutoff search did not converge")
+    if n > 100_000:
+        raise ValueError("cutoff search did not converge")
     return n
 
 

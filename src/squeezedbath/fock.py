@@ -322,11 +322,18 @@ def thermal_state(nbar: float, dim: DimLike = DEFAULT_CUTOFF) -> DensityMatrix:
 
 
 def coherent_state(alpha: complex, dim: DimLike = DEFAULT_CUTOFF) -> DensityMatrix:
-    """Projector onto the coherent state with amplitude alpha."""
+    """Projector onto the coherent state with amplitude alpha.
+
+    A non-finite alpha raises ValueError, and a weight clipped by the
+    cutoff above TOL_LEAK CutoffLeak.
+    """
+    if not np.isfinite(alpha):
+        raise ValueError(f"coherent_state: alpha must be finite, got {alpha}")
     d = as_dim(dim)
     n = d.cutoff
     c = np.zeros(n, dtype=complex)
-    c[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    mod = abs(alpha)
+    c[0] = math.exp(-0.5 * mod * mod)  # 0 once |alpha|^2 overflows: all clipped
     for k in range(1, n):
         c[k] = c[k - 1] * alpha / math.sqrt(k)
     norm = float(np.vdot(c, c).real)

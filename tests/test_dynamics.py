@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from squeezedbath import (
@@ -74,6 +75,36 @@ def expm_evolved(gen, rho0, t):
     n = gen.dim.cutoff
     prop = scipy.linalg.expm(superoperator(gen).toarray() * t)
     return (prop @ rho0.matrix.reshape(-1)).reshape(n, n)
+
+
+def textbook_parts(gen, rho, t):
+    """The terms of -i[H(t), rho] + sum_j g_j (2 L rho L^dag - {L^dag L, rho})
+    (the commutator in the schroedinger picture only), read from the
+    schedule and the jumps and not from the generator's term list."""
+    parts = []
+    if gen.picture == "schroedinger":
+        h = gen.hamiltonian.evaluate(t)
+        parts.append(-1j * (h @ rho - rho @ h))
+    for j in gen.jumps:
+        lm = j.operator.matrix
+        ldl = lm.conj().T @ lm
+        parts.append(j.rate_at(t) * (2.0 * lm @ rho @ lm.conj().T - ldl @ rho - rho @ ldl))
+    return parts
+
+
+def _closed_ladder(n):
+    """H = 2 n_hat, no jumps, in the schroedinger picture."""
+    return Generator(HilbertDim(n), constant_hamiltonian(harmonic_hamiltonian(2.0, n)),
+                     jumps=())
+
+
+def _swept_switched_on(n):
+    """_swept_complex_drive's H(t) with a complex jump e^(i pi/5) a + 0.2 a^dag
+    at rate 0.7 and an a^dag channel at rate 0.4 t, zero at t = 0."""
+    a = annihilation(n)
+    jump = Operator(HilbertDim(n), np.exp(0.2j * np.pi) * a.matrix + 0.2 * a.dagger().matrix)
+    return Generator(HilbertDim(n), _swept_complex_drive(n).hamiltonian,
+                     jumps=(JumpTerm(jump, 0.7), JumpTerm(a.dagger(), lambda t: 0.4 * t)))
 
 
 class TestBoseOccupation:
@@ -360,22 +391,30 @@ class TestApply:
             m /= m.trace()
             assert abs(np.trace(apply(gen, m))) < 1e-12
 
-    def test_closed_system_reduces_to_commutator(self):
-        h = harmonic_hamiltonian(2.0, 8)
-        gen = Generator(HilbertDim(8), constant_hamiltonian(h), jumps=())
-        rho = coherent_state(1.0, 8).matrix if False else None
+    @pytest.mark.parametrize("t", [0.0, 0.8])
+    @pytest.mark.parametrize("build", [_closed_ladder, _swept_switched_on])
+    def test_closed_system_reduces_to_commutator(self, build, t):
+        # and, with jumps, to the textbook form, built here from the
+        # schedule and the jumps rather than from the generator's terms
+        gen = build(8)
         m = np.zeros((8, 8), dtype=complex)
         m[0, 1] = m[1, 0] = 0.5
         m[0, 0] = m[1, 1] = 0.5
-        out = apply(gen, m)
-        np.testing.assert_allclose(out, -1j * (h.matrix @ m - m @ h.matrix),
-                                   atol=1e-14)
+        want = sum(textbook_parts(gen, m, t))
+        err = np.abs(apply(gen, m, t) - want).max()
+        if not gen.jumps:
+            assert err <= 1e-14
+        assert err <= 1e-13 * np.abs(want).max()
 
-    def test_hermitian_flag_matches_general_path(self):
-        gen = squeezed_generator(1.0, 1.0, 0.3, 0.25, dim=40)
-        rho = squeezed_thermal_state(0.8, 0.1, 40).matrix
-        np.testing.assert_allclose(apply(gen, rho, hermitian=True),
-                                   apply(gen, rho), atol=1e-13)
+    @pytest.mark.parametrize("gen,rho,t", [
+        (lambda: squeezed_generator(1.0, 1.0, 0.3, 0.25, dim=40),
+         lambda: squeezed_thermal_state(0.8, 0.1, 40), 0.0),
+        (lambda: _swept_switched_on(20), lambda: coherent_state(0.5 + 0.7j, 20), 0.8),
+    ], ids=["squeezed", "swept_switched_on"])
+    def test_hermitian_flag_matches_general_path(self, gen, rho, t):
+        gen, rho = gen(), rho().matrix
+        np.testing.assert_allclose(apply(gen, rho, t, hermitian=True),
+                                   apply(gen, rho, t), atol=1e-13)
 
     def test_real_input_gives_the_complex_result(self):
         gen = squeezed_generator(1.0, 1.0, 0.3, 0.25, dim=30)
@@ -1295,7 +1334,7 @@ class TestRealPieces:
         gen = build(n)
         u = dynamics._hermitian_basis(n).toarray()
         want = u.conj().T @ superoperator(gen, t).toarray() @ u
-        got = dynamics._real_fold(gen, t, dynamics._real_pieces(gen)).toarray()
+        got = dynamics._fold(gen, t, dynamics._pieces(gen, dynamics._real_piece)).toarray()
         scale = np.abs(want).max()
         assert np.abs(want.imag).max() <= 1e-13 * scale
         assert np.abs(got - want.real).max() <= 1e-13 * scale
@@ -1316,13 +1355,20 @@ class TestRealPieces:
         assert np.abs(got - want.real).max() <= 1e-13 * np.abs(want).max()
 
 
+def _squeezed_bath(n):
+    return squeezed_generator(1.0, 1.0, 0.4, 0.2, dim=n)
+
+
 class TestSuperoperator:
-    def test_matches_apply_on_basis(self):
-        gen = squeezed_generator(1.0, 1.0, 0.4, 0.2, dim=8)
-        sup = superoperator(gen)
+    @pytest.mark.parametrize("t", [0.0, 0.8])
+    @pytest.mark.parametrize("build", [_squeezed_bath, _rotated_thermal, _swept_complex_drive,
+                                       _complex_drive, _switched_on])
+    def test_matches_apply_on_basis(self, build, t):
+        gen = build(8)
+        sup = superoperator(gen, t)
         assert scipy.sparse.issparse(sup)
         for basis in matrix_units(8):
-            direct = apply(gen, basis)
+            direct = apply(gen, basis, t)
             via = (sup @ basis.reshape(-1)).reshape(8, 8)
             np.testing.assert_allclose(via, direct, atol=1e-12)
 
@@ -1333,13 +1379,16 @@ class TestSuperoperator:
             constant_hamiltonian(harmonic_hamiltonian(1.0, 6)),
             jumps=(JumpTerm(a, 1.0), JumpTerm(a.dagger(), lambda t: t)),
         )
+        # terms: -i[H, .] (weight 1), then a and a^dag by rate
+        index = {id(f): k for k, (_weight, f, _lm) in enumerate(gen._terms)}
         built = []
-        piece = dynamics._jump_piece
-        monkeypatch.setattr(dynamics, "_jump_piece", lambda j: built.append(j) or piece(j))
+        piece = dynamics._complex_piece
+        monkeypatch.setattr(dynamics, "_complex_piece",
+                            lambda f, lm: built.append(index[id(f)]) or piece(f, lm))
         superoperator(gen, t=0.0)
-        assert built == [gen.jumps[0]]  # the a^dag rate is zero at t = 0
+        assert built == [0, 1]  # the a^dag rate is zero at t = 0
         superoperator(gen, t=0.5)
-        assert built == [gen.jumps[0], *gen.jumps]
+        assert built == [0, 1, 0, 1, 2]
 
     def test_peak_memory_holds_one_piece_at_a_time(self):
         # at cutoff 40 the result is a 702,400-entry CSR (13.4 MB) and one
@@ -1367,6 +1416,60 @@ class TestSuperoperator:
             while root.base is not None:
                 root = root.base
             assert root.nbytes == part.nbytes
+
+
+@st.composite
+def small_generators(draw):
+    """(generator, t, X): n from 2 to 6, a Hermitian M with or without a
+    linear omega(t), 0 to 3 complex jumps at constant or linear rates,
+    either picture, t in [0, 2] and a complex (not Hermitian) X."""
+    n = draw(st.integers(2, 6))
+    unit = st.floats(-1.0, 1.0)
+
+    def matrix():
+        return np.array(draw(st.lists(unit, min_size=2 * n * n, max_size=2 * n * n))
+                        ).view(complex).reshape(n, n)
+
+    a = matrix()
+    m = a + a.conj().T
+    if draw(st.booleans()):
+        w0, w1 = draw(unit), draw(unit)
+        sched = HamiltonianSchedule(HilbertDim(n), m, frequency=lambda t: w0 + w1 * t,
+                                    frequency_dot=lambda t: w1)
+    else:
+        sched = HamiltonianSchedule(HilbertDim(n), m)
+    jumps = []
+    for _ in range(draw(st.integers(0, 3))):
+        g0, g1 = draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 1.0))
+        rate = draw(st.sampled_from([g0, lambda t: g0 + g1 * t]))
+        jumps.append(JumpTerm(Operator(HilbertDim(n), matrix()), rate))
+    picture = draw(st.sampled_from(["schroedinger", "interaction"]))
+    gen = Generator(HilbertDim(n), sched, jumps=tuple(jumps), picture=picture)
+    return gen, draw(st.floats(0.0, 2.0)), matrix()
+
+
+class TestTermListProperties:
+    """apply, superoperator and the real fold on random small generators,
+    against the textbook form, which reads no term list, and each other."""
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(small_generators())
+    def test_the_three_readers_agree(self, case):
+        gen, t, x = case
+        n = gen.dim.cutoff
+        parts = textbook_parts(gen, x, t)
+        # each check is to 1e-13 of the sum of the terms' largest entries
+        scale = sum(np.abs(p).max() for p in parts)
+        got = apply(gen, x, t)
+        assert np.abs(got - sum(parts, np.zeros((n, n)))).max() <= 1e-13 * scale
+        sup = superoperator(gen, t).toarray()
+        assert np.abs((sup @ x.reshape(-1)).reshape(n, n) - got).max() <= 1e-13 * scale
+        u = dynamics._hermitian_basis(n).toarray()
+        want = u.conj().T @ sup @ u
+        real = dynamics._fold(gen, t, dynamics._pieces(gen, dynamics._real_piece)).toarray()
+        tol = 1e-13 * np.abs(want).max()
+        assert np.abs(want.imag).max() <= tol
+        assert np.abs(real - want.real).max() <= tol
 
 
 class TestConjugateGenerator:
@@ -1655,6 +1758,13 @@ class TestRequiredCutoff:
         # lam = 1 - 1e-6: the tail bound still exceeds the tolerance at 1e5
         with pytest.raises(ValueError, match="cutoff search did not converge"):
             required_cutoff(1e6)
+        # lam = 1 - 1.9e-13: the bound is still rising at the floor, where
+        # it reads 1.5e-11, below the tolerance
+        with pytest.raises(ValueError, match="cutoff search did not converge"):
+            required_cutoff(0.0, 15.0)
+        # e^(2r) overflows: no cutoff holds the state
+        with pytest.raises(CutoffLeak, match="overflows"):
+            required_cutoff(0.0, 360.0)
 
     @pytest.mark.parametrize(
         "nbar,r", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, -math.inf)]

@@ -58,6 +58,8 @@ class TestEfficiencyBounds:
             eta_max(1.0, 0.0, 1.0, 3.0)
         with pytest.raises(RegimeViolation):
             eta_max(-0.1, 2.0, 1.0, 3.0)
+        with pytest.raises(RegimeViolation, match="not finite"):
+            eta_max(1.0, 1e-320, 1.0, 2.0)
         with pytest.raises(ValueError):
             eta_max(1.0, 2.0, 3.0, 1.0)
 
@@ -66,6 +68,9 @@ class TestEfficiencyBounds:
         assert eta_sigma(1.0, 2.0, 1.0, 3.0) == eta_max(1.0, 2.0, 1.0, 3.0)
         with pytest.raises(RegimeViolation):
             eta_sigma(0.5, -1.0, 1.0, 3.0)
+        # the flow ratio overflows to inf
+        with pytest.raises(RegimeViolation, match="not finite"):
+            eta_sigma(1.0, 1e-320, 1.0, 2.0)
 
     def test_combined_cap_picks_the_tightest_applicable(self):
         # plain thermal contact: every flow equal, Carnot rules
@@ -146,6 +151,8 @@ class TestClosedFormOtto:
             closed_form_otto(-1.0, 3.0, 0.15, 0.3, 0.1)
         with pytest.raises(ValueError):
             closed_form_otto(1.0, 3.0, 0.3, 0.15, 0.1)
+        with pytest.raises(ValueError, match="r=400.0"):
+            closed_form_otto(1, 2, 1, 2, 400.0)
 
     def test_squeezed_excess_values(self):
         assert squeezed_excess(0.0, 0.4) == pytest.approx(math.sinh(0.4) ** 2)
@@ -153,6 +160,8 @@ class TestClosedFormOtto:
             3.0 * math.sinh(0.5) ** 2
         )
         assert squeezed_excess(0.7, 0.0) == 0.0
+        with pytest.raises(ValueError, match="r=800.0"):
+            squeezed_excess(1.0, 800.0)
 
 
 @pytest.fixture(scope="module")

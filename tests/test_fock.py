@@ -188,6 +188,14 @@ class TestCoherentState:
     def test_leak_raises(self):
         with pytest.raises(CutoffLeak):
             coherent_state(3.0, 12)
+        # |alpha|^2 overflows: the whole weight is clipped
+        with pytest.raises(CutoffLeak, match="clipped weight 1.000e"):
+            coherent_state(1e200, 10)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.5, -math.inf)])
+    def test_non_finite_amplitude_is_a_value_error(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            coherent_state(alpha, 10)
 
 
 class TestSqueezedThermalPopulations:

@@ -140,12 +140,12 @@ class TestSigmaSeries:
         assert np.abs(sa - sb).max() < 1e-8
 
     def test_quadrature_invariants_are_steady_states(self, monkeypatch):
-        # the route builds each jump's real piece once per call, and every
+        # the route builds each term's real piece once per call, and every
         # invariant it reads is steady_state's to the bit
         gen, traj = _driven_stroke(stride=40)
         clone = _custom_clone(gen)
         seen, built = [], []
-        steady_states, piece = ledger._steady_states, dynamics._real_jump_piece
+        steady_states, piece = ledger._steady_states, dynamics._real_piece
 
         def spy(gen, times):
             times = list(times)
@@ -154,10 +154,11 @@ class TestSigmaSeries:
                 yield inv
 
         monkeypatch.setattr(ledger, "_steady_states", spy)
-        monkeypatch.setattr(dynamics, "_real_jump_piece",
-                            lambda j: built.append(j) or piece(j))
+        monkeypatch.setattr(dynamics, "_real_piece",
+                            lambda f, lm: built.append(lm) or piece(f, lm))
         sigma_series(traj, clone)
-        assert built == list(clone.jumps)
+        # an interaction-picture clone: one term per jump, no H term
+        assert [id(lm) for lm in built] == [id(j.operator.matrix) for j in clone.jumps]
         assert [t for t, _inv in seen] == traj.times.tolist()
         for t, inv in seen:
             want = dynamics.steady_state(clone, t=t).matrix
