@@ -4,8 +4,9 @@ Each subcommand reads one INI file whose single section must be named
 after the subcommand, validates it against a fixed key schema (unknown or
 missing keys are hard errors), computes everything in memory and only
 then writes the output file. A failed run therefore never leaves a
-partial CSV behind. Exit codes: 0 success, 2 configuration problem,
-1 runtime failure.
+partial CSV behind. Exit codes: 0 success, 2 configuration problem
+(a value the library rejects with a plain ValueError included), 1 runtime
+failure.
 
 Output files start with a units comment line; all floats are rendered
 with %.12g so repeated runs are byte identical.
@@ -489,7 +490,9 @@ def main(argv=None) -> int:
         return 2
     except Exception as exc:  # noqa: BLE001 - boundary: report, do not crash
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        # a plain ValueError is a value outside the library's domain; its
+        # typed subclasses (CutoffLeak, RegimeViolation, ...) are run failures
+        return 2 if type(exc) is ValueError else 1
 
     Path(args.out).write_text(text)
     return 0

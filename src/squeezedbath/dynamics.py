@@ -479,7 +479,9 @@ class Trajectory:
     """Snapshots of an evolve() run plus co-integrated energy currents.
 
     states[0] is the caller's rho0; the later snapshots are float64 for a
-    real rho0 under a tagged bath, else complex128 (see evolve).
+    real rho0 under a tagged bath, else complex128, and those that keep
+    photon-number parity are stored as their two parity sectors (see
+    evolve).
     dissipated_cum[i] = integral of Tr[L(rho) H] up to times[i] (energy in
     through the bath coupling); work_cum[i] = integral of Tr[rho dH/dt].
     squeezed_heat_cum[i] = integral of omega(t) Tr[L(rho) S n S^dag], the
@@ -565,10 +567,15 @@ def evolve(
     A route hands over blocks of up to _BLOCK snapshots. Each snapshot is
     validated, the first failure in time order raising: a trace off by
     more than DRIFT_TOL TraceDrift, an eigenvalue below -fock.TOL_PSD or a
-    non-finite one PositivityLoss. A block over its traces is its
-    snapshots' storage: each is a read-only view that keeps its gate's
-    unclipped spectrum, so min_eig shows the margin to the gate, and is not
-    validated again.
+    non-finite one PositivityLoss. Each snapshot keeps its gate's unclipped
+    spectrum, so min_eig shows the margin to the gate, and is not validated
+    again. The gate also sets the storage, from the data alone: a block in
+    which every entry between even and odd levels is exactly 0 (a parity-
+    preserving bath on a thermal, vacuum, squeezed or Fock start) is stored
+    as two read-only stacks, its even-level and its odd-level sectors, half
+    the entries of the whole matrices, and a snapshot's .matrix is then
+    assembled afresh on each access; any other block over its traces is its
+    snapshots' storage, each a read-only view of it.
     Snapshots past states[0] (rho0 itself) keep their route's dtype:
     float64 for a real rho0 on the frame route, complex128 for a complex
     one or on the RK4 route. A tagged bath with a swept occupation also
@@ -625,23 +632,27 @@ def evolve(
 
 
 def _gate_block(dim: HilbertDim, x: np.ndarray, times: list) -> list:
-    """Normalised Hermitian snapshots x as DensityMatrix objects, read-only
-    views of x, which is set read-only: eigvalsh per sector (the even and
-    odd levels if every entry between them is 0.0), and PositivityLoss
-    names the first that fails evolve's gate."""
+    """Normalised Hermitian snapshots x as DensityMatrix objects: eigvalsh
+    per sector, and PositivityLoss names the first that fails evolve's gate.
+    If every entry between even and odd levels is 0.0 the sectors are those
+    levels, and each is copied into a read-only stack that stores it; else
+    the one sector is x, set read-only, and each state is a view of it."""
     finite = np.isfinite(x).all(axis=(1, 2))
     ok = int(np.append(finite, False).argmin())  # the first non-finite, else all
     split = not (x[:ok, 0::2, 1::2].any() or x[:ok, 1::2, 0::2].any())
-    sectors = (slice(0, None, 2), slice(1, None, 2)) if split else (slice(None),)
-    eigs = np.sort(np.hstack([np.linalg.eigvalsh(x[:ok, q, q]) for q in sectors]))
+    sectors = ([x[:ok, 0::2, 0::2].copy(), x[:ok, 1::2, 1::2].copy()] if split
+               else [x[:ok]])
+    eigs = np.sort(np.hstack([np.linalg.eigvalsh(q) for q in sectors]))
     good = (eigs[:, 0] >= -TOL_PSD) & np.isfinite(eigs).all(axis=1)  # NaN fails too
     j = int(np.append(good, False).argmin())  # first failure, else ok
     if j < len(x):  # past ok the matrix itself is not finite
         raise PositivityLoss(f"negative or non-finite eigenvalue "
                              f"{eigs[j, 0] if j < ok else math.nan:.3e} at "
                              f"t={times[j]:g}; shrink dt or raise the cutoff")
-    x.setflags(write=False)
-    return [DensityMatrix._gated(dim, m, e) for m, e in zip(x, eigs)]
+    for q in (x, *sectors):
+        q.setflags(write=False)
+    return [DensityMatrix._gated(dim, tuple(m) if split else m[0], e)
+            for *m, e in zip(*sectors, eigs)]
 
 
 def _rk4(at: Callable, deriv: Callable, flow_rates: Callable, y, dt: float,

@@ -91,14 +91,16 @@ class DensityMatrix:
     """Validated state: Hermitian, unit trace and positive within tolerance.
 
     Validated once, at construction or in evolve's gate (_gated); instances
-    are immutable. A constructed state's matrix is complex and its own; a
-    gated one is a read-only view of the block evolve stored it in and
-    keeps its route's dtype, float64 for a real state. The sorted
-    eigenvalues are cached because most downstream quantities (entropy,
-    passive energy, trace distances) are spectral.
+    are immutable. A constructed state's matrix is complex and its own. A
+    gated one keeps its route's dtype, float64 for a real state, and is
+    stored in read-only blocks evolve shares between snapshots: as a view
+    of its n x n matrix, or, when every entry between levels of opposite
+    parity is exactly 0, as its even-level and odd-level sectors only. The
+    sorted eigenvalues are cached because most downstream quantities
+    (entropy, passive energy, trace distances) are spectral.
     """
 
-    __slots__ = ("dim", "matrix", "_eigs")
+    __slots__ = ("dim", "_blocks", "_eigs")
 
     def __init__(self, op, *, _spectrum=None):
         if isinstance(op, np.ndarray):
@@ -117,16 +119,29 @@ class DensityMatrix:
             eigs = np.sort(np.asarray(_spectrum, dtype=float))
         if eigs[0] < -TOL_PSD:
             raise ValueError(f"negative eigenvalue {eigs[0]:.3e}")
-        self.dim, self.matrix, self._eigs = op.dim, op.matrix, eigs
+        self.dim, self._blocks, self._eigs = op.dim, (op.matrix,), eigs
 
     @classmethod
-    def _gated(cls, dim: HilbertDim, matrix: np.ndarray, eigs: np.ndarray):
-        """A state evolve has already gated: matrix itself, which the caller
-        has made read-only (a view of its block, not copied), with eigs
-        (ascending) as its spectrum; nothing is re-checked."""
+    def _gated(cls, dim: HilbertDim, matrix, eigs: np.ndarray):
+        """A state evolve has already gated, with eigs (ascending) as its
+        spectrum; nothing is re-checked. matrix is the n x n matrix or its
+        (even-level, odd-level) sector pair, which the caller has made
+        read-only and which are kept, not copied."""
         state = object.__new__(cls)
-        state.dim, state.matrix, state._eigs = dim, matrix, eigs
+        blocks = matrix if isinstance(matrix, tuple) else (matrix,)
+        state.dim, state._blocks, state._eigs = dim, blocks, eigs
         return state
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The n x n density matrix. A state stored as its parity sectors
+        returns a fresh read-only copy, zero between opposite parities."""
+        if len(self._blocks) == 1:
+            return self._blocks[0]
+        m = np.zeros((self.dim.cutoff,) * 2, dtype=self._blocks[0].dtype)
+        m[0::2, 0::2], m[1::2, 1::2] = self._blocks
+        m.setflags(write=False)
+        return m
 
     @property
     def eigenvalues(self) -> np.ndarray:

@@ -228,6 +228,16 @@ class TestConfigValidation:
         assert run("cycle", cfg, out) == 2
         assert not out.exists()
 
+    def test_a_squeezing_the_library_rejects_is_a_config_error(self, tmp_path, capsys):
+        # a plain ValueError from the run exits 2; its typed subclasses exit 1
+        cfg = write_config(tmp_path, "otto-sweep", temp_hot=3.0, temp_cold=1.0,
+                           omega_hot=0.3, x_values="0.5", r_values="400")
+        out = tmp_path / "out.csv"
+        assert run("otto-sweep", cfg, out) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "ValueError: squeezed excess overflows" in err and "r=400.0" in err
+
     def test_runtime_failure_leaves_no_output(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "decay", alpha=3.0, t_final=1.0, cutoff=10
@@ -320,7 +330,7 @@ class TestDecayScenario:
 
     def test_a_vanishing_dt_names_its_step_count_briefly(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "decay", alpha=1.0, t_final=4.0, cutoff=25)
-        assert run("decay", cfg, tmp_path / "out.csv", "--dt", "1e-300") == 1
+        assert run("decay", cfg, tmp_path / "out.csv", "--dt", "1e-300") == 2
         err = capsys.readouterr().err
         assert "step count 4e+300 is unreasonable; enlarge dt" in err
 

@@ -879,14 +879,31 @@ class TestSnapshotDtype:
         np.testing.assert_allclose(a.trace_errors[1:], b.trace_errors[1:],
                                    rtol=0, atol=tol)
 
+    @staticmethod
+    def held_bytes(traj):
+        """Bytes of the distinct buffers that store the snapshots past rho0."""
+        buffers = {}
+        for state in traj.states[1:]:
+            for block in state._blocks:
+                owner = block if block.base is None else block.base
+                buffers[id(owner)] = owner.nbytes
+        return sum(buffers.values())
+
     def test_a_real_trajectory_stores_eight_bytes_an_entry(self):
-        # memory guard: squeezed-relax at stride 1 holds one float64 matrix
-        # per snapshot, half the bytes of a complex one
+        # memory guard: squeezed-relax at stride 1 keeps parity, so each
+        # snapshot holds its two 20 x 20 float64 parity sectors and nothing
+        # of the zeros between them
         gen = squeezed_generator(10.0, 1.0, 0.0, 0.4, dim=40)
         traj = evolve(gen, thermal_state(0.0, 40), 1.0, snapshot_stride=1)
         assert len(traj.states) > 500
-        assert (sum(s.matrix.nbytes for s in traj.states[1:])
-                == (len(traj.states) - 1) * 40 * 40 * 8)
+        assert self.held_bytes(traj) == (len(traj.states) - 1) * 2 * 20 * 20 * 8
+
+    def test_a_coherent_trajectory_stores_its_whole_matrix(self):
+        # a coherent start mixes parities, so each snapshot holds all n^2
+        gen = squeezed_generator(10.0, 1.0, 0.0, 0.4, dim=40)
+        traj = evolve(gen, coherent_state(0.8, 40), 1.0, snapshot_stride=1)
+        assert len(traj.states) > 500
+        assert self.held_bytes(traj) == (len(traj.states) - 1) * 40 * 40 * 8
 
 
 class TestChannelRoute:

@@ -472,21 +472,34 @@ class TestAccumulateLedger:
 
 
 class TestRealSnapshots:
-    """A real start under a tagged bath gives float64 snapshots; every
-    consumer reads them like the same snapshots re-wrapped as complex with
-    the same spectra. The ledger, both sigma routes and the report agree
-    to the bit; the passivity functions, which run a real eigensolver on a
-    real snapshot, agree to roundoff."""
+    """A real start under a tagged bath gives float64 snapshots, stored as
+    their two parity sectors when the start keeps parity. Every consumer
+    reads them like the same snapshots re-wrapped as complex, and like
+    them re-wrapped as full matrices of their own dtype, with the same
+    spectra. The ledger, both sigma routes and the report agree to the
+    bit; the passivity functions, which run a real eigensolver on a real
+    snapshot, agree to roundoff."""
 
     @staticmethod
-    def pair(gen, rho0, t_final):
+    def rewrap(traj, matrix):
+        """traj with each state re-wrapped from matrix(state), stored whole."""
+        states = tuple(DensityMatrix._gated(s.dim, matrix(s), s.eigenvalues)
+                       for s in traj.states)
+        return dataclasses.replace(traj, states=states)
+
+    @classmethod
+    def pair(cls, case):
+        """gen, the report's temperature, the evolved trajectory, and its
+        complex and full re-wraps."""
+        gen, rho0, t_final, temperature = cls.CASES[case]()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SlowDriveViolation)
             traj = evolve(gen, rho0, t_final)
         assert all(s.matrix.dtype == np.float64 for s in traj.states[1:])
-        states = tuple(DensityMatrix._gated(s.dim, s.matrix.astype(complex), s.eigenvalues)
-                       for s in traj.states)
-        return traj, dataclasses.replace(traj, states=states)
+        sectors = {len(s._blocks) for s in traj.states[1:]}
+        assert sectors == ({2} if case in cls.SECTOR_STORED else {1})
+        return gen, temperature, traj, (cls.rewrap(traj, lambda s: s.matrix.astype(complex)),
+                                        cls.rewrap(traj, lambda s: s.matrix.copy()))
 
     CASES = {  # (generator, start, duration, bath temperature for the report)
         "decay": lambda: (thermal_generator(10.0, 1.0, nbar=0.0, dim=20),
@@ -500,42 +513,76 @@ class TestRealSnapshots:
                                None, 0.2, dim=20, temperature=5.0),
             thermal_state(bose_occupation(25.0, 5.0), 20), 2.0, 5.0),
     }
+    SECTOR_STORED = {"squeezed relax", "squeezed stroke"}  # the starts that keep parity
 
     @pytest.mark.parametrize("case", CASES)
     def test_ledger_sigma_and_report_agree(self, case):
-        gen, rho0, t_final, temperature = self.CASES[case]()
-        real, cplx = self.pair(gen, rho0, t_final)
-        a, b = accumulate_ledger(real, gen), accumulate_ledger(cplx, gen)
-        for field in dataclasses.fields(a):
-            np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name),
-                                          err_msg=field.name)
-        np.testing.assert_array_equal(sigma_series(real, gen), sigma_series(cplx, gen))
-        if temperature is not None:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", SlowDriveViolation)
-                x = entropy_bound_report(real, gen, temperature)
-                y = entropy_bound_report(cplx, gen, temperature)
-            assert x == y
+        gen, temperature, real, copies = self.pair(case)
+        for other in copies:
+            a, b = accumulate_ledger(real, gen), accumulate_ledger(other, gen)
+            for field in dataclasses.fields(a):
+                np.testing.assert_array_equal(getattr(a, field.name),
+                                              getattr(b, field.name), err_msg=field.name)
+            np.testing.assert_array_equal(sigma_series(real, gen), sigma_series(other, gen))
+            if temperature is not None:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", SlowDriveViolation)
+                    x = entropy_bound_report(real, gen, temperature)
+                    y = entropy_bound_report(other, gen, temperature)
+                assert x == y
 
     @pytest.mark.parametrize("case", CASES)
     def test_passivity_functions_agree_to_roundoff(self, case):
-        gen, rho0, t_final, _ = self.CASES[case]()
-        real, cplx = self.pair(gen, rho0, t_final)
+        gen, _, real, copies = self.pair(case)
         h = Operator(gen.dim, gen.hamiltonian.evaluate(0.0))
         reference = thermal_state(0.5, 20)
         middle = len(real.states) // 2
-        for i in (1, middle, -1):
-            x, y = real.states[i], cplx.states[i]
-            px, py = passive_decompose(x, h), passive_decompose(y, h)
-            assert px.ergotropy == pytest.approx(py.ergotropy, rel=0, abs=1e-14)
-            assert px.passive_energy == pytest.approx(py.passive_energy, rel=0, abs=1e-14)
-            np.testing.assert_allclose(px.passive_state.matrix, py.passive_state.matrix,
-                                       rtol=0, atol=1e-14)
-            assert math.isfinite(relative_entropy(x, reference))
-            assert relative_entropy(x, reference) == pytest.approx(
-                relative_entropy(y, reference), rel=0, abs=1e-14)
-            assert trace_distance(x, real.states[middle]) == pytest.approx(
-                trace_distance(y, cplx.states[middle]), rel=0, abs=1e-14)
+        for other in copies:
+            for i in (1, middle, -1):
+                x, y = real.states[i], other.states[i]
+                px, py = passive_decompose(x, h), passive_decompose(y, h)
+                assert px.ergotropy == pytest.approx(py.ergotropy, rel=0, abs=1e-14)
+                assert px.passive_energy == pytest.approx(py.passive_energy,
+                                                          rel=0, abs=1e-14)
+                np.testing.assert_allclose(px.passive_state.matrix,
+                                           py.passive_state.matrix, rtol=0, atol=1e-14)
+                assert math.isfinite(relative_entropy(x, reference))
+                assert relative_entropy(x, reference) == pytest.approx(
+                    relative_entropy(y, reference), rel=0, abs=1e-14)
+                assert trace_distance(x, real.states[middle]) == pytest.approx(
+                    trace_distance(y, other.states[middle]), rel=0, abs=1e-14)
+
+    def test_a_drive_that_breaks_parity_mid_run_switches_storage(self):
+        # H(t) = w(t) (a + a^dag) with w = 0 up to t0 = 1 and rising after:
+        # the thermal start keeps parity, so the first three blocks of the
+        # lab RK4 are sector-stored, and the drive then mixes the parities,
+        # so the later blocks are stored whole. Either way .matrix holds the
+        # route's normalised matrix and the ledger reads it like a full copy;
+        # values are compared, as a stored -0.0 may come back as +0.0.
+        n, t0, dt = 16, 1.0, 0.01
+        a = annihilation(n)
+        sched = dynamics.HamiltonianSchedule(
+            dim=HilbertDim(n), matrix=a.matrix + a.matrix.conj().T,
+            frequency=lambda t: 0.5 * max(t - t0, 0.0),
+            frequency_dot=lambda t: 0.5 if t > t0 else 0.0)
+        gen = Generator(dim=HilbertDim(n), hamiltonian=sched,
+                        jumps=(JumpTerm(a, 1.3), JumpTerm(a.dagger(), 0.3)))
+        rho0 = thermal_state(0.2, n)
+        traj = evolve(gen, rho0, 2.0, dt=dt, snapshot_stride=1)
+        blocks = 3 * dynamics._BLOCK
+        assert [len(s._blocks) for s in traj.states[1:]] == [2] * blocks + [1] * (200 - blocks)
+        route = [rho0.matrix]
+        for _, rhos, _ in dynamics._rk4_run(gen, rho0, dt, list(range(1, 201))):
+            route.extend(rhos / np.trace(rhos, axis1=1, axis2=2).real[:, None, None])
+        np.testing.assert_array_equal(traj.times, [step * dt for step in range(201)])
+        for state, m in zip(traj.states, route, strict=True):
+            assert state.matrix.dtype == np.complex128
+            np.testing.assert_array_equal(state.matrix, m)
+        full = self.rewrap(traj, lambda s: s.matrix.copy())
+        a, b = accumulate_ledger(traj, gen), accumulate_ledger(full, gen)
+        for field in dataclasses.fields(a):
+            np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name),
+                                          err_msg=field.name)
 
 
 class TestPassiveFrame:
