@@ -334,7 +334,9 @@ def _bath_generator(
 
     r = 0 is the thermal bath (b = a exactly), tagged "thermal"; any
     other r is tagged "squeezed". A fixed nbar, a static frequency or
-    T = 0 (zero occupation at every frequency) gives constant rates.
+    T = 0 (zero occupation at every frequency) gives constant rates. A
+    static frequency that is not positive and finite raises ValueError,
+    with nbar given too.
     """
     d = as_dim(dim)
     if kappa <= 0:
@@ -349,6 +351,8 @@ def _bath_generator(
         schedule = omega
     else:
         w = float(omega)
+        if not 0 < w < math.inf:
+            raise ValueError(f"omega must be positive and finite, got {omega}")
         schedule = dataclasses.replace(
             oscillator_schedule(lambda t: w, lambda t: 0.0, d), is_constant=True
         )
@@ -479,9 +483,8 @@ class Trajectory:
     """Snapshots of an evolve() run plus co-integrated energy currents.
 
     states[0] is the caller's rho0; the later snapshots are float64 for a
-    real rho0 under a tagged bath, else complex128, and those that keep
-    photon-number parity are stored as their two parity sectors (see
-    evolve).
+    real rho0 under a tagged bath, else complex128, each stored as the
+    packed upper triangles of its parity sectors (see evolve).
     dissipated_cum[i] = integral of Tr[L(rho) H] up to times[i] (energy in
     through the bath coupling); work_cum[i] = integral of Tr[rho dH/dt].
     squeezed_heat_cum[i] = integral of omega(t) Tr[L(rho) S n S^dag], the
@@ -569,13 +572,15 @@ def evolve(
     more than DRIFT_TOL TraceDrift, an eigenvalue below -fock.TOL_PSD or a
     non-finite one PositivityLoss. Each snapshot keeps its gate's unclipped
     spectrum, so min_eig shows the margin to the gate, and is not validated
-    again. The gate also sets the storage, from the data alone: a block in
-    which every entry between even and odd levels is exactly 0 (a parity-
-    preserving bath on a thermal, vacuum, squeezed or Fock start) is stored
-    as two read-only stacks, its even-level and its odd-level sectors, half
-    the entries of the whole matrices, and a snapshot's .matrix is then
-    assembled afresh on each access; any other block over its traces is its
-    snapshots' storage, each a read-only view of it.
+    again. Each block is stored packed (fock.DensityMatrix): a snapshot is
+    one read-only row of the upper triangles, diagonal included, of its
+    parity sectors. The gate picks the sectors from the data alone: a
+    block in which every entry between even and odd levels is exactly 0
+    (a parity-preserving bath on a thermal, vacuum, squeezed or Fock
+    start) has two, its even and its odd levels, about a quarter of the
+    entries of the whole matrices; any other block has one, all levels.
+    A snapshot's .matrix is assembled afresh on each access, and its
+    populations and trace_error are read off the row.
     Snapshots past states[0] (rho0 itself) keep their route's dtype:
     float64 for a real rho0 on the frame route, complex128 for a complex
     one or on the RK4 route. A tagged bath with a swept occupation also
@@ -632,15 +637,15 @@ def evolve(
 
 
 def _gate_block(dim: HilbertDim, x: np.ndarray, times: list) -> list:
-    """Normalised Hermitian snapshots x as DensityMatrix objects: eigvalsh
-    per sector, and PositivityLoss names the first that fails evolve's gate.
-    If every entry between even and odd levels is 0.0 the sectors are those
-    levels, and each is copied into a read-only stack that stores it; else
-    the one sector is x, set read-only, and each state is a view of it."""
+    """Normalised, exactly Hermitian snapshots x as DensityMatrix objects:
+    eigvalsh per sector, and PositivityLoss names the first that fails
+    evolve's gate. If every entry between even and odd levels is 0.0 the
+    sectors are those levels, else the one sector is x; the states store
+    each sector's upper triangle, packed (DensityMatrix._packed)."""
     finite = np.isfinite(x).all(axis=(1, 2))
     ok = int(np.append(finite, False).argmin())  # the first non-finite, else all
     split = not (x[:ok, 0::2, 1::2].any() or x[:ok, 1::2, 0::2].any())
-    sectors = ([x[:ok, 0::2, 0::2].copy(), x[:ok, 1::2, 1::2].copy()] if split
+    sectors = ([x[:ok, 0::2, 0::2], x[:ok, 1::2, 1::2]] if split
                else [x[:ok]])
     eigs = np.sort(np.hstack([np.linalg.eigvalsh(q) for q in sectors]))
     good = (eigs[:, 0] >= -TOL_PSD) & np.isfinite(eigs).all(axis=1)  # NaN fails too
@@ -649,10 +654,7 @@ def _gate_block(dim: HilbertDim, x: np.ndarray, times: list) -> list:
         raise PositivityLoss(f"negative or non-finite eigenvalue "
                              f"{eigs[j, 0] if j < ok else math.nan:.3e} at "
                              f"t={times[j]:g}; shrink dt or raise the cutoff")
-    for q in (x, *sectors):
-        q.setflags(write=False)
-    return [DensityMatrix._gated(dim, tuple(m) if split else m[0], e)
-            for *m, e in zip(*sectors, eigs)]
+    return DensityMatrix._packed(dim, x, len(sectors), eigs)
 
 
 def _rk4(at: Callable, deriv: Callable, flow_rates: Callable, y, dt: float,

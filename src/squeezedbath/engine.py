@@ -32,7 +32,7 @@ from .dynamics import (
     relax_populations,
     thermal_generator,
 )
-from .errors import CutoffLeak, NotSteady, OpenCycle, RegimeViolation
+from .errors import NotSteady, OpenCycle, RegimeViolation
 from .fock import DEFAULT_CUTOFF, squeezed_thermal_populations, thermal_populations
 from .passivity import _population_entropy
 
@@ -326,8 +326,8 @@ def required_cutoff(nbar: float, r: float = 0.0) -> int:
     CUTOFF_TAIL_TOL. The bound rises up to n = -1/ln(lam) < V + 1/2 and
     falls after it, so the search starts at V + 1/2, never below
     CUTOFF_FLOOR levels, and raises ValueError past 100,000 levels. A
-    negative or non-finite nbar, or a non-finite r, raises ValueError, and
-    a V that overflows (no cutoff holds that state) CutoffLeak.
+    negative or non-finite nbar, a non-finite r, or an r so large that V
+    overflows (no cutoff holds that state) raises ValueError.
     """
     if not 0 <= nbar < math.inf:
         raise ValueError(f"nbar must be nonnegative and finite, got {nbar}")
@@ -338,7 +338,7 @@ def required_cutoff(nbar: float, r: float = 0.0) -> int:
     except OverflowError:
         v = math.inf
     if v == math.inf:
-        raise CutoffLeak(f"required_cutoff(nbar={nbar}, r={r}): the squeezing "
+        raise ValueError(f"required_cutoff(nbar={nbar}, r={r}): the squeezing "
                          f"overflows; no cutoff holds it")
     lam = (2.0 * v - 1.0) / (2.0 * v + 1.0)
     n = max(CUTOFF_FLOOR, math.ceil(v + 0.5))

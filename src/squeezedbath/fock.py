@@ -87,17 +87,36 @@ class Operator:
         return Operator(self.dim, self.matrix @ other.matrix)
 
 
+@functools.lru_cache(maxsize=8)
+def _packing(n: int, sectors: int) -> tuple:
+    """Index tables of the packed storage at cutoff n: per sector (all
+    levels if sectors is 1, the even then the odd levels if 2) its levels,
+    the flat places in an n x n matrix of its upper triangle, diagonal
+    included, row by row, and of their mirrors, and where its diagonal
+    sits in its row. A packed row is the sectors' triangles end to end."""
+    tables = []
+    for levels in (np.arange(n),) if sectors == 1 else (np.arange(0, n, 2),
+                                                         np.arange(1, n, 2)):
+        i, j = np.triu_indices(len(levels))
+        diag = np.flatnonzero(i == j)
+        tables.append((levels, levels[i] * n + levels[j], levels[j] * n + levels[i], diag))
+    return tuple(tables)
+
+
 class DensityMatrix:
     """Validated state: Hermitian, unit trace and positive within tolerance.
 
-    Validated once, at construction or in evolve's gate (_gated); instances
-    are immutable. A constructed state's matrix is complex and its own. A
-    gated one keeps its route's dtype, float64 for a real state, and is
-    stored in read-only blocks evolve shares between snapshots: as a view
-    of its n x n matrix, or, when every entry between levels of opposite
-    parity is exactly 0, as its even-level and odd-level sectors only. The
-    sorted eigenvalues are cached because most downstream quantities
-    (entropy, passive energy, trace distances) are spectral.
+    Validated once, at construction or in evolve's gate (_packed);
+    instances are immutable. A constructed state's matrix is complex and
+    its own, kept as it is. A gated one keeps its route's dtype, float64
+    for a real state, and is stored packed: the upper triangle, diagonal
+    included, of each parity sector (the even and the odd levels when
+    every entry between them is exactly 0, else all levels as one), as
+    read-only views of one row of a stack evolve shares between
+    snapshots. Its .matrix is assembled afresh on each access; its
+    populations and trace_error read the row in place. The sorted
+    eigenvalues are cached because most downstream quantities (entropy,
+    passive energy, trace distances) are spectral.
     """
 
     __slots__ = ("dim", "_blocks", "_eigs")
@@ -123,25 +142,64 @@ class DensityMatrix:
 
     @classmethod
     def _gated(cls, dim: HilbertDim, matrix, eigs: np.ndarray):
-        """A state evolve has already gated, with eigs (ascending) as its
-        spectrum; nothing is re-checked. matrix is the n x n matrix or its
-        (even-level, odd-level) sector pair, which the caller has made
-        read-only and which are kept, not copied."""
+        """A state already gated, with eigs (ascending) as its spectrum;
+        nothing is re-checked. matrix is an n x n matrix, stored whole, or
+        a tuple of one packed row's sector views (_packed); either is kept,
+        not copied."""
         state = object.__new__(cls)
         blocks = matrix if isinstance(matrix, tuple) else (matrix,)
         state.dim, state._blocks, state._eigs = dim, blocks, eigs
         return state
 
+    @classmethod
+    def _packed(cls, dim: HilbertDim, x: np.ndarray, sectors: int,
+                eigs: np.ndarray) -> list:
+        """The states of evolve's gated snapshots x, a (b, n, n) stack of
+        exactly Hermitian matrices with spectra eigs: x packed by
+        _packing(n, sectors) into one read-only (b, m) stack, each state
+        holding its row's sector views."""
+        n = dim.cutoff
+        tables = _packing(n, sectors)
+        upper = np.concatenate([t[1] for t in tables])
+        packed = x.reshape(len(x), n * n).take(upper, axis=1)  # C-ordered rows
+        packed.setflags(write=False)
+        ends = np.cumsum([len(t[1]) for t in tables]).tolist()
+        columns = [packed[:, a:b] for a, b in zip([0] + ends, ends)]  # per sector
+        return [cls._gated(dim, rows, e) for rows, e in zip(zip(*columns), eigs)]
+
     @property
     def matrix(self) -> np.ndarray:
-        """The n x n density matrix. A state stored as its parity sectors
-        returns a fresh read-only copy, zero between opposite parities."""
-        if len(self._blocks) == 1:
-            return self._blocks[0]
-        m = np.zeros((self.dim.cutoff,) * 2, dtype=self._blocks[0].dtype)
-        m[0::2, 0::2], m[1::2, 1::2] = self._blocks
+        """The n x n density matrix. A packed state returns a fresh
+        read-only copy: each sector's triangle and its conjugate mirror,
+        zero between sectors."""
+        first = self._blocks[0]
+        if first.ndim == 2:
+            return first
+        n = self.dim.cutoff
+        m = np.zeros(n * n, dtype=first.dtype)
+        for row, (_, upper, lower, _) in zip(self._blocks, _packing(n, len(self._blocks))):
+            m[lower] = row.conj()
+            m[upper] = row
+        m = m.reshape(n, n)
         m.setflags(write=False)
         return m
+
+    def _diagonal(self) -> np.ndarray:
+        """The diagonal in level order and the stored dtype; a packed
+        state's is read off its row, with no assembly."""
+        first = self._blocks[0]
+        if first.ndim == 2:
+            return first.diagonal()
+        n = self.dim.cutoff
+        d = np.empty(n, dtype=first.dtype)
+        for row, (levels, _, _, diag) in zip(self._blocks, _packing(n, len(self._blocks))):
+            d[levels] = row[diag]
+        return d
+
+    @property
+    def populations(self) -> np.ndarray:
+        """Fock-level populations: the real part of the diagonal."""
+        return self._diagonal().real
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -154,7 +212,7 @@ class DensityMatrix:
 
     @property
     def trace_error(self) -> float:
-        return float(abs(self.matrix.trace() - 1.0))
+        return float(abs(self._diagonal().sum() - 1.0))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DensityMatrix(cutoff={self.dim.cutoff})"

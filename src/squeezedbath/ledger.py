@@ -235,7 +235,7 @@ def _ledger_rows(gen: Generator, states: tuple, times: np.ndarray,
         de = [sched.trace_with(b.matrix - a.matrix, t)
               for a, b, t in zip(states, states[1:], ts[m:])]
     else:  # a ladder reads the diagonals alone
-        diag = np.array([s.matrix.diagonal().real for s in states])
+        diag = np.array([s.populations for s in states])
         # sched.diagonal(t) at every t: the same product per entry
         h = np.multiply.outer(w, sched.levels)
         energy = (diag * h[:m]).sum(axis=1)
@@ -386,7 +386,7 @@ def entropy_bound_report(
             e_alt = float(evolve(gen, pi0, t_final).dissipated_cum[-1])
             invariant = bath_invariant_state(gen, t=0.0)
         else:
-            n0 = float(np.diagonal(pi0.matrix).real @ np.arange(gen.dim.cutoff))
+            n0 = float(pi0.populations @ np.arange(gen.dim.cutoff))
             _, e_alt, _ = _thermal_contact(gen, n0, t_final)
             invariant = thermal_state(gen.occupation_at(0.0), gen.dim)
 

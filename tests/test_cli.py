@@ -238,6 +238,31 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "ValueError: squeezed excess overflows" in err and "r=400.0" in err
 
+    @pytest.mark.parametrize("scenario, keys", [
+        ("cycle", {"omega_cold": 0.15}),
+        ("multibath", {"omega_cold": 0.15, "mid_temperatures": 1.5}),
+    ])
+    def test_an_overflowing_squeezing_is_a_config_error_in_every_cycle(
+            self, tmp_path, capsys, scenario, keys):
+        # required_cutoff rejects it like squeezed_excess in otto-sweep
+        cfg = write_config(tmp_path, scenario, temp_hot=3.0, temp_cold=1.0,
+                           omega_hot=0.3, r=400, **keys)
+        out = tmp_path / "out.csv"
+        assert run(scenario, cfg, out) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "ValueError: required_cutoff" in err and "r=400.0" in err
+
+    @pytest.mark.parametrize("omega", [-1.0, 0.0])
+    def test_a_non_positive_static_frequency_is_a_config_error(self, tmp_path, capsys,
+                                                               omega):
+        cfg = write_config(tmp_path, "decay", alpha=1.0, t_final=1.0, omega=omega,
+                           cutoff=20)
+        out = tmp_path / "out.csv"
+        assert run("decay", cfg, out) == 2
+        assert not out.exists()
+        assert "omega must be positive and finite" in capsys.readouterr().err
+
     def test_runtime_failure_leaves_no_output(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "decay", alpha=3.0, t_final=1.0, cutoff=10

@@ -195,6 +195,16 @@ class TestBathValidation:
         with pytest.raises(ValueError):
             build(1.0, kappa, nbar, 10, temperature=temperature)
 
+    @pytest.mark.parametrize("build", BUILDERS)
+    @pytest.mark.parametrize("omega", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("nbar, temperature", [(0.2, None), (None, 2.0)])
+    def test_a_static_frequency_must_be_positive_and_finite(self, build, omega,
+                                                            nbar, temperature):
+        # with nbar given no occupation is derived from omega, which is then
+        # checked on its own: an inverted ladder would pass every gate
+        with pytest.raises(ValueError, match="omega must be positive and finite"):
+            build(omega, 1.0, nbar, 10, temperature=temperature)
+
     def test_squeezed_rejects_both_nbar_and_temperature(self):
         # nbar 0.2 at omega 1 means T ~ 0.56; keeping T = 5 beside it would
         # mislead entropy_bound_report
@@ -729,16 +739,18 @@ class TestBlockGate:
         assert len(advanced) == j + 1  # the block ends at the drift
 
     @pytest.mark.parametrize("custom", [False, True])
-    def test_a_snapshot_is_a_read_only_view_of_its_block(self, custom):
+    def test_a_snapshot_is_a_read_only_packed_row_of_its_block(self, custom):
         gen = thermal_generator(1.0, 1.0, nbar=0.1, dim=10)
         gen = custom_clone(gen) if custom else gen
         traj = evolve(gen, coherent_state(0.5, 10), 7.0, dt=0.1, snapshot_stride=1)
         assert len(traj.states) == 71
         for state in traj.states[1:]:
             assert not state.matrix.flags.writeable
-            assert not state.matrix.base.flags.writeable
-        # both routes hand over blocks of _BLOCK
-        blocks = {id(state.matrix.base) for state in traj.states[1:]}
+            (row,) = state._blocks  # a coherent start mixes parities: one sector
+            assert row.shape == (55,) and row.flags.c_contiguous
+            assert not row.flags.writeable and not row.base.flags.writeable
+        # both routes hand over blocks of _BLOCK, each packed into one stack
+        blocks = {id(state._blocks[0].base) for state in traj.states[1:]}
         assert len(blocks) == 3
 
     def test_the_earliest_of_two_positivity_failures_is_named(self, monkeypatch):
@@ -808,6 +820,47 @@ class TestBlockGate:
         for state in states:
             np.testing.assert_allclose(state.eigenvalues, full, rtol=0, atol=1e-14)
             assert not state.matrix.flags.writeable
+
+
+@st.composite
+def gated_stacks(draw):
+    """A (b, n, n) stack of unit-trace PSD matrices, made exactly Hermitian
+    as evolve's routes make them, by 0.5 (m + m^dag) before the trace is
+    divided out: n from 2 to 12, b from 1 to 3, real or complex, with or
+    without exact zeros between even and odd levels."""
+    n, b = draw(st.integers(2, 12)), draw(st.integers(1, 3))
+    dtype = draw(st.sampled_from([float, complex]))
+    size = b * n * n * (2 if dtype is complex else 1)
+    a = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size)))
+    a = a.view(dtype).reshape(b, n, n)
+    if draw(st.booleans()):
+        a[:, 0::2, 1::2] = a[:, 1::2, 0::2] = 0.0
+    m = a @ a.conj().transpose(0, 2, 1) + np.eye(n)
+    m = 0.5 * (m + m.conj().transpose(0, 2, 1))
+    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+
+
+class TestPackedStorage:
+    """The gate stores each snapshot as the packed upper triangles of its
+    parity sectors, and reads them back without loss."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(gated_stacks())
+    def test_a_gated_stack_round_trips_to_the_bit(self, x):
+        # every entry comes back to the bit; a zero may change its sign, as
+        # the mirror of an entry with a +0.0 imaginary part reads -0.0
+        b, n, _ = x.shape
+        split = not (x[:, 0::2, 1::2].any() or x[:, 1::2, 0::2].any())
+        states = dynamics._gate_block(HilbertDim(n), x, list(range(b)))
+        triangles = [n * (n + 1) // 2] if not split else [
+            (k * (k + 1)) // 2 for k in ((n + 1) // 2, n // 2)]
+        for state, m in zip(states, x, strict=True):
+            assert [row.size for row in state._blocks] == triangles
+            assert all(row.dtype == x.dtype for row in state._blocks)
+            assert state.matrix.dtype == x.dtype and not state.matrix.flags.writeable
+            np.testing.assert_array_equal(state.matrix, m)
+            np.testing.assert_array_equal(state.populations, m.diagonal().real)
+            assert state.trace_error == abs(m.trace() - 1.0)
 
 
 class TestSnapshotDtype:
@@ -891,19 +944,21 @@ class TestSnapshotDtype:
 
     def test_a_real_trajectory_stores_eight_bytes_an_entry(self):
         # memory guard: squeezed-relax at stride 1 keeps parity, so each
-        # snapshot holds its two 20 x 20 float64 parity sectors and nothing
-        # of the zeros between them
+        # snapshot holds the upper triangles of its two 20 x 20 float64
+        # parity sectors (210 entries each), nothing of the zeros between
+        # them and nothing of their mirror images
         gen = squeezed_generator(10.0, 1.0, 0.0, 0.4, dim=40)
         traj = evolve(gen, thermal_state(0.0, 40), 1.0, snapshot_stride=1)
         assert len(traj.states) > 500
-        assert self.held_bytes(traj) == (len(traj.states) - 1) * 2 * 20 * 20 * 8
+        assert self.held_bytes(traj) == (len(traj.states) - 1) * 2 * 210 * 8
 
-    def test_a_coherent_trajectory_stores_its_whole_matrix(self):
-        # a coherent start mixes parities, so each snapshot holds all n^2
+    def test_a_coherent_trajectory_stores_its_upper_triangle(self):
+        # a coherent start mixes parities, so each snapshot holds the
+        # 40 * 41 / 2 = 820 entries of its whole upper triangle
         gen = squeezed_generator(10.0, 1.0, 0.0, 0.4, dim=40)
         traj = evolve(gen, coherent_state(0.8, 40), 1.0, snapshot_stride=1)
         assert len(traj.states) > 500
-        assert self.held_bytes(traj) == (len(traj.states) - 1) * 40 * 40 * 8
+        assert self.held_bytes(traj) == (len(traj.states) - 1) * 820 * 8
 
 
 class TestChannelRoute:
@@ -1779,9 +1834,10 @@ class TestRequiredCutoff:
         # it reads 1.5e-11, below the tolerance
         with pytest.raises(ValueError, match="cutoff search did not converge"):
             required_cutoff(0.0, 15.0)
-        # e^(2r) overflows: no cutoff holds the state
-        with pytest.raises(CutoffLeak, match="overflows"):
+        # e^(2r) overflows: no cutoff holds the state, and r is out of domain
+        with pytest.raises(ValueError, match=r"r=360\.0\): the squeezing overflows") as exc:
             required_cutoff(0.0, 360.0)
+        assert type(exc.value) is ValueError
 
     @pytest.mark.parametrize(
         "nbar,r", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, -math.inf)]

@@ -8,7 +8,8 @@ are re-exports.
 
 Inside the package only constant_hamiltonian and oscillator_schedule call
 HamiltonianSchedule(...), so a second schedule form cannot come back
-unseen.
+unseen, and only fock reads a state's stored blocks (._blocks), so the
+packed snapshot format stays in one module.
 Two import-time contracts ride along: importing the package and its CLI,
 running the README cycle, otto-sweep, multibath and short carnot-stroke
 configs and building a squeeze operator or a squeezed state loads no
@@ -212,6 +213,39 @@ def test_check_sees_dead_private_members():
         ("a.py", "A._prop"),
         ("a.py", "A._gone"),
     ]
+
+
+
+def storage_readers(sources: dict) -> list:
+    """(module, line) per read of a state's storage, ._blocks or the
+    string "_blocks", outside fock.py in the package's modules (sources:
+    module -> text): the packed format lives in fock alone."""
+    return [
+        (module, node.lineno)
+        for module, text in sources.items() if module != "fock.py"
+        for node in ast.walk(ast.parse(text))
+        if (isinstance(node, ast.Attribute) and node.attr == "_blocks")
+        or (isinstance(node, ast.Constant) and node.value == "_blocks")
+    ]
+
+
+def test_only_fock_reads_the_state_storage():
+    package = Path(squeezedbath.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert storage_readers(sources) == []
+
+
+def test_check_sees_a_storage_read_outside_fock():
+    sources = {
+        "fock.py": "def matrix(state):\n    return state._blocks[0]\n",
+        "ledger.py": (
+            "def rows(states):\n"
+            "    return [s._blocks for s in states]\n"
+            "def first(s):\n    return getattr(s, '_blocks')\n"
+            "def fine(s):\n    return s.blocks, s._eigs\n"
+        ),
+    }
+    assert storage_readers(sources) == [("ledger.py", 2), ("ledger.py", 4)]
 
 
 
